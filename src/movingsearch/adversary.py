@@ -13,22 +13,24 @@ target walk (every transcript here can be certified by
 ``greedy_forced_size`` and ``margin_forced_size`` close the quantifier over
 strategies: they minimize the forced final set size over every adaptive
 strategy of a given test class, so a lower bound on their value refutes the
-whole class at once.
+whole class at once.  They run on the bitmask ``kernel.Arena`` that the
+oracle also uses, so they accept paths and cycles only; the adversaries and
+their transcripts keep ``PositionSet``, the public and text type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional
 
 from .adaptive import AdaptiveStrategy, StrategyNode
 from .errors import WindowInvariantError
+from .kernel import Arena, mask_of
 from .nonadaptive import TestMatrix
 from .spaces import (
     PositionSet,
     SearchSpace,
     Topology,
-    enumerate_interval_tests,
     full_set,
     neighborhood,
     update,
@@ -81,7 +83,12 @@ class Transcript:
         return "\n".join(lines) + "\n"
 
 
-TestSource = Union[AdaptiveStrategy, TestMatrix, Sequence[PositionSet]]
+if TYPE_CHECKING:
+    # annotation-only: a runtime Union would sit in typing's cache and keep
+    # every imported copy of these classes, and their modules, alive
+    from typing import Sequence, Union
+
+    TestSource = Union[AdaptiveStrategy, TestMatrix, Sequence[PositionSet]]
 
 
 class SourceCursor:
@@ -326,49 +333,41 @@ def matrix_counter(space: SearchSpace, matrix: TestMatrix) -> CounterCertificate
 # sweeps over whole strategy classes
 
 
-def _tests_for(space: SearchSpace, test_class: str) -> list[PositionSet]:
-    if test_class == "intervals":
-        return enumerate_interval_tests(space)
-    if test_class == "all_subsets":
-        n = space.num_vertices
-        return [
-            PositionSet.from_members(v + 1 for v in range(n) if mask >> v & 1)
-            for mask in range(1, (1 << n) - 1)
-        ]
-    raise ValueError(f"unknown test class {test_class!r}")
-
-
 def greedy_forced_size(space: SearchSpace, rounds: int, test_class: str = "intervals") -> int:
     """Smallest final candidate-set size any strategy of the class can reach
     against the greedy adversary.  A value of v certifies that accuracy
-    v-1 is out of reach for every such strategy with that many tests."""
-    tests = _tests_for(space, test_class)
-    memo: dict[tuple[PositionSet, int], int] = {}
+    v-1 is out of reach for every such strategy with that many tests.
 
-    def force(d: PositionSet, left: int) -> int:
+    Paths and cycles only: a segment arena raises ``ValueError``."""
+    arena = Arena(space)
+    tests = arena.tests(test_class)
+    reach = arena.reach
+    memo: dict[tuple[int, int], int] = {}
+
+    def force(d: int, left: int) -> int:
         if left == 0:
-            return len(d)
+            return d.bit_count()
         key = (d, left)
         if key in memo:
             return memo[key]
         # burning a round on an uninformative test is a legal strategy move
-        best = force(neighborhood(space, d), left - 1)
+        best = force(reach(d), left - 1)
         seen = set()
         for t in tests:
             e1 = d & t
             if not e1 or e1 == d or e1 in seen:
                 continue
             seen.add(e1)
-            d1 = neighborhood(space, e1)
-            d0 = update(space, d, t, 0)
-            nxt = d1 if len(d1) > len(d0) else d0
+            d1 = reach(e1)
+            d0 = reach(d & ~t)
+            nxt = d1 if d1.bit_count() > d0.bit_count() else d0
             got = force(nxt, left - 1)
             if got < best:
                 best = got
         memo[key] = best
         return best
 
-    return force(full_set(space), rounds)
+    return force(arena.full, rounds)
 
 
 def margin_forced_size(
@@ -379,13 +378,17 @@ def margin_forced_size(
 ) -> int:
     """Minimum over strategies of the margin adversary's final tracked-set
     size; at one vertex above capacity this is at least s+1, refuting the
-    entire class."""
-    tests = _tests_for(space, test_class)
-    memo: dict[tuple[PositionSet, int], int] = {}
+    entire class.
 
-    def force(a: PositionSet, i: int) -> int:
+    Paths and cycles only: a segment arena raises ``ValueError``."""
+    arena = Arena(space)
+    tests = arena.tests(test_class)
+    reach = arena.reach
+    memo: dict[tuple[int, int], int] = {}
+
+    def force(a: int, i: int) -> int:
         if i == rounds:
-            return len(a)
+            return a.bit_count()
         key = (a, i)
         if key in memo:
             return memo[key]
@@ -396,13 +399,13 @@ def margin_forced_size(
             if e1 in seen:
                 continue
             seen.add(e1)
-            kept1 = neighborhood(space, e1)
-            kept0 = neighborhood(space, a - t)
-            nxt = kept0 if len(kept1) < len(kept0) else kept1
+            kept1 = reach(e1)
+            kept0 = reach(a & ~t)
+            nxt = kept0 if kept1.bit_count() < kept0.bit_count() else kept1
             got = force(nxt, i + 1)
             if best is None or got < best:
                 best = got
-        memo[key] = best if best is not None else len(a)
+        memo[key] = best if best is not None else a.bit_count()
         return memo[key]
 
-    return force(margin_start(space, rounds, s), 0)
+    return force(mask_of(margin_start(space, rounds, s)), 0)

@@ -111,6 +111,8 @@ class SystemExit2(Exception):
 def cmd_table(args, out) -> int:
     rows = []
     if args.s_star:
+        if args.N is None:
+            raise SystemExit2("accuracy tables need --N")
         for n_vertices in _parse_range(args.N):
             if args.nonadaptive:
                 value = nonadaptive.nonadaptive_min_accuracy(n_vertices, args.k)

@@ -13,7 +13,7 @@ Bit streams serialize as strings of '0'/'1' characters.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .adaptive import AdaptiveStrategy
 from .adversary import SourceCursor, Transcript, TranscriptRound, greedy_adversary
@@ -30,7 +30,10 @@ from .spaces import (
     vertex_bounds,
 )
 
-Strategy = Union[AdaptiveStrategy, TestMatrix]
+if TYPE_CHECKING:
+    from typing import Union
+
+    Strategy = Union[AdaptiveStrategy, TestMatrix]
 
 
 class CodecSession:

@@ -1,12 +1,13 @@
 """Exact brute-force ground truth for small arenas.
 
-States are candidate sets encoded as bitmasks; reachability expansion is a
-shift-or (path) or rotate-or (cycle).  ``exact_min_tests`` materializes the
-full state graph reachable from the initial candidate set under the chosen
-test class and then runs synchronous value iteration, so the memo holds the
-exact distance-to-success of every state rather than per-budget values;
-states never labelled by the fixpoint are provably unwinnable, which is how
-unbounded-budget accuracy queries terminate.
+States are candidate sets encoded as bitmasks by ``kernel.Arena``;
+reachability expansion is a shift-or (path) or rotate-or (cycle).
+``exact_min_tests`` materializes the full state graph reachable from the
+initial candidate set under the chosen test class and then runs synchronous
+value iteration, so the memo holds the exact distance-to-success of every
+state rather than per-budget values; states never labelled by the fixpoint
+are provably unwinnable, which is how unbounded-budget accuracy queries
+terminate.
 
 ``exact_best_matrix`` searches over non-adaptive matrices row by row.  Its
 state is the antichain of still-unresolved candidate sets (subset-dominated
@@ -23,83 +24,11 @@ from typing import Optional
 
 from .adaptive import AdaptiveStrategy, StrategyNode
 from .errors import BudgetExceededError
+from .kernel import Arena, ps_of
 from .nonadaptive import TestMatrix
-from .spaces import PositionSet, SearchSpace, Topology
+from .spaces import SearchSpace
 
 TEST_CLASSES = ("intervals", "all_subsets")
-
-
-def _mask_of(ps: PositionSet) -> int:
-    m = 0
-    for lo, hi in ps.intervals:
-        m |= ((1 << (hi - lo + 1)) - 1) << (lo - 1)
-    return m
-
-
-def _ps_of(mask: int) -> PositionSet:
-    ivs = []
-    j = 0
-    while mask:
-        if mask & 1:
-            lo = j
-            while mask & 1:
-                mask >>= 1
-                j += 1
-            ivs.append((lo + 1, j))
-        else:
-            mask >>= 1
-            j += 1
-    return PositionSet(ivs)
-
-
-class _Arena:
-    """Mask arithmetic specialized for one space."""
-
-    def __init__(self, space: SearchSpace):
-        if space.topology not in (Topology.PATH, Topology.CYCLE):
-            raise ValueError("the oracle handles paths and cycles")
-        self.space = space
-        self.n = space.num_vertices
-        self.k = space.speed
-        self.full = (1 << self.n) - 1
-        self._reach_cache: dict[int, int] = {}
-
-    def reach(self, mask: int) -> int:
-        out = self._reach_cache.get(mask)
-        if out is not None:
-            return out
-        n, full = self.n, self.full
-        out = mask
-        if self.space.topology is Topology.PATH:
-            for _ in range(self.k):
-                out |= (out << 1) | (out >> 1)
-                out &= full
-        else:
-            for _ in range(self.k):
-                out |= ((out << 1) | (out >> (n - 1))) & full
-                out |= (out >> 1) | ((out & 1) << (n - 1))
-        self._reach_cache[mask] = out
-        return out
-
-    def interval_tests(self) -> list[int]:
-        n = self.n
-        if self.space.topology is Topology.PATH:
-            return [
-                ((1 << (b - a + 1)) - 1) << (a - 1)
-                for a in range(1, n + 1)
-                for b in range(a, n + 1)
-                if not (a == 1 and b == n)
-            ]
-        out = []
-        seen = set()
-        for length in range(1, n):
-            pref = (1 << length) - 1
-            for start in range(n):
-                arc = ((pref << start) | (pref >> (n - start))) & self.full
-                if arc not in seen:
-                    seen.add(arc)
-                    out.append(arc)
-        return out
 
 
 @dataclass
@@ -114,7 +43,7 @@ class GameValue:
     status: str  # "solved" | "unreachable" | "budget_exceeded"
     min_tests: Optional[int]
     states: int
-    _arena: _Arena = field(repr=False)
+    _arena: Arena = field(repr=False)
     _graph: dict = field(repr=False)
     _values: dict = field(repr=False)
 
@@ -139,7 +68,7 @@ def _submasks(d: int):
         sub = (sub - 1) & d
 
 
-def _build_graph(arena: _Arena, test_class: str, max_states: int) -> dict:
+def _build_graph(arena: Arena, test_class: str, max_states: int) -> dict:
     """state -> list of (test, e1, child1, e0, child0), deduped per split."""
     if test_class not in TEST_CLASSES:
         raise ValueError(f"unknown test class {test_class!r}")
@@ -175,7 +104,7 @@ def _build_graph(arena: _Arena, test_class: str, max_states: int) -> dict:
 
 
 def _label(
-    arena: _Arena,
+    arena: Arena,
     graph: dict,
     s: int,
     check_expanded: Optional[bool],
@@ -244,7 +173,7 @@ def exact_min_tests(
     if s < 1:
         raise ValueError("accuracy must be >= 1")
     _check_caps(space, test_class)
-    arena = _Arena(space)
+    arena = Arena(space)
     graph = _build_graph(arena, test_class, max_states)
     vals, fixpoint = _label(arena, graph, s, check_expanded, budget)
     root_val = vals.get(arena.full)
@@ -268,7 +197,7 @@ def exact_min_accuracy(
 ) -> int:
     """Smallest accuracy reachable within ``n_budget`` tests (any number if None)."""
     _check_caps(space, test_class)
-    arena = _Arena(space)
+    arena = Arena(space)
     graph = _build_graph(arena, test_class, max_states)
     for s in range(1, space.num_vertices + 1):
         vals, _fixpoint = _label(arena, graph, s, check_expanded, n_budget)
@@ -296,17 +225,17 @@ def extract_strategy(gv: GameValue) -> AdaptiveStrategy:
 
     def leaf_for(e: int, child: int) -> StrategyNode:
         announced = child if expand else e
-        return StrategyNode(answer=_ps_of(announced))
+        return StrategyNode(answer=ps_of(announced))
 
     def build(d: int) -> StrategyNode:
         if d.bit_count() <= gv.s:
-            return StrategyNode(answer=_ps_of(d))
+            return StrategyNode(answer=ps_of(d))
         want = vals[d] - 1
         for t, e1, c1, e0, c0 in graph[d]:
             if max(branch_value(e1, c1), branch_value(e0, c0)) == want:
                 on1 = leaf_for(e1, c1) if branch_value(e1, c1) == 0 else build(c1)
                 on0 = leaf_for(e0, c0) if branch_value(e0, c0) == 0 else build(c0)
-                return StrategyNode(test=_ps_of(t), on0=on0, on1=on1)
+                return StrategyNode(test=ps_of(t), on0=on0, on1=on1)
         raise AssertionError("labelled state lost its achieving test")
 
     return AdaptiveStrategy(gv.space, build(arena.full), gv.s)
@@ -351,7 +280,7 @@ def exact_best_matrix(
         raise BudgetExceededError("matrix search is capped at n <= 5 rows")
     if n < 1:
         raise ValueError("need at least one row")
-    arena = _Arena(space)
+    arena = Arena(space)
     full = arena.full
     expand = space.moves_after_last_test if check_expanded is None else check_expanded
     if full.bit_count() <= s:

@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 import random
 
 import pytest
@@ -29,7 +31,9 @@ from movingsearch.spaces import (
     cycle,
     enumerate_interval_tests,
     full_set,
+    half_open_segment,
     is_valid_walk,
+    open_segment,
     path,
     update,
 )
@@ -121,6 +125,49 @@ def test_greedy_refutes_above_cycle_capacity():
     for n, s in itertools.product((1, 2, 3), (5, 6)):
         over = cycle_capacity(n, s, 1) + 1
         assert greedy_forced_size(cycle(over, 1), n) >= s + 1
+
+
+def test_sweeps_reproduce_golden_table():
+    """Values recorded from the PositionSet interval-algebra sweeps before
+    they moved onto the bitmask kernel: every instance the tests and the
+    capacity checks sweep, greedy on paths and cycles with N <= 10
+    (intervals) or N <= 8 (all subsets), margin on paths with N <= 8, and
+    path(17, 2) at 3 tests, the smallest interval instance with N <= 22,
+    k <= 3 and at most 4 tests whose value depends on the greedy tie rule.
+    "ValueError" marks an arena too small for the margin start set."""
+    with open(os.path.join(os.path.dirname(__file__), "sweep_golden.json")) as fh:
+        rows = json.load(fh)
+    make = {"path": path, "cycle": cycle}
+    wrong = []
+    for sweep, topology, n_vertices, k, rounds, s, test_class, want in rows:
+        space = make[topology](n_vertices, k)
+        try:
+            if sweep == "greedy":
+                got = greedy_forced_size(space, rounds, test_class)
+            else:
+                got = margin_forced_size(space, rounds, s, test_class)
+        except ValueError:
+            got = "ValueError"
+        if got != want:
+            wrong.append((sweep, topology, n_vertices, k, rounds, s, test_class, want, got))
+    assert len(rows) == 701
+    assert wrong == []
+
+
+@pytest.mark.parametrize("make", [open_segment, half_open_segment])
+def test_sweeps_reject_segment_arenas(make):
+    space = make(9, 1)
+    with pytest.raises(ValueError, match=space.topology.value):
+        greedy_forced_size(space, 1)
+    with pytest.raises(ValueError, match=space.topology.value):
+        margin_forced_size(space, 1, 4)
+
+
+def test_sweeps_reject_unknown_test_class():
+    with pytest.raises(ValueError, match="unknown test class"):
+        greedy_forced_size(path(5, 1), 1, test_class="arcs")
+    with pytest.raises(ValueError, match="unknown test class"):
+        margin_forced_size(path(9, 1), 1, 4, test_class="arcs")
 
 
 # -- window adversary -------------------------------------------------------------

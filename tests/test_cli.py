@@ -162,6 +162,13 @@ def test_usage_error_exit_code():
     assert code == 2  # cycle strategies need --s
 
 
+def test_accuracy_table_without_vertex_range_is_usage_error(capsys):
+    code, _ = run_cli("table", "--k", "1", "--s-star")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--N" in err and "Traceback" not in err
+
+
 def test_budget_exit_code():
     code, _ = run_cli(
         "oracle", "--topology", "path", "--N", "11", "--k", "1", "--s", "4",
