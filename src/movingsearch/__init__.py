@@ -20,6 +20,7 @@ from .adaptive import (
     path_shifting_strategy,
     path_sliding_window_strategy,
     path_strategy,
+    restricted_cycle_capacity,
 )
 from .adversary import (
     CounterCertificate,

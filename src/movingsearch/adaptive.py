@@ -174,6 +174,20 @@ def cycle_capacity(n: int, s: int, k: int) -> int:
     return (1 << n) * (s - 4 * k) + 4 * k
 
 
+def restricted_cycle_capacity(n: int, s: int, k: int) -> int:
+    """Largest cycle size solvable with n >= 1 tests at accuracy s (speed k)
+    when the target does not move after the last test.
+
+    Arc halving: the last test needs no re-expansion, so C(1) = 2s, and each
+    earlier test maps an arc of L candidates to ceil(L/2) + 2k, so
+    C(n) = 2(C(n-1) - 2k).  With no test the capacity is just s.
+    """
+    _check_regime(n, s, k)
+    if n < 1:
+        raise RegimeError("the restricted cycle capacity needs n >= 1 tests")
+    return (s - 2 * k) * (1 << n) + 4 * k
+
+
 def path_capacity(n: int, s: int, k: int) -> int:
     """Largest path size solvable with n tests at accuracy s (speed k)."""
     _check_regime(n, s, k)

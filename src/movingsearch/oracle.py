@@ -2,12 +2,17 @@
 
 States are candidate sets encoded as bitmasks by ``kernel.Arena``;
 reachability expansion is a shift-or (path) or rotate-or (cycle).
-``exact_min_tests`` materializes the full state graph reachable from the
-initial candidate set under the chosen test class and then runs synchronous
-value iteration, so the memo holds the exact distance-to-success of every
-state rather than per-budget values; states never labelled by the fixpoint
-are provably unwinnable, which is how unbounded-budget accuracy queries
-terminate.
+``exact_min_tests`` materializes the state graph reachable from the initial
+candidate set under the chosen test class, leaving out what is already
+decided: a branch whose announced set fits the accuracy is never expanded.
+It then labels the graph backwards by retrograde analysis, as for endgame
+tablebases (K. Thompson, "Retrograde analysis of certain endgames", ICCA J.
+1986): states are settled in increasing order of their exact
+distance-to-success, each one when the last open branch of one of its tests
+is settled, so a state is looked at only when a child gets a label.  States
+never labelled once the levels run out are provably unwinnable, which is how
+unbounded-budget accuracy queries terminate.  ``exact_min_accuracy`` builds
+one unpruned graph and index and labels it once per accuracy.
 
 ``exact_best_matrix`` searches over non-adaptive matrices row by row.  Its
 state is the antichain of still-unresolved candidate sets (subset-dominated
@@ -20,7 +25,7 @@ and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .adaptive import AdaptiveStrategy, StrategyNode
 from .errors import BudgetExceededError
@@ -34,7 +39,8 @@ TEST_CLASSES = ("intervals", "all_subsets")
 @dataclass
 class GameValue:
     """Outcome of an exact minimax query, plus the labelled graph for
-    strategy extraction."""
+    strategy extraction.  ``states`` counts the states of that graph, which
+    holds only the states whose answer was still open at accuracy ``s``."""
 
     space: SearchSpace
     s: int
@@ -68,12 +74,42 @@ def _submasks(d: int):
         sub = (sub - 1) & d
 
 
-def _build_graph(arena: Arena, test_class: str, max_states: int) -> dict:
-    """state -> list of (test, e1, child1, e0, child0), deduped per split."""
+def _expand(space: SearchSpace, check_expanded: Optional[bool]) -> bool:
+    """Whether the accuracy check reads the post-move set (the child)."""
+    return space.moves_after_last_test if check_expanded is None else check_expanded
+
+
+class _Index(NamedTuple):
+    """Backward view of a state graph for retrograde labelling.  Edge ``i``
+    leaves state ``parents[i]``; its branch ``2i`` (answer 1) and ``2i+1``
+    (answer 0) announce sets of ``announced[b]`` candidates; ``preds`` maps a
+    child to the ids of the indexed branches that lead to it."""
+
+    parents: list
+    announced: list
+    preds: dict
+
+
+def _build_graph(
+    arena: Arena, test_class: str, s: int, expand: bool, max_states: int
+) -> tuple[dict, _Index]:
+    """Every state still open at accuracy ``s``, reachable from the full arena.
+
+    Returns the graph, state -> list of (test, e1, child1, e0, child0) with
+    one edge per split of the state up to swapping the answers, and its
+    ``_Index``.  A state with at most ``s`` candidates is recorded with no
+    edges, and a branch whose announced set (the child if ``expand``, else
+    ``e``) fits is neither pushed nor indexed: its answer is already known.
+    ``s=0`` prunes nothing.
+    """
     if test_class not in TEST_CLASSES:
         raise ValueError(f"unknown test class {test_class!r}")
     interval_masks = arena.interval_tests() if test_class == "intervals" else None
+    reach = arena.reach
     graph: dict[int, list] = {}
+    parents: list[int] = []
+    announced: list[int] = []
+    preds: dict[int, list] = {}
     frontier = [arena.full]
     while frontier:
         d = frontier.pop()
@@ -81,68 +117,90 @@ def _build_graph(arena: Arena, test_class: str, max_states: int) -> dict:
             continue
         if len(graph) >= max_states:
             raise BudgetExceededError(f"oracle state cap {max_states} exceeded")
-        edges = []
-        seen_splits = set()
+        edges = graph[d] = []
+        if d.bit_count() <= s:
+            continue
+        seen_splits = {0, d}
         candidates = (
             ((t, t & d) for t in interval_masks)
             if interval_masks is not None
             else ((e, e) for e in _submasks(d))
         )
         for t, e1 in candidates:
-            if e1 == 0 or e1 == d or e1 in seen_splits:
+            if e1 in seen_splits:
                 continue
+            e0 = d ^ e1
             seen_splits.add(e1)
-            e0 = d & ~e1
-            c1, c0 = arena.reach(e1), arena.reach(e0)
+            seen_splits.add(e0)
+            c1, c0 = reach(e1), reach(e0)
             edges.append((t, e1, c1, e0, c0))
-            if c1 not in graph:
-                frontier.append(c1)
-            if c0 not in graph:
-                frontier.append(c0)
-        graph[d] = edges
-    return graph
+            branch = 2 * len(parents)
+            parents.append(d)
+            for e, c in ((e1, c1), (e0, c0)):
+                size = (c if expand else e).bit_count()
+                announced.append(size)
+                if size > s:
+                    into = preds.get(c)
+                    if into is None:
+                        preds[c] = [branch]
+                        if c not in graph:
+                            frontier.append(c)
+                    else:
+                        into.append(branch)
+                branch += 1
+    return graph, _Index(parents, announced, preds)
 
 
 def _label(
-    arena: Arena,
-    graph: dict,
-    s: int,
-    check_expanded: Optional[bool],
-    budget: Optional[int],
+    graph: dict, index: _Index, root: int, s: int, budget: Optional[int]
 ) -> tuple[dict, bool]:
-    """Synchronous value iteration; returns (values, reached_fixpoint)."""
-    expand = arena.space.moves_after_last_test if check_expanded is None else check_expanded
-    INF = float("inf")
+    """Retrograde labelling; returns (values, reached_fixpoint).
 
-    def branch_value(e: int, child: int, vals) -> float:
-        if e == 0:
-            return 0  # no walk realizes this answer: vacuously done
-        size = (child if expand else e).bit_count()
-        if size <= s:
-            return 0
-        v = vals.get(child)
-        return INF if v is None else v
-
+    A state's value is its minimax number of tests to accuracy ``s``.  Each
+    edge counts its open branches (announced set above ``s``); labelling
+    goes level by level in increasing value, and when a child gets value v,
+    every edge that had it as its last open branch settles its parent at
+    v+1 unless the parent already has a value.  So a state is looked at
+    only when one of its children gets a label.  Stops once the root is
+    labelled, when a level comes out empty (the fixpoint: the states left
+    cannot be won), or after ``budget`` levels; the budget is checked
+    before the level that would show the fixpoint.  The index is only read,
+    so one index serves every ``s``.
+    """
+    parents, announced, preds = index
     vals = {d: 0 for d in graph if d.bit_count() <= s}
-    pending = [d for d in graph if d not in vals]
-    rounds = 0
-    while pending:
-        if budget is not None and rounds >= budget:
+    if root in vals:
+        return vals, True
+    if budget == 0:
+        return vals, False
+    open_count = [(a1 > s) + (a0 > s) for a1, a0 in zip(announced[::2], announced[1::2])]
+    level = []
+    for edge, n_open in enumerate(open_count):
+        if not n_open:
+            d = parents[edge]
+            if d not in vals:
+                vals[d] = 1
+                level.append(d)
+    value = 1
+    while level and root not in vals:
+        if budget is not None and value >= budget:
             return vals, False
-        rounds += 1
-        newly = {}
-        for d in pending:
-            best = INF
-            for _t, e1, c1, e0, c0 in graph[d]:
-                worst = max(branch_value(e1, c1, vals), branch_value(e0, c0, vals))
-                if worst < best:
-                    best = worst
-            if best < INF:
-                newly[d] = 1 + best
-        if not newly:
-            return vals, True  # fixpoint: the rest cannot be won
-        vals.update(newly)
-        pending = [d for d in pending if d not in newly]
+        value += 1
+        settled = []
+        for c in level:
+            for branch in preds.get(c, ()):
+                if announced[branch] > s:  # else closed at this s (unpruned graph)
+                    edge = branch >> 1
+                    left = open_count[edge] - 1
+                    open_count[edge] = left
+                    if not left:
+                        d = parents[edge]
+                        if d not in vals:
+                            vals[d] = value
+                            if d == root:
+                                return vals, True
+                            settled.append(d)
+        level = settled
     return vals, True
 
 
@@ -166,19 +224,26 @@ def exact_min_tests(
 
     ``budget`` caps the searched depth; hitting it is reported as status
     ``budget_exceeded`` rather than being conflated with unreachability.
-    ``check_expanded`` overrides where the accuracy check is applied (after
-    the trailing move by default in the moves-after-last-test model, before
-    it otherwise).
+    The graph holds only states whose answer is still open, so with a
+    budget a query may come out ``unreachable`` where the full graph would
+    have run out of budget first; that happens only when the query without
+    a budget is ``unreachable`` too.  ``check_expanded`` overrides where the
+    accuracy check is applied (after the trailing move by default in the
+    moves-after-last-test model, before it otherwise).
     """
     if s < 1:
         raise ValueError("accuracy must be >= 1")
+    if budget is not None and budget < 0:
+        raise ValueError("test budget must be >= 0")
     _check_caps(space, test_class)
     arena = Arena(space)
-    graph = _build_graph(arena, test_class, max_states)
-    vals, fixpoint = _label(arena, graph, s, check_expanded, budget)
+    graph, index = _build_graph(
+        arena, test_class, s, _expand(space, check_expanded), max_states
+    )
+    vals, fixpoint = _label(graph, index, arena.full, s, budget)
     root_val = vals.get(arena.full)
     if root_val is not None:
-        status, result = "solved", int(root_val)
+        status, result = "solved", root_val
     elif fixpoint:
         status, result = "unreachable", None
     else:
@@ -195,14 +260,19 @@ def exact_min_accuracy(
     check_expanded: Optional[bool] = None,
     max_states: int = 500_000,
 ) -> int:
-    """Smallest accuracy reachable within ``n_budget`` tests (any number if None)."""
+    """Smallest accuracy reachable within ``n_budget`` tests (any number if None).
+
+    Builds one unpruned graph and its index, then labels it once per s."""
+    if n_budget is not None and n_budget < 0:
+        raise ValueError("test budget must be >= 0")
     _check_caps(space, test_class)
     arena = Arena(space)
-    graph = _build_graph(arena, test_class, max_states)
+    graph, index = _build_graph(
+        arena, test_class, 0, _expand(space, check_expanded), max_states
+    )
     for s in range(1, space.num_vertices + 1):
-        vals, _fixpoint = _label(arena, graph, s, check_expanded, n_budget)
-        v = vals.get(arena.full)
-        if v is not None and (n_budget is None or v <= n_budget):
+        vals, _fixpoint = _label(graph, index, arena.full, s, n_budget)
+        if arena.full in vals:
             return s
     return space.num_vertices
 
@@ -212,7 +282,7 @@ def extract_strategy(gv: GameValue) -> AdaptiveStrategy:
     if gv.status != "solved":
         raise ValueError(f"no strategy to extract: status is {gv.status}")
     arena, graph, vals = gv._arena, gv._graph, gv._values
-    expand = gv.space.moves_after_last_test if gv.check_expanded is None else gv.check_expanded
+    expand = _expand(gv.space, gv.check_expanded)
     INF = float("inf")
 
     def branch_value(e, child):
@@ -282,7 +352,7 @@ def exact_best_matrix(
         raise ValueError("need at least one row")
     arena = Arena(space)
     full = arena.full
-    expand = space.moves_after_last_test if check_expanded is None else check_expanded
+    expand = _expand(space, check_expanded)
     if full.bit_count() <= s:
         raise ValueError("trivial instance: the whole arena already fits the accuracy")
 

@@ -295,6 +295,9 @@ def check_nonadaptive_optimality(t: _Tally, scale: str):
 
 
 def check_restricted_formulas(t: _Tally, scale: str):
+    """The source's restricted-model formulas against the oracle, with each
+    miss a finding; on cycles with n >= 1 the oracle's capacity must also
+    equal ``adaptive.restricted_cycle_capacity``."""
     t.info(
         "accuracy bookkeeping: check_expanded=None, i.e. the announced set follows "
         "the arena's moves_after_last_test flag; with the flag off the size check "
@@ -318,9 +321,8 @@ def check_restricted_formulas(t: _Tally, scale: str):
                     over = oracle.exact_min_tests(
                         mk(formula + 1, k, moves_after_last_test=False), s
                     ).min_tests
-                    t.checked += 1
+                    true_cap = formula
                     if got_at != n or over == n:
-                        true_cap = formula
                         while true_cap + 1 <= 30:
                             v = oracle.exact_min_tests(
                                 mk(true_cap + 1, k, moves_after_last_test=False), s
@@ -333,6 +335,15 @@ def check_restricted_formulas(t: _Tally, scale: str):
                             f"but the oracle's capacity is {true_cap} "
                             f"(min tests {got_at} at the formula value, {over} one above)"
                         )
+                    if topo == "cycle" and n >= 1:
+                        derived = adaptive.restricted_cycle_capacity(n, s, k)
+                        t.ok(
+                            true_cap == derived,
+                            f"restricted cycle k={k} s={s} n={n}: the oracle's capacity "
+                            f"is {true_cap}, the arc-halving formula gives {derived}",
+                        )
+                    else:
+                        t.checked += 1
 
 
 def check_soundness_suite(t: _Tally, scale: str):

@@ -1,5 +1,6 @@
-"""Shared verification helpers for strategy trees."""
+"""Shared verification helpers for strategy trees, and the reference oracle."""
 
+from movingsearch.errors import BudgetExceededError
 from movingsearch.spaces import PositionSet, full_set, neighborhood, update
 
 
@@ -52,3 +53,106 @@ def branch_sizes(strategy):
             sizes.append(len(d))
         out.append((bits, sizes))
     return out
+
+
+# -- reference oracle ------------------------------------------------------------
+# The exact oracle's former graph build and labeller, kept as the reference
+# that its retrograde labelling over a pruned graph is checked against: every
+# state reachable from the full arena is expanded, and synchronous value
+# iteration re-scans every pending state each round.
+
+
+def _submasks(d):
+    # proper nonempty submasks of d
+    sub = (d - 1) & d
+    while sub:
+        yield sub
+        sub = (sub - 1) & d
+
+
+def reference_build_graph(arena, test_class, max_states=500_000):
+    """state -> list of (test, e1, child1, e0, child0), deduped per split."""
+    interval_masks = arena.interval_tests() if test_class == "intervals" else None
+    graph = {}
+    frontier = [arena.full]
+    while frontier:
+        d = frontier.pop()
+        if d in graph:
+            continue
+        if len(graph) >= max_states:
+            raise BudgetExceededError(f"oracle state cap {max_states} exceeded")
+        edges = []
+        seen_splits = set()
+        candidates = (
+            ((t, t & d) for t in interval_masks)
+            if interval_masks is not None
+            else ((e, e) for e in _submasks(d))
+        )
+        for t, e1 in candidates:
+            if e1 == 0 or e1 == d or e1 in seen_splits:
+                continue
+            seen_splits.add(e1)
+            e0 = d & ~e1
+            c1, c0 = arena.reach(e1), arena.reach(e0)
+            edges.append((t, e1, c1, e0, c0))
+            if c1 not in graph:
+                frontier.append(c1)
+            if c0 not in graph:
+                frontier.append(c0)
+        graph[d] = edges
+    return graph
+
+
+def reference_label(arena, graph, s, check_expanded, budget):
+    """Synchronous value iteration; returns (values, reached_fixpoint)."""
+    expand = arena.space.moves_after_last_test if check_expanded is None else check_expanded
+    INF = float("inf")
+
+    def branch_value(e, child, vals):
+        if e == 0:
+            return 0  # no walk realizes this answer: vacuously done
+        size = (child if expand else e).bit_count()
+        if size <= s:
+            return 0
+        v = vals.get(child)
+        return INF if v is None else v
+
+    vals = {d: 0 for d in graph if d.bit_count() <= s}
+    pending = [d for d in graph if d not in vals]
+    rounds = 0
+    while pending:
+        if budget is not None and rounds >= budget:
+            return vals, False
+        rounds += 1
+        newly = {}
+        for d in pending:
+            best = INF
+            for _t, e1, c1, e0, c0 in graph[d]:
+                worst = max(branch_value(e1, c1, vals), branch_value(e0, c0, vals))
+                if worst < best:
+                    best = worst
+            if best < INF:
+                newly[d] = 1 + best
+        if not newly:
+            return vals, True  # fixpoint: the rest cannot be won
+        vals.update(newly)
+        pending = [d for d in pending if d not in newly]
+    return vals, True
+
+
+def reference_min_tests(arena, graph, s, budget=None, check_expanded=None):
+    """(status, min_tests) as the former ``exact_min_tests`` reported them."""
+    vals, fixpoint = reference_label(arena, graph, s, check_expanded, budget)
+    root_val = vals.get(arena.full)
+    if root_val is not None:
+        return "solved", int(root_val)
+    return ("unreachable" if fixpoint else "budget_exceeded"), None
+
+
+def reference_min_accuracy(arena, graph, n_budget=None, check_expanded=None):
+    for s in range(1, arena.n + 1):
+        vals, _fixpoint = reference_label(arena, graph, s, check_expanded, n_budget)
+        v = vals.get(arena.full)
+        if v is not None and (n_budget is None or v <= n_budget):
+            return s
+    return arena.n

@@ -15,6 +15,7 @@ from movingsearch.adaptive import (
     path_shifting_strategy,
     path_sliding_window_strategy,
     path_strategy,
+    restricted_cycle_capacity,
 )
 from movingsearch.errors import BudgetExceededError, RegimeError
 from movingsearch.spaces import PositionSet, Topology
@@ -37,11 +38,21 @@ def test_path_capacity_values():
     assert path_capacity(1, 4, 1) == 6
 
 
+def test_restricted_cycle_capacity_values():
+    # the oracle's restricted cycle capacities at s = 4k and 4k+1
+    assert [restricted_cycle_capacity(n, 4, 1) for n in (1, 2, 3)] == [8, 12, 20]
+    assert [restricted_cycle_capacity(n, 5, 1) for n in (1, 2)] == [10, 16]
+    assert [restricted_cycle_capacity(n, 8, 2) for n in (1, 2)] == [16, 24]
+    assert restricted_cycle_capacity(1, 9, 2) == 18
+
+
 def test_capacity_regime_rejected():
     with pytest.raises(RegimeError):
         cycle_capacity(2, 3, 1)
     with pytest.raises(RegimeError):
         path_capacity(1, 7, 2)
+    with pytest.raises(RegimeError):
+        restricted_cycle_capacity(0, 4, 1)
 
 
 def test_capacity_monotone_and_path_dominates_cycle():

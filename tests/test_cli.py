@@ -175,3 +175,12 @@ def test_budget_exit_code():
         "--test-class", "all_subsets",
     )
     assert code == 3
+
+
+def test_oracle_negative_budget_is_usage_error(capsys):
+    code, _ = run_cli(
+        "oracle", "--topology", "path", "--N", "8", "--k", "1", "--s", "4", "--budget", "-1",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "budget" in err and "Traceback" not in err

@@ -1,8 +1,15 @@
 import pytest
 
-from helpers import assert_every_walk_succeeds, assert_leaf_soundness
+from helpers import (
+    assert_every_walk_succeeds,
+    assert_leaf_soundness,
+    reference_build_graph,
+    reference_min_accuracy,
+    reference_min_tests,
+)
 from movingsearch.adaptive import cycle_capacity, path_capacity, path_min_accuracy
 from movingsearch.errors import BudgetExceededError
+from movingsearch.kernel import Arena
 from movingsearch.nonadaptive import evaluate_matrix, expanding_accuracy_matrix
 from movingsearch.oracle import (
     exact_best_matrix,
@@ -34,6 +41,67 @@ def test_budget_cap_reported_distinctly():
     gv = exact_min_tests(path(12, 1), 4, budget=1)
     assert gv.status == "budget_exceeded"
     assert exact_min_tests(path(12, 1), 4, budget=4).min_tests == 4
+
+
+def test_negative_budget_rejected():
+    with pytest.raises(ValueError):
+        exact_min_tests(path(8, 1), 4, budget=-1)
+    with pytest.raises(ValueError):
+        exact_min_accuracy(path(8, 1), n_budget=-1)
+
+
+@pytest.mark.parametrize(
+    "test_class, n_max", [("intervals", 12), ("all_subsets", 8)]
+)
+@pytest.mark.parametrize("make", [path, cycle])
+def test_retrograde_oracle_matches_value_iteration(make, test_class, n_max):
+    """The pruned retrograde oracle against the unpruned synchronous one."""
+    for k in (1, 2):
+        for flag in (True, False):
+            for n_vertices in range(1, n_max + 1):
+                sp = make(n_vertices, k, moves_after_last_test=flag)
+                arena = Arena(sp)
+                graph = reference_build_graph(arena, test_class)
+                where = f"{sp.topology.value} N={n_vertices} k={k} flag={flag}"
+                for s in range(1, n_vertices + 1):
+                    unbounded = reference_min_tests(arena, graph, s)
+                    for budget in (None, 0, 1, 2):
+                        gv = exact_min_tests(sp, s, test_class=test_class, budget=budget)
+                        want = unbounded if budget is None else reference_min_tests(
+                            arena, graph, s, budget
+                        )
+                        assert gv.min_tests == want[1], f"{where} s={s} budget={budget}"
+                        if gv.status != want[0]:
+                            # pruning may drain the levels before the budget
+                            # runs out, only where no strategy exists at all
+                            assert (gv.status, want[0], unbounded[0]) == (
+                                "unreachable", "budget_exceeded", "unreachable"
+                            ), f"{where} s={s} budget={budget}: {gv.status} vs {want}"
+                        if gv.status == "solved":
+                            assert extract_strategy(gv).depth() == gv.min_tests, where
+                for n_budget in (None, 2):
+                    assert exact_min_accuracy(
+                        sp, n_budget, test_class=test_class
+                    ) == reference_min_accuracy(arena, graph, n_budget), f"{where} n={n_budget}"
+
+
+@pytest.mark.parametrize(
+    "sp, s",
+    [
+        (path(15, 1), 4),
+        (cycle(13, 1, moves_after_last_test=False), 4),
+        (path(12, 2), 8),
+        (path(4, 1), 4),
+    ],
+)
+def test_graph_never_expands_decided_states(sp, s):
+    # a branch that fits is never pushed, so only a fitting root is kept
+    gv = exact_min_tests(sp, s)
+    full = (1 << sp.num_vertices) - 1
+    for d, edges in gv._graph.items():
+        if d.bit_count() <= s:
+            assert d == full and not edges, f"state {d:b} fits accuracy {s} but is in the graph"
+    assert gv.states < len(reference_build_graph(Arena(sp), "intervals"))
 
 
 def test_min_accuracy_matches_formulas():
