@@ -121,27 +121,45 @@ class AdaptiveStrategy:
 
     @classmethod
     def parse(cls, text: str, space: SearchSpace, accuracy_target: int) -> "AdaptiveStrategy":
+        """Read the ``serialize`` format back, building from the highest id
+        down, so without recursion.  Ids are preorder numbers: each id is
+        defined once, and a node's two children are distinct ids above its
+        own that no other node uses.  Text that breaks this, or that is not
+        one tree rooted at id 0, raises ``ValueError`` naming the line."""
         raw: dict[int, tuple] = {}
         for line in text.splitlines():
             line = line.strip()
             if not line:
                 continue
-            kind, nid, *fields = line.split()
-            kv = dict(f.split("=", 1) for f in fields)
-            if kind == "leaf":
-                raw[int(nid)] = ("leaf", PositionSet.parse(kv["answer"]))
-            elif kind == "node":
-                raw[int(nid)] = ("node", PositionSet.parse(kv["test"]), int(kv["on0"]), int(kv["on1"]))
-            else:
-                raise ValueError(f"bad strategy line {line!r}")
+            try:
+                kind, nid, *fields = line.split()
+                kv = dict(f.split("=", 1) for f in fields)
+                if kind == "leaf":
+                    entry = (line, PositionSet.parse(kv["answer"]), ())
+                elif kind == "node":
+                    entry = (line, PositionSet.parse(kv["test"]), (int(kv["on0"]), int(kv["on1"])))
+                else:
+                    raise ValueError(f"unknown kind {kind!r}")
+                nid = int(nid)
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"bad strategy line {line!r}: {exc!r}") from None
+            if nid in raw:
+                raise ValueError(f"strategy line {line!r} redefines id {nid}")
+            raw[nid] = entry
 
-        def build(nid: int) -> StrategyNode:
-            entry = raw[nid]
-            if entry[0] == "leaf":
-                return StrategyNode(answer=entry[1])
-            return StrategyNode(test=entry[1], on0=build(entry[2]), on1=build(entry[3]))
-
-        return cls(space, build(0), accuracy_target)
+        built: dict[int, StrategyNode] = {}
+        for nid in sorted(raw, reverse=True):
+            line, ps, children = raw[nid]
+            if not children:
+                built[nid] = StrategyNode(answer=ps)
+                continue
+            on0, on1 = children
+            if on0 == on1 or on0 not in built or on1 not in built:
+                raise ValueError(f"strategy line {line!r}: children must be distinct, later, unused ids")
+            built[nid] = StrategyNode(test=ps, on0=built.pop(on0), on1=built.pop(on1))
+        if list(built) != [0]:
+            raise ValueError("strategy text is not one tree rooted at id 0")
+        return cls(space, built[0], accuracy_target)
 
 
 class _Builder:

@@ -1,16 +1,25 @@
-"""Bitmask game kernel shared by the exact oracle and the class sweeps.
+"""Bitmask game kernel shared by the exact oracle, the class sweeps and
+both matrix engines.
 
 A candidate set on a path or cycle of N vertices is an int whose bit v-1
 stands for vertex v.  ``Arena`` holds the mask arithmetic for one space:
 speed-step reachability as a shift-or (path) or rotate-or (cycle), cached
 per arena, and the test masks of each test class.  ``mask_of`` and
 ``ps_of`` convert to and from ``PositionSet``, which stays the public and
-text type.
+text type.  ``expand_flag`` resolves the engines' ``check_expanded``
+option.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .spaces import PositionSet, SearchSpace, Topology
+
+
+def expand_flag(space: SearchSpace, check_expanded: Optional[bool]) -> bool:
+    """Whether the accuracy check reads the post-move set (the child)."""
+    return space.moves_after_last_test if check_expanded is None else check_expanded
 
 
 def mask_of(ps: PositionSet) -> int:
@@ -68,6 +77,8 @@ class Arena:
         return out
 
     def interval_tests(self) -> list[int]:
+        """Every consecutive test mask: intervals on a path, arcs (wrap-around
+        included) on a cycle; the empty and the full set are left out."""
         n = self.n
         if self.space.topology is Topology.PATH:
             return [

@@ -8,6 +8,11 @@ a center region of alternating membership pairs grows, so that the first
 answer flip pins the target's position down to a pair of adjacent
 vertices.  For speed k the alternation is stretched to runs of k identical
 symbols anchored at the center column.
+
+Evaluation runs on ``kernel`` masks, so it takes paths and cycles only.
+``advance_row`` applies one row to the antichain of still-open candidate
+sets; ``evaluate_matrix`` loops it over a matrix's rows, and the oracle's
+matrix search steps its states with it too.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import RegimeError
-from .spaces import PositionSet, SearchSpace, final_expand, full_set, neighborhood, split
+from .kernel import Arena, expand_flag, mask_of, ps_of
+from .spaces import PositionSet, SearchSpace
 
 
 @dataclass(frozen=True)
@@ -123,12 +129,37 @@ def nonadaptive_min_accuracy(n_vertices: int, k: int) -> int:
     return 4 * k
 
 
+def advance_row(
+    arena: Arena, states: frozenset[int], row: int, s: int, expand: bool
+) -> frozenset[int]:
+    """One matrix row applied to an antichain of open candidate masks.
+
+    Each set splits by the answer to ``row``.  A part is closed when it is
+    empty (no target walk gives that answer) or when its announced set (its
+    child if ``expand``, else the part itself) has at most ``s`` elements.
+    The children of the open parts are pruned to the subset-maximal ones: a
+    row sequence that resolves a set resolves each of its subsets.
+    """
+    out = set()
+    for d in states:
+        for e in (d & row, d & ~row):
+            if not e:
+                continue
+            child = arena.reach(e)
+            if (child if expand else e).bit_count() <= s:
+                continue
+            out.add(child)
+    keep: list[int] = []
+    for d in sorted(out, key=int.bit_count, reverse=True):
+        if not any(d & ~other == 0 for other in keep):
+            keep.append(d)
+    return frozenset(keep)
+
+
 @dataclass(frozen=True)
 class MatrixEvaluation:
     success: bool
-    worst_answers: Optional[tuple[int, ...]]
-    worst_final: Optional[PositionSet]
-    deepest_round: int  # latest round at which some branch first succeeded
+    worst_final: Optional[PositionSet]  # a largest final candidate set on failure
 
 
 def evaluate_matrix(
@@ -139,44 +170,26 @@ def evaluate_matrix(
 ) -> MatrixEvaluation:
     """Exhaustive worst-case evaluation of a matrix at accuracy ``s``.
 
-    Every answer sequence is explored; a branch counts as successful as
-    soon as the announced set would have at most ``s`` elements, and answer
-    sequences whose candidate set empties are vacuously successful (no
-    target walk produces them).  On failure the surviving branch with the
-    largest final set is reported.
+    Steps the antichain of still-open candidate masks through the rows with
+    ``advance_row``, starting from the full arena, so every answer sequence
+    is covered.  The matrix succeeds when no set is open after the last
+    row.  On failure ``worst_final`` is a largest surviving set (the
+    smallest mask among equals); pruning never drops it, since no other set
+    strictly contains it.  Paths and cycles only: a segment arena raises
+    ``ValueError``.
     """
-    if matrix.cols != space.num_vertices:
+    if s < 1:
+        raise ValueError("accuracy must be >= 1")
+    arena = Arena(space)
+    if matrix.cols != arena.n:
         raise ValueError(
-            f"matrix has {matrix.cols} columns but the arena has {space.num_vertices} vertices"
+            f"matrix has {matrix.cols} columns but the arena has {arena.n} vertices"
         )
-    tests = list(matrix.tests())
-    state = {"worst": None, "deepest": 0}
-
-    def announced_len(e: PositionSet) -> int:
-        return len(final_expand(space, e, override=check_expanded))
-
-    def explore(d: PositionSet, i: int, answers: tuple[int, ...]) -> bool:
-        if i == len(tests):
-            worst = state["worst"]
-            if worst is None or len(d) > len(worst[1]):
-                state["worst"] = (answers, d)
-            return False
-        ok = True
-        for y in (0, 1):
-            e = split(space, d, tests[i], y)
-            if not e:
-                continue
-            if announced_len(e) <= s:
-                state["deepest"] = max(state["deepest"], i + 1)
-                continue
-            ok = explore(neighborhood(space, e), i + 1, answers + (y,)) and ok
-        return ok
-
-    d0 = full_set(space)
-    if len(d0) <= s:
-        return MatrixEvaluation(True, None, None, 0)
-    success = explore(d0, 0, ())
-    if success:
-        return MatrixEvaluation(True, None, None, state["deepest"])
-    answers, final = state["worst"]
-    return MatrixEvaluation(False, answers, final, state["deepest"])
+    expand = expand_flag(space, check_expanded)
+    states = frozenset([arena.full])
+    for i in range(matrix.rows):
+        states = advance_row(arena, states, mask_of(matrix.row_test(i)), s, expand)
+    if not states:
+        return MatrixEvaluation(True, None)
+    worst = min(states, key=lambda d: (-d.bit_count(), d))
+    return MatrixEvaluation(False, ps_of(worst))

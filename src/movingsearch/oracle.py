@@ -15,11 +15,12 @@ unbounded-budget accuracy queries terminate.  ``exact_min_accuracy`` builds
 one unpruned graph and index and labels it once per accuracy.
 
 ``exact_best_matrix`` searches over non-adaptive matrices row by row.  Its
-state is the antichain of still-unresolved candidate sets (subset-dominated
-sets are dropped: they succeed whenever a superset does), each row may be
-complemented freely (that only relabels the two answers), and the first row
-is normalized under left-right reflection.  Everything is single-threaded
-and deterministic.
+state is the antichain of still-unresolved candidate sets, stepped by
+``nonadaptive.advance_row``, the row step ``evaluate_matrix`` runs too
+(subset-dominated sets are dropped: they succeed whenever a superset does).
+Each row may be complemented freely (that only relabels the two answers),
+and the first row is normalized under left-right reflection.  Everything is
+single-threaded and deterministic.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from typing import NamedTuple, Optional
 
 from .adaptive import AdaptiveStrategy, StrategyNode
 from .errors import BudgetExceededError
-from .kernel import Arena, ps_of
-from .nonadaptive import TestMatrix
+from .kernel import Arena, expand_flag, ps_of
+from .nonadaptive import TestMatrix, advance_row
 from .spaces import SearchSpace
 
 TEST_CLASSES = ("intervals", "all_subsets")
@@ -72,11 +73,6 @@ def _submasks(d: int):
     while sub:
         yield sub
         sub = (sub - 1) & d
-
-
-def _expand(space: SearchSpace, check_expanded: Optional[bool]) -> bool:
-    """Whether the accuracy check reads the post-move set (the child)."""
-    return space.moves_after_last_test if check_expanded is None else check_expanded
 
 
 class _Index(NamedTuple):
@@ -238,7 +234,7 @@ def exact_min_tests(
     _check_caps(space, test_class)
     arena = Arena(space)
     graph, index = _build_graph(
-        arena, test_class, s, _expand(space, check_expanded), max_states
+        arena, test_class, s, expand_flag(space, check_expanded), max_states
     )
     vals, fixpoint = _label(graph, index, arena.full, s, budget)
     root_val = vals.get(arena.full)
@@ -268,7 +264,7 @@ def exact_min_accuracy(
     _check_caps(space, test_class)
     arena = Arena(space)
     graph, index = _build_graph(
-        arena, test_class, 0, _expand(space, check_expanded), max_states
+        arena, test_class, 0, expand_flag(space, check_expanded), max_states
     )
     for s in range(1, space.num_vertices + 1):
         vals, _fixpoint = _label(graph, index, arena.full, s, n_budget)
@@ -282,7 +278,7 @@ def extract_strategy(gv: GameValue) -> AdaptiveStrategy:
     if gv.status != "solved":
         raise ValueError(f"no strategy to extract: status is {gv.status}")
     arena, graph, vals = gv._arena, gv._graph, gv._values
-    expand = _expand(gv.space, gv.check_expanded)
+    expand = expand_flag(gv.space, gv.check_expanded)
     INF = float("inf")
 
     def branch_value(e, child):
@@ -323,15 +319,6 @@ def _reflect(mask: int, n: int) -> int:
     return out
 
 
-def _prune_dominated(states: frozenset[int]) -> frozenset[int]:
-    # keep only subset-maximal candidate sets
-    keep = []
-    for d in sorted(states, key=int.bit_count, reverse=True):
-        if not any(d & ~other == 0 for other in keep):
-            keep.append(d)
-    return frozenset(keep)
-
-
 def exact_best_matrix(
     space: SearchSpace,
     s: int,
@@ -344,6 +331,8 @@ def exact_best_matrix(
     Exhausts all row sequences up to the two documented symmetries
     (per-row complement, whole-matrix reflection at the first row).
     """
+    if s < 1:
+        raise ValueError("accuracy must be >= 1")
     if space.num_vertices > 12:
         raise BudgetExceededError("matrix search is capped at N <= 12")
     if n > 5:
@@ -352,25 +341,13 @@ def exact_best_matrix(
         raise ValueError("need at least one row")
     arena = Arena(space)
     full = arena.full
-    expand = _expand(space, check_expanded)
+    expand = expand_flag(space, check_expanded)
     if full.bit_count() <= s:
         raise ValueError("trivial instance: the whole arena already fits the accuracy")
 
     tests = [t for t in range(1, full) if not t & 1]  # complement-normalized rows
     counter = {"entries": 0}
     memo: dict[tuple[frozenset[int], int], Optional[tuple[int, ...]]] = {}
-
-    def advance(states: frozenset[int], t: int) -> Optional[frozenset[int]]:
-        out = set()
-        for d in states:
-            for e in (d & t, d & ~t):
-                if not e:
-                    continue
-                child = arena.reach(e)
-                if (child if expand else e).bit_count() <= s:
-                    continue
-                out.add(child)
-        return _prune_dominated(frozenset(out))
 
     def solve(states: frozenset[int], rows_left: int) -> Optional[tuple[int, ...]]:
         if not states:
@@ -385,7 +362,7 @@ def exact_best_matrix(
             raise BudgetExceededError(f"matrix search cap {max_entries} exceeded")
         result = None
         for t in tests:
-            rest = solve(advance(states, t), rows_left - 1)
+            rest = solve(advance_row(arena, states, t, s, expand), rows_left - 1)
             if rest is not None:
                 result = (t,) + rest
                 break
@@ -398,7 +375,7 @@ def exact_best_matrix(
 
     first_rows = [t for t in tests if t <= norm(_reflect(t, arena.n))]
     for t in first_rows:
-        rest = solve(advance(frozenset([full]), t), n - 1)
+        rest = solve(advance_row(arena, frozenset([full]), t, s, expand), n - 1)
         if rest is not None:
             rows = (t,) + rest
             bits = tuple(

@@ -394,31 +394,3 @@ def consistent_walk_exists(
         walk.insert(0, (e & step).min_value())
     return tuple(walk)
 
-
-def enumerate_interval_tests(space: SearchSpace) -> list[PositionSet]:
-    """Every consecutive test set: intervals on a path, arcs on a cycle.
-
-    Wrap-around arcs are included for cycles; the full vertex set and the
-    empty set are omitted as uninformative.
-    """
-    n = space.num_vertices
-    if space.topology is Topology.CYCLE:
-        seen = set()
-        out = []
-        for length in range(1, n):
-            for start in range(1, n + 1):
-                end = start + length - 1
-                if end <= n:
-                    arc = PositionSet.interval(start, end)
-                else:
-                    arc = PositionSet([(start, n), (1, end - n)])
-                if arc not in seen:
-                    seen.add(arc)
-                    out.append(arc)
-        return out
-    return [
-        PositionSet.interval(a, b)
-        for a in range(1, n + 1)
-        for b in range(a, n + 1)
-        if not (a == 1 and b == n)
-    ]

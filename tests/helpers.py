@@ -1,7 +1,15 @@
-"""Shared verification helpers for strategy trees, and the reference oracle."""
+"""Shared verification helpers for strategy trees, the reference oracle and
+the reference matrix evaluator."""
 
 from movingsearch.errors import BudgetExceededError
-from movingsearch.spaces import PositionSet, full_set, neighborhood, update
+from movingsearch.spaces import (
+    PositionSet,
+    final_expand,
+    full_set,
+    neighborhood,
+    split,
+    update,
+)
 
 
 def assert_leaf_soundness(strategy):
@@ -156,3 +164,39 @@ def reference_min_accuracy(arena, graph, n_budget=None, check_expanded=None):
         if v is not None and (n_budget is None or v <= n_budget):
             return s
     return arena.n
+
+
+# -- reference matrix evaluator ----------------------------------------------------
+# The former ``PositionSet`` evaluator, kept as the reference that the mask
+# antichain loop of ``nonadaptive.evaluate_matrix`` is checked against: it
+# walks all 2^rows answer sequences one by one.
+
+
+def reference_evaluate_matrix(space, matrix, s, check_expanded=None):
+    """(success, a largest final candidate set or None) by exhaustive descent.
+
+    A branch succeeds as soon as the announced set has at most ``s``
+    elements; a branch whose candidate set empties is vacuously successful.
+    """
+    tests = list(matrix.tests())
+    worst = [None]
+
+    def explore(d, i):
+        if i == len(tests):
+            if worst[0] is None or len(d) > len(worst[0]):
+                worst[0] = d
+            return False
+        ok = True
+        for y in (0, 1):
+            e = split(space, d, tests[i], y)
+            if not e:
+                continue
+            if len(final_expand(space, e, override=check_expanded)) <= s:
+                continue
+            ok = explore(neighborhood(space, e), i + 1) and ok
+        return ok
+
+    d0 = full_set(space)
+    if len(d0) <= s or explore(d0, 0):
+        return True, None
+    return False, worst[0]

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -18,7 +19,7 @@ from movingsearch.adaptive import (
     restricted_cycle_capacity,
 )
 from movingsearch.errors import BudgetExceededError, RegimeError
-from movingsearch.spaces import PositionSet, Topology
+from movingsearch.spaces import PositionSet, Topology, path
 
 P = PositionSet.parse
 
@@ -282,6 +283,49 @@ def test_serialization_round_trip():
     assert [(b, leaf.answer) for b, leaf in back.leaves()] == [
         (b, leaf.answer) for b, leaf in st.leaves()
     ]
+
+
+# each malformed text fails at the line named second
+MALFORMED_STRATEGIES = {
+    "self-loop": ("node 0 test=1 on0=0 on1=0\n", "node 0 test=1 on0=0 on1=0"),
+    "missing on1": ("node 0 test=1 on0=1\nleaf 1 answer=1\n", "node 0 test=1 on0=1"),
+    "dangling child": (
+        "node 0 test=1 on0=1 on1=2\nleaf 1 answer=1\n",
+        "node 0 test=1 on0=1 on1=2",
+    ),
+    "duplicate id": (
+        "node 0 test=1 on0=1 on1=2\nleaf 1 answer=1\nleaf 2 answer=2\n"
+        "node 0 test=2 on0=1 on1=2\n",
+        "node 0 test=2 on0=1 on1=2",
+    ),
+    "shared child": ("node 0 test=1 on0=1 on1=1\nleaf 1 answer=1\n", "node 0 test=1 on0=1 on1=1"),
+    "bad id": ("leaf x answer=1\n", "leaf x answer=1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_STRATEGIES))
+def test_parse_rejects_malformed_text(case):
+    text, bad_line = MALFORMED_STRATEGIES[case]
+    with pytest.raises(ValueError, match=re.escape(repr(bad_line))):
+        AdaptiveStrategy.parse(text, path(4, 1), 2)
+
+
+@pytest.mark.parametrize("text", ["", "leaf 1 answer=1\n", "leaf 0 answer=1\nleaf 1 answer=2\n"])
+def test_parse_rejects_text_that_is_not_one_tree(text):
+    with pytest.raises(ValueError, match="one tree rooted at id 0"):
+        AdaptiveStrategy.parse(text, path(4, 1), 2)
+
+
+def test_parse_builds_deep_trees_without_recursion():
+    depth = 5000
+    lines = [
+        f"node {2 * i} test=1 on0={2 * i + 1} on1={2 * i + 2}\nleaf {2 * i + 1} answer=2"
+        for i in range(depth)
+    ]
+    lines.append(f"leaf {2 * depth} answer=1")
+    st = AdaptiveStrategy.parse("\n".join(lines), path(4, 1), 2)
+    assert st.num_nodes() == 2 * depth + 1
+    assert st.replay((1,) * depth)[1].answer == P("1")
 
 
 def test_replay_descends_by_answers():

@@ -24,12 +24,13 @@ from movingsearch.adversary import (
     window_adversary,
     window_step,
 )
+from movingsearch.kernel import Arena, ps_of
 from movingsearch.nonadaptive import TestMatrix, evaluate_matrix, expanding_accuracy_matrix
 from movingsearch.spaces import (
     PositionSet,
+    Topology,
     consistent_walk_exists,
     cycle,
-    enumerate_interval_tests,
     full_set,
     half_open_segment,
     is_valid_walk,
@@ -39,6 +40,46 @@ from movingsearch.spaces import (
 )
 
 P = PositionSet.parse
+
+
+# -- independent reference: minimax over all adversaries, own test enumerator ---
+
+
+def enumerate_interval_tests(space):
+    """Every consecutive test set: intervals on a path, arcs on a cycle.
+
+    Wrap-around arcs are included for cycles; the full vertex set and the
+    empty set are omitted as uninformative.
+    """
+    n = space.num_vertices
+    if space.topology is Topology.CYCLE:
+        seen = set()
+        out = []
+        for length in range(1, n):
+            for start in range(1, n + 1):
+                end = start + length - 1
+                if end <= n:
+                    arc = PositionSet.interval(start, end)
+                else:
+                    arc = PositionSet([(start, n), (1, end - n)])
+                if arc not in seen:
+                    seen.add(arc)
+                    out.append(arc)
+        return out
+    return [
+        PositionSet.interval(a, b)
+        for a in range(1, n + 1)
+        for b in range(a, n + 1)
+        if not (a == 1 and b == n)
+    ]
+
+
+def test_kernel_interval_tests_match_reference_enumerator():
+    for topology in (path, cycle):
+        for n_vertices in range(1, 13):
+            space = topology(n_vertices, 1)
+            kernel = [ps_of(t) for t in Arena(space).interval_tests()]
+            assert kernel == enumerate_interval_tests(space), space
 
 
 def minimax_final_size(space, rounds, test_class="intervals"):

@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from helpers import reference_evaluate_matrix
 from movingsearch.errors import RegimeError
 from movingsearch.nonadaptive import (
     TestMatrix,
@@ -13,8 +15,10 @@ from movingsearch.nonadaptive import (
 from movingsearch.spaces import (
     PositionSet,
     consistent_walk_exists,
+    cycle,
     distance,
     full_set,
+    open_segment,
     path,
     update,
 )
@@ -83,8 +87,54 @@ def test_all_zero_row_fails():
     m = TestMatrix(((0,) * n,))
     res = evaluate_matrix(path(n, 1), m, 4)
     assert not res.success
-    assert res.worst_answers == (0,)
     assert res.worst_final == P("1-8")
+
+
+def _differential_cases():
+    """(topology, N, k, matrix) cases of the evaluator differential test."""
+    for n_vertices in range(5, 25):
+        yield path, n_vertices, 1, expanding_accuracy_matrix(n_vertices)
+    for k in (2, 3):
+        for n_vertices in range(6 * k + 1, 6 * k + 7):
+            yield path, n_vertices, k, general_k_matrix(n_vertices, k)
+    rng = random.Random(4)
+    for topology in (path, cycle):
+        for n_vertices in range(2, 14):
+            for _ in range(3):
+                k = rng.randint(1, 2)
+                bits = tuple(
+                    tuple(rng.randint(0, 1) for _ in range(n_vertices))
+                    for _ in range(rng.randint(1, 6))
+                )
+                yield topology, n_vertices, k, TestMatrix(bits)
+
+
+def test_mask_evaluator_matches_positionset_reference():
+    cases = 0
+    for topology, n_vertices, k, m in _differential_cases():
+        for flag in (True, False):
+            sp = topology(n_vertices, k, flag)
+            for check_expanded in (None, True, False):
+                for s in range(1, n_vertices + 1):
+                    res = evaluate_matrix(sp, m, s, check_expanded)
+                    success, worst = reference_evaluate_matrix(sp, m, s, check_expanded)
+                    where = (sp, m.to_text(), s, check_expanded)
+                    assert res.success == success, where
+                    if success:
+                        assert res.worst_final is None, where
+                    else:
+                        assert len(res.worst_final) == len(worst), where
+                    cases += 1
+    assert cases > 5000
+
+
+def test_evaluator_rejects_segments_and_bad_accuracy():
+    with pytest.raises(ValueError, match="open-segment"):
+        evaluate_matrix(open_segment(8, 1), TestMatrix(((0,) * 8,)), 4)
+    with pytest.raises(ValueError, match="accuracy"):
+        evaluate_matrix(path(8, 1), expanding_accuracy_matrix(8), 0)
+    with pytest.raises(ValueError, match="columns"):
+        evaluate_matrix(path(9, 1), expanding_accuracy_matrix(8), 4)
 
 
 def test_expanding_matrix_tight_row_count_on_p12():

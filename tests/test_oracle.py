@@ -209,6 +209,11 @@ def test_best_matrix_exists_at_two_rows_on_p8():
     assert evaluate_matrix(path(8, 1), m, 4).success
 
 
+def test_matrix_search_rejects_accuracy_below_one():
+    with pytest.raises(ValueError, match="accuracy"):
+        exact_best_matrix(path(8, 1), 0, 2)
+
+
 def test_no_single_row_matrix_on_p8():
     assert exact_best_matrix(path(8, 1), 4, 1) is None
 

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from movingsearch.kernel import Arena, ps_of
 from movingsearch.spaces import (
     PositionSet,
     Topology,
     consistent_walk_exists,
     cycle,
     distance,
-    enumerate_interval_tests,
     final_expand,
     full_set,
     half_open_segment,
@@ -260,8 +260,8 @@ def test_update_chain_sound_and_complete(topo, k):
 
 
 def test_interval_test_enumeration():
-    assert len(enumerate_interval_tests(path(4, 1))) == 9  # 10 intervals minus full
-    arcs = enumerate_interval_tests(cycle(4, 1))
+    assert len(Arena(path(4, 1)).interval_tests()) == 9  # 10 intervals minus full
+    arcs = [ps_of(t) for t in Arena(cycle(4, 1)).interval_tests()]
     assert len(arcs) == 4 + 4 + 4  # lengths 1..3, four rotations each
     assert P("4,1") in arcs
 
