@@ -57,10 +57,16 @@ class AdaptiveStrategy:
     accuracy_target: int
 
     def depth(self) -> int:
-        def d(node):
-            return 0 if node.is_leaf else 1 + max(d(node.on0), d(node.on1))
-
-        return d(self.root)
+        deepest = 0
+        stack = [(self.root, 0)]
+        while stack:
+            node, d = stack.pop()
+            if node.is_leaf:
+                deepest = max(deepest, d)
+            else:
+                stack.append((node.on0, d + 1))
+                stack.append((node.on1, d + 1))
+        return deepest
 
     def num_nodes(self) -> int:
         return sum(1 for _ in self.iter_nodes())
@@ -75,16 +81,16 @@ class AdaptiveStrategy:
                 stack.append(node.on0)
 
     def leaves(self) -> Iterator[tuple[tuple[int, ...], StrategyNode]]:
-        """(answer bits, leaf) pairs for every root-to-leaf path."""
-
-        def walk(node, bits):
+        """(answer bits, leaf) pairs for every root-to-leaf path, the
+        answer-0 side first."""
+        stack = [(self.root, ())]
+        while stack:
+            node, bits = stack.pop()
             if node.is_leaf:
                 yield bits, node
             else:
-                yield from walk(node.on0, bits + (0,))
-                yield from walk(node.on1, bits + (1,))
-
-        yield from walk(self.root, ())
+                stack.append((node.on1, bits + (1,)))
+                stack.append((node.on0, bits + (0,)))
 
     def replay(self, answers) -> tuple[list[PositionSet], StrategyNode]:
         """Descend by the given answer bits, returning the tests used."""
@@ -98,25 +104,25 @@ class AdaptiveStrategy:
         return tests, node
 
     # one node per line: "node <id> test=<set> on0=<id> on1=<id>" or
-    # "leaf <id> answer=<set>", ids assigned in preorder from 0
+    # "leaf <id> answer=<set>", ids assigned in preorder from 0, so a node's
+    # answer-0 child is the next id
     def serialize(self) -> str:
-        lines: list[str] = []
-        counter = [0]
-
-        def emit(node) -> int:
-            nid = counter[0]
-            counter[0] += 1
-            idx = len(lines)
-            lines.append("")
-            if node.is_leaf:
-                lines[idx] = f"leaf {nid} answer={node.answer}"
-            else:
-                i0 = emit(node.on0)
-                i1 = emit(node.on1)
-                lines[idx] = f"node {nid} test={node.test} on0={i0} on1={i1}"
-            return nid
-
-        emit(self.root)
+        nodes: list[StrategyNode] = []
+        on1: dict[int, int] = {}  # node id -> id of its answer-1 child
+        stack: list[tuple[StrategyNode, Optional[int]]] = [(self.root, None)]
+        while stack:
+            node, parent = stack.pop()
+            if parent is not None:
+                on1[parent] = len(nodes)
+            if not node.is_leaf:
+                stack.append((node.on1, len(nodes)))
+                stack.append((node.on0, None))
+            nodes.append(node)
+        lines = [
+            f"leaf {i} answer={node.answer}" if node.is_leaf
+            else f"node {i} test={node.test} on0={i + 1} on1={on1[i]}"
+            for i, node in enumerate(nodes)
+        ]
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -25,6 +25,7 @@ from .spaces import (
     distance,
     final_expand,
     full_set,
+    is_valid_walk,
     neighborhood,
     split,
     vertex_bounds,
@@ -146,13 +147,20 @@ def simulate_session(
     """Run encoder and decoder in lockstep against one walk source.
 
     Exactly one source: a fixed walk, a seeded random walk, or an
-    adversarial walk extracted from the greedy adversary's transcript.
+    adversarial walk extracted from the greedy adversary's transcript.  A
+    fixed walk that leaves the arena or outruns the speed raises
+    ``ValueError``; the other two sources are legal by construction.
     Transmission stops at the strategy's end or as soon as the decoded set
     fits the accuracy target; the final decoded set is checked to contain
     the object's final position before the transcript is returned.
     """
     if sum(x is not None and x is not False for x in (walk, seed, adversarial)) != 1:
         raise ValueError("provide exactly one of walk=, seed=, adversarial=")
+    if walk is not None and not is_valid_walk(space, walk):
+        raise ValueError(
+            f"walk {','.join(map(str, walk))} leaves the arena or moves "
+            f"farther than speed {space.speed} in one step"
+        )
     if accuracy is None and isinstance(strategy, AdaptiveStrategy):
         accuracy = strategy.accuracy_target
     if adversarial:

@@ -42,7 +42,7 @@ def ps_of(mask: int) -> PositionSet:
         else:
             mask >>= 1
             j += 1
-    return PositionSet(ivs)
+    return PositionSet._of(tuple(ivs))
 
 
 class Arena:

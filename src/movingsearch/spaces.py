@@ -78,10 +78,17 @@ def half_open_segment(n: int, k: int, moves_after_last_test: bool = True) -> Sea
 class PositionSet:
     """A finite set of integer vertex labels, kept as sorted disjoint intervals.
 
-    Intervals are closed, non-adjacent and sorted ascending; equality and
-    hashing are by set value, independent of how the set was assembled.
-    The text form is comma-separated intervals, e.g. ``"1-9,12,14-16"``
-    (``"-"`` for the empty set).
+    Canonical form: the intervals are closed, sorted ascending, disjoint
+    and non-adjacent (each starts at least two past the previous end), so
+    every set has exactly one interval tuple, and equality and hashing
+    compare that tuple.  The text form is comma-separated intervals, e.g.
+    ``"1-9,12,14-16"`` (``"-"`` for the empty set).
+
+    The constructor accepts intervals in any order and normalizes them.
+    The internal ``_of`` wraps a tuple that is already canonical without
+    looking at it; only operations whose output is canonical by
+    construction (intersection, difference, clipping, reach) use it, which
+    keeps each of them linear in the number of intervals.
     """
 
     __slots__ = ("_ivs",)
@@ -100,7 +107,14 @@ class PositionSet:
                 merged[-1] = (plo, max(phi, hi))
             else:
                 merged.append((lo, hi))
-        object.__setattr__(self, "_ivs", tuple(merged))
+        self._ivs = tuple(merged)
+
+    @classmethod
+    def _of(cls, ivs: tuple[tuple[int, int], ...]) -> "PositionSet":
+        """Wrap an interval tuple that is already canonical (internal)."""
+        out = object.__new__(cls)
+        out._ivs = ivs
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -110,7 +124,9 @@ class PositionSet:
 
     @classmethod
     def interval(cls, lo: int, hi: int) -> "PositionSet":
-        return cls(((lo, hi),))
+        if lo > hi:
+            raise ValueError(f"bad interval ({lo}, {hi})")
+        return cls._of(((int(lo), int(hi)),))
 
     @classmethod
     def from_members(cls, members: Iterable[int]) -> "PositionSet":
@@ -206,7 +222,7 @@ class PositionSet:
                 i += 1
             else:
                 j += 1
-        return PositionSet(out)
+        return PositionSet._of(tuple(out))
 
     def difference(self, other: "PositionSet") -> "PositionSet":
         out = []
@@ -225,7 +241,7 @@ class PositionSet:
                 jj += 1
             if cur <= hi:
                 out.append((cur, hi))
-        return PositionSet(out)
+        return PositionSet._of(tuple(out))
 
     __or__ = union
     __and__ = intersection
@@ -243,7 +259,7 @@ class PositionSet:
         """Each interval grown by ``amount`` on both sides (no clipping)."""
         if amount < 0:
             raise ValueError("amount must be >= 0")
-        return PositionSet((lo - amount, hi + amount) for lo, hi in self._ivs)
+        return PositionSet._of(_grow(self._ivs, amount, None, None))
 
     def clipped(self, lo: Optional[int], hi: Optional[int]) -> "PositionSet":
         """Restriction to [lo, hi]; either bound may be None for unbounded."""
@@ -255,7 +271,29 @@ class PositionSet:
                 b = min(b, hi)
             if a <= b:
                 out.append((a, b))
-        return PositionSet(out)
+        return PositionSet._of(tuple(out))
+
+
+def _grow(
+    ivs: Sequence[tuple[int, int]], amount: int, lo_bound: Optional[int], hi_bound: Optional[int]
+) -> tuple[tuple[int, int], ...]:
+    """Sorted intervals widened by ``amount`` on both sides, clipped to
+    [lo_bound, hi_bound] (None: unbounded) and merged where they overlap or
+    touch, in one pass.  The intervals must lie within the bounds, and their
+    starts and ends must both be nondecreasing, as for canonical ones."""
+    out: list[tuple[int, int]] = []
+    for lo, hi in ivs:
+        lo -= amount
+        hi += amount
+        if lo_bound is not None and lo < lo_bound:
+            lo = lo_bound
+        if hi_bound is not None and hi > hi_bound:
+            hi = hi_bound
+        if out and lo <= out[-1][1] + 1:
+            out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +315,11 @@ def vertex_bounds(space: SearchSpace) -> tuple[Optional[int], Optional[int]]:
 
 
 def _check_members(space: SearchSpace, a: PositionSet, what: str = "position set"):
-    if not a:
+    """Raise unless ``a`` lies within ``vertex_bounds(space)``."""
+    ivs, topo = a._ivs, space.topology
+    if not ivs or topo is Topology.OPEN_SEGMENT:
         return
-    lo, hi = vertex_bounds(space)
-    if (lo is not None and a.min_value() < lo) or (hi is not None and a.max_value() > hi):
+    if ivs[0][0] < 1 or (topo is not Topology.HALF_OPEN_SEGMENT and ivs[-1][1] > space.num_vertices):
         raise ValueError(f"{what} {a} outside the arena's vertex range")
 
 
@@ -303,28 +342,36 @@ def neighborhood(space: SearchSpace, a: PositionSet, steps: Optional[int] = None
     if steps < 0:
         raise ValueError("steps must be >= 0")
     _check_members(space, a)
-    if not a or steps == 0:
+    if not a._ivs or steps == 0:
         return a
     topo, n = space.topology, space.num_vertices
     if topo is Topology.PATH:
-        return a.widened(steps).clipped(1, n)
+        return PositionSet._of(_grow(a._ivs, steps, 1, n))
     if topo is Topology.OPEN_SEGMENT:
-        return a.widened(steps)
+        return PositionSet._of(_grow(a._ivs, steps, None, None))
     if topo is Topology.HALF_OPEN_SEGMENT:
-        return a.widened(steps).clipped(1, None)
-    # cycle: widen, then wrap each interval back into 1..n
-    pieces = []
-    for lo, hi in a.widened(steps).intervals:
-        if hi - lo + 1 >= n:
-            return PositionSet.interval(1, n)
-        base = (lo - 1) % n + 1
-        end = base + (hi - lo)
-        if end <= n:
-            pieces.append((base, end))
-        else:
-            pieces.append((base, n))
-            pieces.append((1, end - n))
-    return PositionSet(pieces)
+        return PositionSet._of(_grow(a._ivs, steps, 1, None))
+    # cycle: widen as on a line, then wrap the overhangs back into 1..n
+    runs = _grow(a._ivs, steps, None, None)
+    (lo, first_hi), (last_lo, hi) = runs[0], runs[-1]
+    if lo >= 1 and hi <= n:
+        return PositionSet._of(runs)
+    if first_hi - lo + 1 >= n or hi - last_lo + 1 >= n:
+        return PositionSet.interval(1, n)
+    # Only the first run can start below 1 and only the last can end above
+    # n.  An overhang is at most ``steps`` long, while the first run ends at
+    # least ``steps`` past 1 and the last starts at least ``steps`` before n,
+    # so a wrapped piece can meet only the run at its end of the cycle and
+    # one merge pass over head + runs + tail keeps the result canonical.
+    runs = list(runs)
+    head, tail = [], []
+    if lo < 1:
+        runs[0] = (1, first_hi)
+        tail.append((lo + n, n))
+    if hi > n:
+        runs[-1] = (last_lo, n)
+        head.append((1, hi - n))
+    return PositionSet._of(_grow(head + runs + tail, 0, None, None))
 
 
 def split(space: SearchSpace, d_prev: PositionSet, t: PositionSet, answer: int) -> PositionSet:

@@ -323,9 +323,14 @@ def test_parse_builds_deep_trees_without_recursion():
         for i in range(depth)
     ]
     lines.append(f"leaf {2 * depth} answer=1")
-    st = AdaptiveStrategy.parse("\n".join(lines), path(4, 1), 2)
+    text = "\n".join(lines)
+    st = AdaptiveStrategy.parse(text, path(4, 1), 2)
     assert st.num_nodes() == 2 * depth + 1
     assert st.replay((1,) * depth)[1].answer == P("1")
+    # walking the tree needs no recursion either
+    assert st.depth() == depth
+    assert st.serialize() == text + "\n"
+    assert sum(1 for _ in st.leaves()) == depth + 1
 
 
 def test_replay_descends_by_answers():

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -144,6 +147,26 @@ def test_simulate_seeded_deterministic():
     assert code1 == code2 == 0
     assert text1 == text2
     assert "announced=" in text1
+
+
+def test_simulate_illegal_walk_is_usage_error(capsys):
+    code, _ = run_cli(
+        "simulate", "--topology", "path", "--N", "10", "--k", "1", "--s", "5", "--walk", "1,9",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "speed 1" in err and "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "movingsearch", "verify", "--check", "example1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS" in proc.stdout
 
 
 def test_verify_tiny_scale():

@@ -124,6 +124,15 @@ def test_movement_violation_rejected():
         session.encode_step(7)
 
 
+def test_simulate_rejects_illegal_fixed_walk():
+    st = path_strategy(10, 5, 1)
+    # the trailing move 1 -> 9 is never consumed by a test, yet outruns speed 1
+    with pytest.raises(ValueError, match="speed 1"):
+        simulate_session(st.space, st, walk=(1, 9), accuracy=5)
+    with pytest.raises(ValueError):
+        simulate_session(st.space, st, walk=(0, 1), accuracy=5)
+
+
 def test_strategy_exhausted_rejected():
     sp = path(16, 1)
     session = CodecSession(sp, expanding_accuracy_matrix(16))

@@ -54,23 +54,35 @@ def test_set_equality_independent_of_decomposition():
 members = st.sets(st.integers(min_value=1, max_value=40), max_size=25)
 
 
+def is_canonical(x):
+    """Equality and hashing compare interval tuples, so every result must
+    already be in the form the constructor would normalize it to."""
+    return PositionSet(x.intervals).intervals == x.intervals
+
+
 @given(members, members)
 def test_algebra_matches_builtin_sets(a, b):
     pa, pb = PositionSet.from_members(a), PositionSet.from_members(b)
     assert set(pa | pb) == a | b
     assert set(pa & pb) == a & b
     assert set(pa - pb) == a - b
+    for x in (pa | pb, pa & pb, pa - pb):
+        assert is_canonical(x)
     assert pa.issubset(pb) == a.issubset(b)
     assert pa.isdisjoint(pb) == a.isdisjoint(b)
     assert len(pa) == len(a)
     assert P(str(pa)) == pa
 
 
-@given(members, st.integers(min_value=0, max_value=5))
-def test_widened_matches_naive_expansion(a, t):
-    got = set(PositionSet.from_members(a).widened(t))
+@given(members, st.integers(min_value=0, max_value=5), st.integers(0, 41), st.integers(0, 41))
+def test_widened_matches_naive_expansion(a, t, lo, hi):
+    got = PositionSet.from_members(a).widened(t)
     want = {v + d for v in a for d in range(-t, t + 1)}
-    assert got == want
+    assert set(got) == want
+    assert is_canonical(got)
+    clipped = got.clipped(lo, hi)
+    assert set(clipped) == {v for v in want if lo <= v <= hi}
+    assert is_canonical(clipped)
 
 
 # -- neighborhood -------------------------------------------------------------
@@ -113,11 +125,46 @@ def brute_cycle_reach(n, k, a):
     st.sets(st.integers(min_value=1, max_value=12), min_size=1),
 )
 def test_cycle_neighborhood_matches_step_simulation(n, k, a):
-    a = {v for v in a if v <= n}
-    if not a:
-        a = {1}
-    got = set(neighborhood(cycle(n, k), PositionSet.from_members(a)))
-    assert got == brute_cycle_reach(n, k, a)
+    a = {(v - 1) % n + 1 for v in a}  # fold onto the cycle: sets near both ends stay common
+    got = neighborhood(cycle(n, k), PositionSet.from_members(a))
+    assert set(got) == brute_cycle_reach(n, k, a)
+    assert is_canonical(got)
+
+
+def brute_line_reach(lo, hi, k, a):
+    """Members of a moved up to k steps along a line bounded by lo and hi
+    (None: unbounded)."""
+    return {
+        w
+        for v in a
+        for w in range(v - k, v + k + 1)
+        if (lo is None or w >= lo) and (hi is None or w <= hi)
+    }
+
+
+@given(
+    st.sampled_from(["path", "open-segment", "half-open-segment"]),
+    st.integers(min_value=1, max_value=14),
+    st.integers(min_value=1, max_value=4),
+    st.sets(st.integers(min_value=-6, max_value=20), max_size=10),
+    st.sets(st.integers(min_value=-6, max_value=20), max_size=10),
+    st.integers(min_value=0, max_value=1),
+)
+def test_line_reach_and_update_match_brute_force(topo, n, k, a, t, y):
+    sp, lo, hi = {
+        "path": (path(n, k), 1, n),
+        "open-segment": (open_segment(n, k), None, None),
+        "half-open-segment": (half_open_segment(n, k), 1, None),
+    }[topo]
+    inside = {v for v in a | t if (lo is None or v >= lo) and (hi is None or v <= hi)}
+    a, t = a & inside, t & inside
+    pa, pt = PositionSet.from_members(a), PositionSet.from_members(t)
+    got = neighborhood(sp, pa)
+    assert set(got) == brute_line_reach(lo, hi, k, a)
+    assert is_canonical(got)
+    got = update(sp, pa, pt, y)
+    assert set(got) == brute_line_reach(lo, hi, k, a & t if y else a - t)
+    assert is_canonical(got)
 
 
 @given(members, members, st.integers(min_value=0, max_value=3))
