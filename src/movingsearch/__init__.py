@@ -51,10 +51,8 @@ from .spaces import (
     cycle,
     final_expand,
     full_set,
-    half_open_segment,
     is_valid_walk,
     neighborhood,
-    open_segment,
     path,
     split,
     update,

@@ -6,10 +6,10 @@ position set.  All constructors work in the model where the target still
 moves after the final test, and only ever emit consecutive test sets
 (intervals on paths, arcs on cycles).
 
-The path construction below builds its test intervals on auxiliary
-segments that are unbounded on one or both sides, then clips them to the
-real path; clipping never enlarges a candidate set, so the accuracy
-guarantees carry over.
+The path construction below tracks each candidate set as a model
+interval of plain integers, which may reach past the ends of the path, and
+clips every test interval to the real path; clipping never enlarges a
+candidate set, so the accuracy guarantees carry over.
 """
 
 from __future__ import annotations
@@ -281,21 +281,19 @@ def min_tests(topology: Union[Topology, str], n_vertices: int, s: int, k: int) -
         while cycle_capacity(n, s, k) < n_vertices:
             n += 1
         return MinTests(n)
-    if topo is Topology.PATH:
-        if s >= 4 * k:
-            n = 0
-            while path_capacity(n, s, k) < n_vertices:
-                n += 1
-            return MinTests(n)
-        if n_vertices < 4 * k + 1:
-            if s >= path_min_accuracy(n_vertices, k):
-                return MinTests(1)
-            raise RegimeError(f"accuracy {s} unachievable on a {n_vertices}-vertex path")
-        if s >= 3 * k + 1:
-            span = s - 3 * k  # window slide per test
-            return MinTests(max(1, -(-(n_vertices - 4 * k) // (2 * span))), exact=False)
-        raise RegimeError(f"accuracy {s} unachievable on paths with N >= 4k+1")
-    raise ValueError("min_tests is defined for paths and cycles")
+    if s >= 4 * k:
+        n = 0
+        while path_capacity(n, s, k) < n_vertices:
+            n += 1
+        return MinTests(n)
+    if n_vertices < 4 * k + 1:
+        if s >= path_min_accuracy(n_vertices, k):
+            return MinTests(1)
+        raise RegimeError(f"accuracy {s} unachievable on a {n_vertices}-vertex path")
+    if s >= 3 * k + 1:
+        span = s - 3 * k  # window slide per test
+        return MinTests(max(1, -(-(n_vertices - 4 * k) // (2 * span))), exact=False)
+    raise RegimeError(f"accuracy {s} unachievable on paths with N >= 4k+1")
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +422,8 @@ def path_strategy(
 
     The first test splits the path into two instances that are bounded on
     one side only; those recurse through the half-open construction, whose
-    miss branch in turn falls back to plain halving on an open segment.
-    Test intervals are computed against the unbounded model segments and
+    miss branch in turn falls back to plain halving of an unbounded interval.
+    Test intervals are computed on these plain-integer model intervals and
     clipped to the real path, which only ever shrinks candidate sets.
     """
     space = path(n_vertices, k)
@@ -438,10 +436,10 @@ def path_strategy(
         return PositionSet.interval(lo, hi).clipped(1, n_vertices)
 
     def build_open(d: PositionSet, lo: int, hi: int, j: int, flip: bool) -> StrategyNode:
-        # model state: interval [lo, hi] on a segment open on both sides
+        # model state: interval [lo, hi], free to grow on both sides
         if len(d) <= s:
             return b.leaf(d)
-        assert j > 0, "open-segment budget exhausted"
+        assert j > 0, "open-interval budget exhausted"
         t = (hi - lo + 2) // 2  # left half, rounded up
         test = clip_test(lo, lo + t - 1, flip)
         on1 = build_open(update(space, d, test, 1), lo - k, lo + t - 1 + k, j - 1, flip)
@@ -449,7 +447,7 @@ def path_strategy(
         return b.node(test, on0, on1)
 
     def build_half(d: PositionSet, y: int, j: int, flip: bool) -> StrategyNode:
-        # model state: prefix {1..y} on a segment bounded on the left only
+        # model state: prefix {1..y}, bounded on the left only
         if len(d) <= s:
             return b.leaf(d)
         assert j > 0, "half-open budget exhausted"

@@ -13,9 +13,9 @@ target walk (every transcript here can be certified by
 ``greedy_forced_size`` and ``margin_forced_size`` close the quantifier over
 strategies: they minimize the forced final set size over every adaptive
 strategy of a given test class, so a lower bound on their value refutes the
-whole class at once.  They run on the bitmask ``kernel.Arena`` that the
-oracle also uses, so they accept paths and cycles only; the adversaries and
-their transcripts keep ``PositionSet``, the public and text type.
+whole class at once.  Both are one memoized minimax recursion over the
+oracle's bitmask ``kernel.Arena``; the adversaries and their transcripts
+keep ``PositionSet``, the public and text type.
 """
 
 from __future__ import annotations
@@ -224,6 +224,8 @@ def window_adversary(space: SearchSpace, source: TestSource) -> Transcript:
 
 def margin_start(space: SearchSpace, n: int, s: int) -> PositionSet:
     """Initial tracked set: centered, with n*k free positions on each side."""
+    if n < 0:
+        raise ValueError("test budget must be >= 0")
     k = space.speed
     size = (1 << n) * (s - 4 * k) + 4 * k + 1
     lo = n * k + 1
@@ -333,13 +335,12 @@ def matrix_counter(space: SearchSpace, matrix: TestMatrix) -> CounterCertificate
 # sweeps over whole strategy classes
 
 
-def greedy_forced_size(space: SearchSpace, rounds: int, test_class: str = "intervals") -> int:
-    """Smallest final candidate-set size any strategy of the class can reach
-    against the greedy adversary.  A value of v certifies that accuracy
-    v-1 is out of reach for every such strategy with that many tests.
-
-    Paths and cycles only: a segment arena raises ``ValueError``."""
-    arena = Arena(space)
+def _forced_size(arena: Arena, start: int, rounds: int, test_class: str, ties: int) -> int:
+    """Smallest final size ``rounds`` tests of the class can force from mask
+    ``start`` when each answer keeps the larger of the two moved parts
+    (``ties``, 0 or 1, is the answer on equal sizes)."""
+    if rounds < 0:
+        raise ValueError("test budget must be >= 0")
     tests = arena.tests(test_class)
     reach = arena.reach
     memo: dict[tuple[int, int], int] = {}
@@ -350,24 +351,33 @@ def greedy_forced_size(space: SearchSpace, rounds: int, test_class: str = "inter
         key = (d, left)
         if key in memo:
             return memo[key]
-        # burning a round on an uninformative test is a legal strategy move
+        # burning a round on an uninformative test is a legal strategy move;
+        # a test that misses d, or covers it, leads to that same child
         best = force(reach(d), left - 1)
-        seen = set()
+        seen = {0, d}
         for t in tests:
             e1 = d & t
-            if not e1 or e1 == d or e1 in seen:
+            if e1 in seen:
                 continue
             seen.add(e1)
             d1 = reach(e1)
             d0 = reach(d & ~t)
-            nxt = d1 if d1.bit_count() > d0.bit_count() else d0
+            nxt = d1 if d1.bit_count() + ties > d0.bit_count() else d0
             got = force(nxt, left - 1)
             if got < best:
                 best = got
         memo[key] = best
         return best
 
-    return force(arena.full, rounds)
+    return force(start, rounds)
+
+
+def greedy_forced_size(space: SearchSpace, rounds: int, test_class: str = "intervals") -> int:
+    """Smallest final candidate-set size any strategy of the class can reach
+    against the greedy adversary.  A value of v certifies that accuracy
+    v-1 is out of reach for every such strategy with that many tests."""
+    arena = Arena(space)
+    return _forced_size(arena, arena.full, rounds, test_class, ties=0)
 
 
 def margin_forced_size(
@@ -378,34 +388,6 @@ def margin_forced_size(
 ) -> int:
     """Minimum over strategies of the margin adversary's final tracked-set
     size; at one vertex above capacity this is at least s+1, refuting the
-    entire class.
-
-    Paths and cycles only: a segment arena raises ``ValueError``."""
-    arena = Arena(space)
-    tests = arena.tests(test_class)
-    reach = arena.reach
-    memo: dict[tuple[int, int], int] = {}
-
-    def force(a: int, i: int) -> int:
-        if i == rounds:
-            return a.bit_count()
-        key = (a, i)
-        if key in memo:
-            return memo[key]
-        best = None
-        seen = set()
-        for t in tests:
-            e1 = a & t
-            if e1 in seen:
-                continue
-            seen.add(e1)
-            kept1 = reach(e1)
-            kept0 = reach(a & ~t)
-            nxt = kept0 if kept1.bit_count() < kept0.bit_count() else kept1
-            got = force(nxt, i + 1)
-            if best is None or got < best:
-                best = got
-        memo[key] = best if best is not None else a.bit_count()
-        return memo[key]
-
-    return force(mask_of(margin_start(space, rounds, s)), 0)
+    entire class."""
+    start = mask_of(margin_start(space, rounds, s))
+    return _forced_size(Arena(space), start, rounds, test_class, ties=1)

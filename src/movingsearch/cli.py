@@ -113,6 +113,8 @@ def cmd_table(args, out) -> int:
     if args.s_star:
         if args.N is None:
             raise SystemExit2("accuracy tables need --N")
+        if args.nonadaptive and args.topology == "cycle":
+            raise SystemExit2("the non-adaptive accuracy floor is known for paths only")
         for n_vertices in _parse_range(args.N):
             if args.nonadaptive:
                 value = nonadaptive.nonadaptive_min_accuracy(n_vertices, args.k)

@@ -28,7 +28,6 @@ from .spaces import (
     is_valid_walk,
     neighborhood,
     split,
-    vertex_bounds,
 )
 
 if TYPE_CHECKING:
@@ -76,8 +75,7 @@ class CodecSession:
         test = self._cursor.next_test()
         if test is None:
             raise ValueError("strategy exhausted: no further test to answer")
-        lo, hi = vertex_bounds(self.space)
-        if (lo is not None and position < lo) or (hi is not None and position > hi):
+        if not 1 <= position <= self.space.num_vertices:
             raise ValueError(f"position {position} outside the arena")
         if self._last_position is not None:
             if distance(self.space, self._last_position, position) > self.space.speed:

@@ -1,5 +1,5 @@
-"""Bitmask game kernel shared by the exact oracle, the class sweeps and
-both matrix engines.
+"""Bitmask game kernel shared by the exact oracle, the greedy and margin
+class sweep and both matrix engines.
 
 A candidate set on a path or cycle of N vertices is an int whose bit v-1
 stands for vertex v.  ``Arena`` holds the mask arithmetic for one space:
@@ -49,10 +49,6 @@ class Arena:
     """Mask arithmetic specialized for one space."""
 
     def __init__(self, space: SearchSpace):
-        if space.topology not in (Topology.PATH, Topology.CYCLE):
-            raise ValueError(
-                f"bitmask arenas handle paths and cycles, not {space.topology.value}"
-            )
         self.space = space
         self.n = space.num_vertices
         self.k = space.speed

@@ -9,10 +9,10 @@ answer flip pins the target's position down to a pair of adjacent
 vertices.  For speed k the alternation is stretched to runs of k identical
 symbols anchored at the center column.
 
-Evaluation runs on ``kernel`` masks, so it takes paths and cycles only.
-``advance_row`` applies one row to the antichain of still-open candidate
-sets; ``evaluate_matrix`` loops it over a matrix's rows, and the oracle's
-matrix search steps its states with it too.
+Evaluation runs on ``kernel`` masks.  ``advance_row`` applies one row to
+the antichain of still-open candidate sets; ``evaluate_matrix`` loops it
+over a matrix's rows, and the oracle's matrix search steps its states with
+it too.
 """
 
 from __future__ import annotations
@@ -175,8 +175,7 @@ def evaluate_matrix(
     is covered.  The matrix succeeds when no set is open after the last
     row.  On failure ``worst_final`` is a largest surviving set (the
     smallest mask among equals); pruning never drops it, since no other set
-    strictly contains it.  Paths and cycles only: a segment arena raises
-    ``ValueError``.
+    strictly contains it.
     """
     if s < 1:
         raise ValueError("accuracy must be >= 1")

@@ -9,10 +9,7 @@ set of positions consistent with the answers so far evolves as
     answer 1:  D_i = reach(D_{i-1} & T_i)
     answer 0:  D_i = reach(D_{i-1} - T_i)
 
-where ``reach`` is the ``speed``-step reachability operator.  Two auxiliary
-arenas, a segment open on both sides and a segment bounded only on the
-left, exist to support the recursive path constructions; their position
-labels range over all integers (respectively all positive integers).
+where ``reach`` is the ``speed``-step reachability operator.
 
 Everything in this module is an immutable value or a pure function, so
 unrestricted concurrent use is safe.
@@ -29,17 +26,13 @@ from typing import Iterable, Iterator, Optional, Sequence
 class Topology(Enum):
     PATH = "path"
     CYCLE = "cycle"
-    OPEN_SEGMENT = "open-segment"
-    HALF_OPEN_SEGMENT = "half-open-segment"
 
 
 @dataclass(frozen=True)
 class SearchSpace:
     """Arena description: graph shape, size, target speed, end-of-game rule.
 
-    ``num_vertices`` is the number of vertices for paths and cycles.  For
-    the segment variants it is the size of the initial candidate interval
-    {1..N}; positions outside it may become reachable later.
+    ``num_vertices`` is the number N of vertices, labelled 1..N.
 
     ``moves_after_last_test`` selects the end-of-game convention: True means
     the target takes one more move after the final test (the searcher's
@@ -65,14 +58,6 @@ def path(n: int, k: int, moves_after_last_test: bool = True) -> SearchSpace:
 
 def cycle(n: int, k: int, moves_after_last_test: bool = True) -> SearchSpace:
     return SearchSpace(Topology.CYCLE, n, k, moves_after_last_test)
-
-
-def open_segment(n: int, k: int, moves_after_last_test: bool = True) -> SearchSpace:
-    return SearchSpace(Topology.OPEN_SEGMENT, n, k, moves_after_last_test)
-
-
-def half_open_segment(n: int, k: int, moves_after_last_test: bool = True) -> SearchSpace:
-    return SearchSpace(Topology.HALF_OPEN_SEGMENT, n, k, moves_after_last_test)
 
 
 class PositionSet:
@@ -305,21 +290,10 @@ def full_set(space: SearchSpace) -> PositionSet:
     return PositionSet.interval(1, space.num_vertices)
 
 
-def vertex_bounds(space: SearchSpace) -> tuple[Optional[int], Optional[int]]:
-    """Inclusive label bounds, None meaning unbounded on that side."""
-    if space.topology in (Topology.PATH, Topology.CYCLE):
-        return 1, space.num_vertices
-    if space.topology is Topology.HALF_OPEN_SEGMENT:
-        return 1, None
-    return None, None
-
-
 def _check_members(space: SearchSpace, a: PositionSet, what: str = "position set"):
-    """Raise unless ``a`` lies within ``vertex_bounds(space)``."""
-    ivs, topo = a._ivs, space.topology
-    if not ivs or topo is Topology.OPEN_SEGMENT:
-        return
-    if ivs[0][0] < 1 or (topo is not Topology.HALF_OPEN_SEGMENT and ivs[-1][1] > space.num_vertices):
+    """Raise unless ``a`` lies within 1..N."""
+    ivs = a._ivs
+    if ivs and (ivs[0][0] < 1 or ivs[-1][1] > space.num_vertices):
         raise ValueError(f"{what} {a} outside the arena's vertex range")
 
 
@@ -344,13 +318,9 @@ def neighborhood(space: SearchSpace, a: PositionSet, steps: Optional[int] = None
     _check_members(space, a)
     if not a._ivs or steps == 0:
         return a
-    topo, n = space.topology, space.num_vertices
-    if topo is Topology.PATH:
+    n = space.num_vertices
+    if space.topology is Topology.PATH:
         return PositionSet._of(_grow(a._ivs, steps, 1, n))
-    if topo is Topology.OPEN_SEGMENT:
-        return PositionSet._of(_grow(a._ivs, steps, None, None))
-    if topo is Topology.HALF_OPEN_SEGMENT:
-        return PositionSet._of(_grow(a._ivs, steps, 1, None))
     # cycle: widen as on a line, then wrap the overhangs back into 1..n
     runs = _grow(a._ivs, steps, None, None)
     (lo, first_hi), (last_lo, hi) = runs[0], runs[-1]
@@ -391,23 +361,19 @@ def update(space: SearchSpace, d_prev: PositionSet, t: PositionSet, answer: int)
     return neighborhood(space, split(space, d_prev, t, answer))
 
 
-def final_expand(space: SearchSpace, d: PositionSet, override: Optional[bool] = None) -> PositionSet:
-    """The set the searcher announces when stopping with test-time set ``d``.
-
-    By default the arena's ``moves_after_last_test`` flag decides whether
-    the trailing move is applied; ``override`` forces one convention (used
-    by the oracle's accuracy-bookkeeping toggle).
-    """
-    expand = space.moves_after_last_test if override is None else override
-    return neighborhood(space, d) if expand else d
+def final_expand(space: SearchSpace, d: PositionSet) -> PositionSet:
+    """The set the searcher announces when stopping with test-time set ``d``:
+    the arena's ``moves_after_last_test`` flag decides whether the trailing
+    move is applied."""
+    return neighborhood(space, d) if space.moves_after_last_test else d
 
 
 def is_valid_walk(space: SearchSpace, positions: Sequence[int]) -> bool:
-    """True iff consecutive positions are within ``speed`` steps of each other."""
-    lo, hi = vertex_bounds(space)
-    for p in positions:
-        if (lo is not None and p < lo) or (hi is not None and p > hi):
-            return False
+    """True iff every position is a vertex and consecutive positions are
+    within ``speed`` steps of each other."""
+    n = space.num_vertices
+    if not all(1 <= p <= n for p in positions):
+        return False
     return all(
         distance(space, positions[i], positions[i + 1]) <= space.speed
         for i in range(len(positions) - 1)

@@ -2,14 +2,25 @@
 the reference matrix evaluator."""
 
 from movingsearch.errors import BudgetExceededError
+from movingsearch.kernel import expand_flag
 from movingsearch.spaces import (
     PositionSet,
-    final_expand,
     full_set,
     neighborhood,
     split,
     update,
 )
+
+
+def brute_line_reach(lo, hi, k, a):
+    """Members of the integer set a moved up to k steps along a line bounded
+    by lo and hi (None: unbounded)."""
+    return {
+        w
+        for v in a
+        for w in range(v - k, v + k + 1)
+        if (lo is None or w >= lo) and (hi is None or w <= hi)
+    }
 
 
 def assert_leaf_soundness(strategy):
@@ -179,6 +190,7 @@ def reference_evaluate_matrix(space, matrix, s, check_expanded=None):
     elements; a branch whose candidate set empties is vacuously successful.
     """
     tests = list(matrix.tests())
+    expand = expand_flag(space, check_expanded)
     worst = [None]
 
     def explore(d, i):
@@ -191,7 +203,7 @@ def reference_evaluate_matrix(space, matrix, s, check_expanded=None):
             e = split(space, d, tests[i], y)
             if not e:
                 continue
-            if len(final_expand(space, e, override=check_expanded)) <= s:
+            if len(neighborhood(space, e) if expand else e) <= s:
                 continue
             ok = explore(neighborhood(space, e), i + 1) and ok
         return ok

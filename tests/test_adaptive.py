@@ -3,7 +3,12 @@ import re
 
 import pytest
 
-from helpers import assert_every_walk_succeeds, assert_leaf_soundness, branch_sizes
+from helpers import (
+    assert_every_walk_succeeds,
+    assert_leaf_soundness,
+    branch_sizes,
+    brute_line_reach,
+)
 from movingsearch.adaptive import (
     AdaptiveStrategy,
     MinTests,
@@ -229,27 +234,27 @@ def test_path_strategy_at_capacity(k, s_list, n_max):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_split_builder_transitions_match_segment_spaces(k):
     # the split construction tracks its model state with interval arithmetic;
-    # those transitions must equal the literal one- and two-sided segment
-    # dynamics it stands for
-    from movingsearch.spaces import half_open_segment, open_segment, update as sp_update
+    # those transitions must equal a literal test-and-move on a line bounded
+    # below by 1 (prefix state) or unbounded (interval state)
+    def line_update(d, test, answer, lo):
+        return brute_line_reach(lo, None, k, d & test if answer else d - test)
+
+    def span(lo, hi):
+        return set(range(lo, hi + 1))
 
     for y in range(2, 20):
-        half = half_open_segment(y, k)
         for t in range(1, y):
-            test = PositionSet.interval(1, t)
-            d = PositionSet.interval(1, y)
-            assert sp_update(half, d, test, 1) == PositionSet.interval(1, t + k)
+            d, test = span(1, y), span(1, t)
+            assert line_update(d, test, 1, 1) == span(1, t + k)
             lo0 = t + 1 - k
-            assert sp_update(half, d, test, 0) == PositionSet.interval(max(1, lo0), y + k)
-    open_sp = open_segment(10, k)
+            assert line_update(d, test, 0, 1) == span(max(1, lo0), y + k)
     for lo in range(-3, 4):
         for width in range(2, 12):
             hi = lo + width - 1
             t = (width + 1) // 2
-            d = PositionSet.interval(lo, hi)
-            test = PositionSet.interval(lo, lo + t - 1)
-            assert sp_update(open_sp, d, test, 1) == PositionSet.interval(lo - k, lo + t - 1 + k)
-            assert sp_update(open_sp, d, test, 0) == PositionSet.interval(lo + t - k, hi + k)
+            d, test = span(lo, hi), span(lo, lo + t - 1)
+            assert line_update(d, test, 1, None) == span(lo - k, lo + t - 1 + k)
+            assert line_update(d, test, 0, None) == span(lo + t - k, hi + k)
 
 
 @pytest.mark.parametrize("s,k", [(4, 1), (5, 1), (8, 2), (10, 2)])

@@ -32,9 +32,7 @@ from movingsearch.spaces import (
     consistent_walk_exists,
     cycle,
     full_set,
-    half_open_segment,
     is_valid_walk,
-    open_segment,
     path,
     update,
 )
@@ -82,16 +80,21 @@ def test_kernel_interval_tests_match_reference_enumerator():
             assert kernel == enumerate_interval_tests(space), space
 
 
+def class_tests(space, test_class):
+    """The informative tests of the class, from the enumerator above or the
+    bits of every proper nonempty mask."""
+    if test_class == "intervals":
+        return enumerate_interval_tests(space)
+    n = space.num_vertices
+    return [
+        PositionSet.from_members(v + 1 for v in range(n) if m >> v & 1)
+        for m in range(1, (1 << n) - 1)
+    ]
+
+
 def minimax_final_size(space, rounds, test_class="intervals"):
     """Independent re-derivation: best forced final size over ALL adversaries."""
-    if test_class == "intervals":
-        tests = enumerate_interval_tests(space)
-    else:
-        n = space.num_vertices
-        tests = [
-            PositionSet.from_members(v + 1 for v in range(n) if m >> v & 1)
-            for m in range(1, (1 << n) - 1)
-        ]
+    tests = class_tests(space, test_class)
     memo = {}
 
     def go(d, left):
@@ -195,13 +198,51 @@ def test_sweeps_reproduce_golden_table():
     assert wrong == []
 
 
-@pytest.mark.parametrize("make", [open_segment, half_open_segment])
-def test_sweeps_reject_segment_arenas(make):
-    space = make(9, 1)
-    with pytest.raises(ValueError, match=space.topology.value):
-        greedy_forced_size(space, 1)
-    with pytest.raises(ValueError, match=space.topology.value):
-        margin_forced_size(space, 1, 4)
+# The greedy and margin adversaries answer deterministically, so the best a
+# strategy can force against one is the best over fixed test sequences.
+
+
+@pytest.mark.parametrize("test_class", ["intervals", "all_subsets"])
+@pytest.mark.parametrize("make", [path, cycle])
+def test_greedy_sweep_matches_every_fixed_test_sequence(make, test_class):
+    for n_vertices, k in [(4, 1), (5, 1), (6, 1), (7, 2)]:
+        space = make(n_vertices, k)
+        tests = class_tests(space, test_class) + [PositionSet.empty()]
+        for rounds in (1, 2):
+            brute = min(
+                len(greedy_adversary(space, list(seq)).final_candidates)
+                for seq in itertools.product(tests, repeat=rounds)
+            )
+            assert greedy_forced_size(space, rounds, test_class) == brute, (space, rounds)
+
+
+@pytest.mark.parametrize(
+    "n_vertices,k,s,rounds,test_class",
+    [
+        (7, 1, 4, 1, "intervals"),
+        (9, 1, 4, 2, "intervals"),
+        (13, 1, 5, 2, "intervals"),
+        (13, 2, 8, 1, "intervals"),
+        (8, 1, 4, 1, "all_subsets"),
+        (9, 1, 5, 1, "all_subsets"),
+    ],
+)
+def test_margin_sweep_matches_every_fixed_test_sequence(n_vertices, k, s, rounds, test_class):
+    space = path(n_vertices, k)
+    brute = min(
+        len(margin_adversary(space, list(seq), rounds, s).rounds[-1].tracked)
+        for seq in itertools.product(class_tests(space, test_class), repeat=rounds)
+    )
+    assert margin_forced_size(space, rounds, s, test_class) == brute
+
+
+def test_sweeps_reject_negative_test_budget():
+    with pytest.raises(ValueError, match="test budget must be >= 0"):
+        greedy_forced_size(path(5, 1), -1)
+    with pytest.raises(ValueError, match="test budget must be >= 0"):
+        margin_forced_size(path(30, 1), -1, 4)
+    with pytest.raises(ValueError, match="test budget must be >= 0"):
+        margin_start(path(30, 1), -1, 4)
 
 
 def test_sweeps_reject_unknown_test_class():

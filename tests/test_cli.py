@@ -192,6 +192,29 @@ def test_accuracy_table_without_vertex_range_is_usage_error(capsys):
     assert "--N" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--mode", "greedy", "--N", "5", "--k", "1", "--n", "-1"),
+        ("--mode", "margin", "--N", "30", "--k", "1", "--s", "4", "--n", "-1"),
+    ],
+)
+def test_sweep_negative_test_budget_is_usage_error(capsys, argv):
+    code, _ = run_cli("adversary", *argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "test budget must be >= 0" in err and "Traceback" not in err
+
+
+def test_nonadaptive_accuracy_table_on_cycles_is_usage_error(capsys):
+    code, text = run_cli(
+        "table", "--s-star", "--nonadaptive", "--topology", "cycle", "--N", "5..9", "--k", "1",
+    )
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert "paths only" in err and "Traceback" not in err
+
+
 def test_budget_exit_code():
     code, _ = run_cli(
         "oracle", "--topology", "path", "--N", "11", "--k", "1", "--s", "4",

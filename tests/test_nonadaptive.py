@@ -18,7 +18,6 @@ from movingsearch.spaces import (
     cycle,
     distance,
     full_set,
-    open_segment,
     path,
     update,
 )
@@ -128,9 +127,7 @@ def test_mask_evaluator_matches_positionset_reference():
     assert cases > 5000
 
 
-def test_evaluator_rejects_segments_and_bad_accuracy():
-    with pytest.raises(ValueError, match="open-segment"):
-        evaluate_matrix(open_segment(8, 1), TestMatrix(((0,) * 8,)), 4)
+def test_evaluator_rejects_bad_accuracy_and_columns():
     with pytest.raises(ValueError, match="accuracy"):
         evaluate_matrix(path(8, 1), expanding_accuracy_matrix(8), 0)
     with pytest.raises(ValueError, match="columns"):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import brute_line_reach
 from movingsearch.kernel import Arena, ps_of
 from movingsearch.spaces import (
     PositionSet,
@@ -13,10 +14,8 @@ from movingsearch.spaces import (
     distance,
     final_expand,
     full_set,
-    half_open_segment,
     is_valid_walk,
     neighborhood,
-    open_segment,
     path,
     split,
     update,
@@ -100,11 +99,6 @@ def test_neighborhood_cycle_wraparound():
     assert neighborhood(cycle(6, 2), P("1")) == PositionSet.from_members({5, 6, 1, 2, 3})
 
 
-def test_neighborhood_segments():
-    assert neighborhood(open_segment(5, 2), P("1")) == P("-1-3")
-    assert neighborhood(half_open_segment(5, 2), P("1")) == P("1-3")
-
-
 def test_neighborhood_rejects_out_of_range():
     with pytest.raises(ValueError):
         neighborhood(path(5, 1), P("6"))
@@ -131,39 +125,22 @@ def test_cycle_neighborhood_matches_step_simulation(n, k, a):
     assert is_canonical(got)
 
 
-def brute_line_reach(lo, hi, k, a):
-    """Members of a moved up to k steps along a line bounded by lo and hi
-    (None: unbounded)."""
-    return {
-        w
-        for v in a
-        for w in range(v - k, v + k + 1)
-        if (lo is None or w >= lo) and (hi is None or w <= hi)
-    }
-
-
 @given(
-    st.sampled_from(["path", "open-segment", "half-open-segment"]),
     st.integers(min_value=1, max_value=14),
     st.integers(min_value=1, max_value=4),
-    st.sets(st.integers(min_value=-6, max_value=20), max_size=10),
-    st.sets(st.integers(min_value=-6, max_value=20), max_size=10),
+    st.sets(st.integers(min_value=1, max_value=14), max_size=10),
+    st.sets(st.integers(min_value=1, max_value=14), max_size=10),
     st.integers(min_value=0, max_value=1),
 )
-def test_line_reach_and_update_match_brute_force(topo, n, k, a, t, y):
-    sp, lo, hi = {
-        "path": (path(n, k), 1, n),
-        "open-segment": (open_segment(n, k), None, None),
-        "half-open-segment": (half_open_segment(n, k), 1, None),
-    }[topo]
-    inside = {v for v in a | t if (lo is None or v >= lo) and (hi is None or v <= hi)}
-    a, t = a & inside, t & inside
+def test_line_reach_and_update_match_brute_force(n, k, a, t, y):
+    sp = path(n, k)
+    a, t = {v for v in a if v <= n}, {v for v in t if v <= n}
     pa, pt = PositionSet.from_members(a), PositionSet.from_members(t)
     got = neighborhood(sp, pa)
-    assert set(got) == brute_line_reach(lo, hi, k, a)
+    assert set(got) == brute_line_reach(1, n, k, a)
     assert is_canonical(got)
     got = update(sp, pa, pt, y)
-    assert set(got) == brute_line_reach(lo, hi, k, a & t if y else a - t)
+    assert set(got) == brute_line_reach(1, n, k, a & t if y else a - t)
     assert is_canonical(got)
 
 
@@ -224,9 +201,6 @@ def test_final_expand_flag_true():
 def test_final_expand_flag_false_is_identity():
     sp = path(16, 1, moves_after_last_test=False)
     assert final_expand(sp, P("1-3")) == P("1-3")
-    # and the override forces either convention
-    assert final_expand(sp, P("1-3"), override=True) == P("1-4")
-    assert final_expand(path(16, 1), P("1-3"), override=False) == P("1-3")
 
 
 # -- walks ---------------------------------------------------------------------
@@ -316,7 +290,6 @@ def test_interval_test_enumeration():
 def test_distance():
     assert distance(path(10, 1), 2, 9) == 7
     assert distance(cycle(10, 1), 2, 9) == 3
-    assert distance(open_segment(5, 1), -4, 3) == 7
 
 
 def test_space_validation():
