@@ -130,6 +130,8 @@ def cmd_table(args, out) -> int:
                  "N": n_vertices, "source": tag}
             )
     else:
+        if args.nonadaptive:
+            raise SystemExit2("non-adaptive capacity tables are not implemented; use --s-star")
         if args.s is None or args.n is None:
             raise SystemExit2("capacity tables need --s and --n (or use --s-star with --N)")
         fn = adaptive.cycle_capacity if args.topology == "cycle" else adaptive.path_capacity

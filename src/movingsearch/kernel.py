@@ -4,7 +4,8 @@ class sweep and both matrix engines.
 A candidate set on a path or cycle of N vertices is an int whose bit v-1
 stands for vertex v.  ``Arena`` holds the mask arithmetic for one space:
 speed-step reachability as a shift-or (path) or rotate-or (cycle), cached
-per arena, and the test masks of each test class.  ``mask_of`` and
+per arena, the canonical form of a mask under the arena's symmetries, and
+the test masks of each test class.  ``mask_of`` and
 ``ps_of`` convert to and from ``PositionSet``, which stays the public and
 text type.  ``expand_flag`` resolves the engines' ``check_expanded``
 option.
@@ -57,8 +58,12 @@ class Arena:
 
     def reach(self, mask: int) -> int:
         out = self._reach_cache.get(mask)
-        if out is not None:
-            return out
+        if out is None:
+            out = self._reach_cache[mask] = self.move(mask)
+        return out
+
+    def move(self, mask: int) -> int:
+        """``reach`` without the cache, for callers that keep their own."""
         n, full = self.n, self.full
         out = mask
         if self.space.topology is Topology.PATH:
@@ -69,8 +74,35 @@ class Arena:
             for _ in range(self.k):
                 out |= ((out << 1) | (out >> (n - 1))) & full
                 out |= (out >> 1) | ((out & 1) << (n - 1))
-        self._reach_cache[mask] = out
         return out
+
+    def reflect(self, mask: int) -> int:
+        """The mask mirrored end to end: vertex v goes to N+1-v."""
+        return int(format(mask, f"0{self.n}b")[::-1], 2)
+
+    def canon(self, mask: int) -> int:
+        """The smallest image of the mask under the arena's symmetries:
+        reflection on a path, the 2N rotations and reflections on a cycle.
+        Both map intervals to intervals (arcs to arcs) and commute with
+        ``reach``, so every image has the same game value."""
+        if self.space.topology is Topology.PATH:
+            return min(mask, self.reflect(mask))
+        n = self.n
+        bits = format(mask, f"0{n}b")
+        if "0" not in bits or "1" not in bits:
+            return mask
+        # bit strings of one length compare as their values, and the least
+        # rotation starts with a longest run of zeros: try only those starts
+        runs = bits.split("1")
+        zeros = max(max(runs), runs[-1] + runs[0])
+        best = bits
+        for b in (bits, bits[::-1]):
+            twice = b + b
+            i = twice.find(zeros)
+            while 0 <= i < n:
+                best = min(best, twice[i : i + n])
+                i = twice.find(zeros, i + 1)
+        return int(best, 2)
 
     def interval_tests(self) -> list[int]:
         """Every consecutive test mask: intervals on a path, arcs (wrap-around

@@ -14,6 +14,17 @@ never labelled once the levels run out are provably unwinnable, which is how
 unbounded-budget accuracy queries terminate.  ``exact_min_accuracy`` builds
 one unpruned graph and index and labels it once per accuracy.
 
+The graph lives on the symmetry quotient, the reduction used to index
+endgame tablebases (E. V. Nalimov, G. McC. Haworth, E. A. Heinz,
+"Space-efficient indexing of chess endgame tables", ICGA J. 23(3), 2000).
+Reflecting a path, or rotating and reflecting a cycle, maps intervals to
+intervals and commutes with the target's move, so every image of a
+candidate set has its value; each child is stored as ``Arena.canon`` of the
+moved part.  Storage is value-only: the build keeps the states and the
+labelling index, no per-edge tuples, and a solved query keeps just the
+values.  ``extract_strategy`` re-enumerates the raw splits from the full
+arena and reads each child's value at its canonical form.
+
 ``exact_best_matrix`` searches over non-adaptive matrices row by row.  Its
 state is the antichain of still-unresolved candidate sets, stepped by
 ``nonadaptive.advance_row``, the row step ``evaluate_matrix`` runs too
@@ -39,9 +50,12 @@ TEST_CLASSES = ("intervals", "all_subsets")
 
 @dataclass
 class GameValue:
-    """Outcome of an exact minimax query, plus the labelled graph for
-    strategy extraction.  ``states`` counts the states of that graph, which
-    holds only the states whose answer was still open at accuracy ``s``."""
+    """Outcome of an exact minimax query, plus the labelled values for
+    strategy extraction.  The graph is built on the symmetry quotient, so
+    ``states`` counts orbits of candidate sets (under reflection, and on a
+    cycle rotation), and only those whose answer was still open at accuracy
+    ``s``; ``edges`` counts the splits between them.  ``_values`` maps each
+    labelled canonical state to its number of tests."""
 
     space: SearchSpace
     s: int
@@ -50,8 +64,8 @@ class GameValue:
     status: str  # "solved" | "unreachable" | "budget_exceeded"
     min_tests: Optional[int]
     states: int
+    edges: int
     _arena: Arena = field(repr=False)
-    _graph: dict = field(repr=False)
     _values: dict = field(repr=False)
 
     def record(self) -> dict:
@@ -64,6 +78,8 @@ class GameValue:
             "flag": self.space.moves_after_last_test,
             "min_tests": self.min_tests,
             "status": self.status,
+            "states": self.states,
+            "edges": self.edges,
         }
 
 
@@ -87,68 +103,72 @@ class _Index(NamedTuple):
 
 
 def _build_graph(
-    arena: Arena, test_class: str, s: int, expand: bool, max_states: int
-) -> tuple[dict, _Index]:
-    """Every state still open at accuracy ``s``, reachable from the full arena.
+    arena: Arena, test_class: str, s: int, expand: bool, max_edges: int
+) -> tuple[set, _Index]:
+    """Every canonical state still open at accuracy ``s``, reachable from the
+    full arena, and the ``_Index`` of the splits between them.
 
-    Returns the graph, state -> list of (test, e1, child1, e0, child0) with
-    one edge per split of the state up to swapping the answers, and its
-    ``_Index``.  A state with at most ``s`` candidates is recorded with no
-    edges, and a branch whose announced set (the child if ``expand``, else
-    ``e``) fits is neither pushed nor indexed: its answer is already known.
-    ``s=0`` prunes nothing.
+    Each state has one edge per split up to swapping the answers; a child is
+    the canonical form of the moved part.  A state with at most ``s``
+    candidates is kept with no edges, and a branch whose announced set (the
+    child if ``expand``, else the part) fits is neither pushed nor indexed:
+    its answer is already known.  ``s=0`` prunes nothing.  Raises
+    ``BudgetExceededError`` once more than ``max_edges`` edges are indexed.
     """
     if test_class not in TEST_CLASSES:
         raise ValueError(f"unknown test class {test_class!r}")
     interval_masks = arena.interval_tests() if test_class == "intervals" else None
-    reach = arena.reach
-    graph: dict[int, list] = {}
+    move, canon = arena.move, arena.canon
+    children: dict[int, int] = {}  # raw part -> canonical child
+    canonical: dict[int, int] = {}  # moved part -> canonical child
+    states: set[int] = set()
     parents: list[int] = []
     announced: list[int] = []
     preds: dict[int, list] = {}
     frontier = [arena.full]
     while frontier:
         d = frontier.pop()
-        if d in graph:
+        if d in states:
             continue
-        if len(graph) >= max_states:
-            raise BudgetExceededError(f"oracle state cap {max_states} exceeded")
-        edges = graph[d] = []
+        states.add(d)
         if d.bit_count() <= s:
             continue
         seen_splits = {0, d}
-        candidates = (
-            ((t, t & d) for t in interval_masks)
-            if interval_masks is not None
-            else ((e, e) for e in _submasks(d))
-        )
-        for t, e1 in candidates:
+        for t in interval_masks if interval_masks is not None else _submasks(d):
+            e1 = t & d
             if e1 in seen_splits:
                 continue
             e0 = d ^ e1
             seen_splits.add(e1)
             seen_splits.add(e0)
-            c1, c0 = reach(e1), reach(e0)
-            edges.append((t, e1, c1, e0, c0))
             branch = 2 * len(parents)
             parents.append(d)
-            for e, c in ((e1, c1), (e0, c0)):
+            for e in (e1, e0):
+                c = children.get(e)
+                if c is None:
+                    moved = move(e)
+                    c = canonical.get(moved)
+                    if c is None:
+                        c = canonical[moved] = canon(moved)
+                    children[e] = c
                 size = (c if expand else e).bit_count()
                 announced.append(size)
                 if size > s:
                     into = preds.get(c)
                     if into is None:
                         preds[c] = [branch]
-                        if c not in graph:
+                        if c not in states:
                             frontier.append(c)
                     else:
                         into.append(branch)
                 branch += 1
-    return graph, _Index(parents, announced, preds)
+        if len(parents) > max_edges:
+            raise BudgetExceededError(f"oracle edge cap {max_edges} exceeded")
+    return states, _Index(parents, announced, preds)
 
 
 def _label(
-    graph: dict, index: _Index, root: int, s: int, budget: Optional[int]
+    graph: set, index: _Index, root: int, s: int, budget: Optional[int]
 ) -> tuple[dict, bool]:
     """Retrograde labelling; returns (values, reached_fixpoint).
 
@@ -214,7 +234,7 @@ def exact_min_tests(
     test_class: str = "intervals",
     budget: Optional[int] = None,
     check_expanded: Optional[bool] = None,
-    max_states: int = 500_000,
+    max_edges: int = 8_000_000,
 ) -> GameValue:
     """Minimax-optimal number of tests for accuracy ``s``, or unreachable.
 
@@ -225,7 +245,9 @@ def exact_min_tests(
     have run out of budget first; that happens only when the query without
     a budget is ``unreachable`` too.  ``check_expanded`` overrides where the
     accuracy check is applied (after the trailing move by default in the
-    moves-after-last-test model, before it otherwise).
+    moves-after-last-test model, before it otherwise).  ``max_edges`` caps
+    the graph, whose memory grows with its edges (about 135 bytes each):
+    past it the query raises ``BudgetExceededError``.
     """
     if s < 1:
         raise ValueError("accuracy must be >= 1")
@@ -234,7 +256,7 @@ def exact_min_tests(
     _check_caps(space, test_class)
     arena = Arena(space)
     graph, index = _build_graph(
-        arena, test_class, s, expand_flag(space, check_expanded), max_states
+        arena, test_class, s, expand_flag(space, check_expanded), max_edges
     )
     vals, fixpoint = _label(graph, index, arena.full, s, budget)
     root_val = vals.get(arena.full)
@@ -245,7 +267,8 @@ def exact_min_tests(
     else:
         status, result = "budget_exceeded", None
     return GameValue(
-        space, s, test_class, check_expanded, status, result, len(graph), arena, graph, vals
+        space, s, test_class, check_expanded, status, result,
+        len(graph), len(index.parents), arena, vals,
     )
 
 
@@ -254,7 +277,7 @@ def exact_min_accuracy(
     n_budget: Optional[int] = None,
     test_class: str = "intervals",
     check_expanded: Optional[bool] = None,
-    max_states: int = 500_000,
+    max_edges: int = 8_000_000,
 ) -> int:
     """Smallest accuracy reachable within ``n_budget`` tests (any number if None).
 
@@ -264,7 +287,7 @@ def exact_min_accuracy(
     _check_caps(space, test_class)
     arena = Arena(space)
     graph, index = _build_graph(
-        arena, test_class, 0, expand_flag(space, check_expanded), max_states
+        arena, test_class, 0, expand_flag(space, check_expanded), max_edges
     )
     for s in range(1, space.num_vertices + 1):
         vals, _fixpoint = _label(graph, index, arena.full, s, n_budget)
@@ -274,49 +297,51 @@ def exact_min_accuracy(
 
 
 def extract_strategy(gv: GameValue) -> AdaptiveStrategy:
-    """Rebuild an optimal decision tree from the oracle's labelled graph."""
+    """Rebuild an optimal decision tree from the oracle's labelled values.
+
+    Walks the raw candidate sets from the full arena, re-enumerating each
+    one's splits in the builder's order and reading every child's value at
+    its canonical form, so the tests and leaves are the raw ones."""
     if gv.status != "solved":
         raise ValueError(f"no strategy to extract: status is {gv.status}")
-    arena, graph, vals = gv._arena, gv._graph, gv._values
+    arena, vals, s = gv._arena, gv._values, gv.s
     expand = expand_flag(gv.space, gv.check_expanded)
+    interval_masks = arena.interval_tests() if gv.test_class == "intervals" else None
     INF = float("inf")
 
-    def branch_value(e, child):
-        if e == 0:
-            return 0
-        if (child if expand else e).bit_count() <= gv.s:
-            return 0
-        v = vals.get(child)
-        return INF if v is None else v
+    def announced(e: int) -> int:
+        return arena.reach(e) if expand else e
 
-    def leaf_for(e: int, child: int) -> StrategyNode:
-        announced = child if expand else e
-        return StrategyNode(answer=ps_of(announced))
+    def branch_value(e: int) -> float:
+        if announced(e).bit_count() <= s:
+            return 0
+        return vals.get(arena.canon(arena.reach(e)), INF)
+
+    def branch(e: int, value: float) -> StrategyNode:
+        return StrategyNode(answer=ps_of(announced(e))) if value == 0 else build(arena.reach(e))
 
     def build(d: int) -> StrategyNode:
-        if d.bit_count() <= gv.s:
+        if d.bit_count() <= s:
             return StrategyNode(answer=ps_of(d))
-        want = vals[d] - 1
-        for t, e1, c1, e0, c0 in graph[d]:
-            if max(branch_value(e1, c1), branch_value(e0, c0)) == want:
-                on1 = leaf_for(e1, c1) if branch_value(e1, c1) == 0 else build(c1)
-                on0 = leaf_for(e0, c0) if branch_value(e0, c0) == 0 else build(c0)
-                return StrategyNode(test=ps_of(t), on0=on0, on1=on1)
+        want = vals[arena.canon(d)] - 1
+        seen_splits = {0, d}
+        for t in interval_masks if interval_masks is not None else _submasks(d):
+            e1 = t & d
+            if e1 in seen_splits:
+                continue
+            e0 = d ^ e1
+            seen_splits.add(e1)
+            seen_splits.add(e0)
+            v1, v0 = branch_value(e1), branch_value(e0)
+            if max(v1, v0) == want:
+                return StrategyNode(test=ps_of(t), on0=branch(e0, v0), on1=branch(e1, v1))
         raise AssertionError("labelled state lost its achieving test")
 
-    return AdaptiveStrategy(gv.space, build(arena.full), gv.s)
+    return AdaptiveStrategy(gv.space, build(arena.full), s)
 
 
 # ---------------------------------------------------------------------------
 # exhaustive search over non-adaptive matrices
-
-
-def _reflect(mask: int, n: int) -> int:
-    out = 0
-    for _ in range(n):
-        out = (out << 1) | (mask & 1)
-        mask >>= 1
-    return out
 
 
 def exact_best_matrix(
@@ -373,7 +398,7 @@ def exact_best_matrix(
         # the complement-normalized (vertex-1-free) representative
         return mask if not mask & 1 else full ^ mask
 
-    first_rows = [t for t in tests if t <= norm(_reflect(t, arena.n))]
+    first_rows = [t for t in tests if t <= norm(arena.reflect(t))]
     for t in first_rows:
         rest = solve(advance_row(arena, frozenset([full]), t, s, expand), n - 1)
         if rest is not None:

@@ -5,6 +5,7 @@ from movingsearch.errors import BudgetExceededError
 from movingsearch.kernel import expand_flag
 from movingsearch.spaces import (
     PositionSet,
+    final_expand,
     full_set,
     neighborhood,
     split,
@@ -24,13 +25,16 @@ def brute_line_reach(lo, hi, k, a):
 
 
 def assert_leaf_soundness(strategy):
-    """Every leaf equals the replayed candidate chain and fits the target."""
+    """Every leaf equals the replayed candidate chain and fits the target.
+    The last test's trailing move is applied as the arena's flag says."""
     space = strategy.space
     for bits, leaf in strategy.leaves():
         d = full_set(space)
         tests, _ = strategy.replay(bits)
-        for t, y in zip(tests, bits):
+        for t, y in zip(tests[:-1], bits):
             d = update(space, d, t, y)
+        if tests:
+            d = final_expand(space, split(space, d, tests[-1], bits[-1]))
         assert leaf.answer == d, f"leaf mismatch on answers {bits}"
         if d:
             assert len(d) <= strategy.accuracy_target, (
@@ -39,7 +43,8 @@ def assert_leaf_soundness(strategy):
 
 
 def assert_every_walk_succeeds(strategy):
-    """Each valid target walk ends inside the leaf its answers lead to."""
+    """Each valid target walk ends inside the leaf its answers lead to; the
+    target makes no trailing move where the arena's flag says so."""
     space = strategy.space
     seen = set()
 
@@ -52,6 +57,9 @@ def assert_every_walk_succeeds(strategy):
             assert pos in node.answer, f"position {pos} escapes leaf {node.answer}"
             return
         child = node.child(1 if pos in node.test else 0)
+        if child.is_leaf and not space.moves_after_last_test:
+            go(child, pos)
+            return
         for nxt in neighborhood(space, PositionSet.from_members([pos])):
             go(child, nxt)
 

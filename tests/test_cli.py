@@ -127,6 +127,7 @@ def test_oracle_record():
     assert code == 0
     rec = json.loads(text)
     assert rec["min_tests"] == 3 and rec["class"] == "intervals"
+    assert rec["states"] > 0 and rec["edges"] > 0
 
 
 def test_oracle_restricted_flag():
@@ -213,6 +214,16 @@ def test_nonadaptive_accuracy_table_on_cycles_is_usage_error(capsys):
     assert code == 2 and text == ""
     err = capsys.readouterr().err
     assert "paths only" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("topology", ["path", "cycle"])
+def test_nonadaptive_capacity_table_is_usage_error(capsys, topology):
+    code, text = run_cli(
+        "table", "--nonadaptive", "--topology", topology, "--k", "1", "--s", "5", "--n", "0..2",
+    )
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert "not implemented" in err and "Traceback" not in err
 
 
 def test_budget_exit_code():

@@ -9,9 +9,10 @@ from helpers import (
 )
 from movingsearch.adaptive import cycle_capacity, path_capacity, path_min_accuracy
 from movingsearch.errors import BudgetExceededError
-from movingsearch.kernel import Arena
+from movingsearch.kernel import Arena, expand_flag
 from movingsearch.nonadaptive import evaluate_matrix, expanding_accuracy_matrix
 from movingsearch.oracle import (
+    _build_graph,
     exact_best_matrix,
     exact_min_accuracy,
     exact_min_tests,
@@ -51,7 +52,7 @@ def test_negative_budget_rejected():
 
 
 @pytest.mark.parametrize(
-    "test_class, n_max", [("intervals", 12), ("all_subsets", 8)]
+    "test_class, n_max", [("intervals", 12), ("all_subsets", 9)]
 )
 @pytest.mark.parametrize("make", [path, cycle])
 def test_retrograde_oracle_matches_value_iteration(make, test_class, n_max):
@@ -96,12 +97,76 @@ def test_retrograde_oracle_matches_value_iteration(make, test_class, n_max):
 )
 def test_graph_never_expands_decided_states(sp, s):
     # a branch that fits is never pushed, so only a fitting root is kept
-    gv = exact_min_tests(sp, s)
-    full = (1 << sp.num_vertices) - 1
-    for d, edges in gv._graph.items():
+    arena = Arena(sp)
+    states, index = _build_graph(arena, "intervals", s, expand_flag(sp, None), 10**6)
+    expanded = set(index.parents)
+    for d in states:
+        assert arena.canon(d) == d, f"state {d:b} is not canonical"
         if d.bit_count() <= s:
-            assert d == full and not edges, f"state {d:b} fits accuracy {s} but is in the graph"
-    assert gv.states < len(reference_build_graph(Arena(sp), "intervals"))
+            assert d == arena.full and d not in expanded, (
+                f"state {d:b} fits accuracy {s} but is in the graph"
+            )
+    assert len(states) < len(reference_build_graph(arena, "intervals"))
+    gv = exact_min_tests(sp, s)
+    assert (gv.states, gv.edges) == (len(states), len(index.parents))
+
+
+def _symmetries(sp):
+    """Every symmetry of the arena as a vertex map on 0..N-1."""
+    n = sp.num_vertices
+    if sp.topology.value == "path":
+        return [lambda v: v, lambda v: n - 1 - v]
+    return [lambda v, i=i: (v + i) % n for i in range(n)] + [
+        lambda v, i=i: (i - v) % n for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize("make", [path, cycle])
+def test_canon_is_constant_on_orbits_and_commutes_with_reach(make):
+    for n_vertices in range(1, 9):
+        for k in (1, 2):
+            arena = Arena(make(n_vertices, k))
+            group = _symmetries(arena.space)
+            for m in range(1 << n_vertices):
+                members = [v for v in range(n_vertices) if m >> v & 1]
+                orbit = {sum(1 << g(v) for v in members) for g in group}
+                c = arena.canon(m)
+                where = f"{arena.space.topology.value} N={n_vertices} k={k} mask={m:b}"
+                assert c in orbit, where
+                assert {arena.canon(x) for x in orbit} == {c}, where
+                moved = arena.canon(arena.reach(m))
+                assert {arena.canon(arena.reach(x)) for x in orbit} == {moved}, where
+
+
+@pytest.mark.parametrize("make", [path, cycle])
+def test_edge_cap_raises_budget_exceeded(make):
+    sp = make(12, 1)
+    with pytest.raises(BudgetExceededError, match="edge cap"):
+        exact_min_tests(sp, 4, max_edges=10)
+    with pytest.raises(BudgetExceededError, match="edge cap"):
+        exact_min_accuracy(sp, max_edges=10)
+    assert exact_min_tests(sp, 5, max_edges=10**6).edges < 10**6
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("make", [path, cycle])
+def test_extracted_strategies_pass_walk_checks(make, flag):
+    """Extraction walks raw, non-canonical sets; every extracted strategy
+    must still hold each walk to its leaf."""
+    solved = 0
+    for k in (1, 2):
+        for n_vertices in range(2, 11):
+            sp = make(n_vertices, k, moves_after_last_test=flag)
+            for s in range(1, n_vertices):
+                gv = exact_min_tests(sp, s)
+                if gv.status != "solved" or gv.min_tests == 0:
+                    continue
+                st = extract_strategy(gv)
+                assert st.depth() == gv.min_tests
+                assert_leaf_soundness(st)
+                assert_every_walk_succeeds(st)
+                solved += 1
+    assert solved > 10  # the grid is not vacuous
 
 
 def test_min_accuracy_matches_formulas():
@@ -172,6 +237,8 @@ def test_record_shape():
         "flag": True,
         "min_tests": 1,
         "status": "solved",
+        "states": 3,
+        "edges": 35,
     }
 
 
