@@ -12,8 +12,9 @@ Bit streams serialize as strings of '0'/'1' characters.
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .adaptive import AdaptiveStrategy
 from .adversary import SourceCursor, Transcript, TranscriptRound, greedy_adversary
@@ -117,20 +118,20 @@ def decode(space: SearchSpace, strategy: Strategy, bits: Sequence[int]) -> Posit
     return final_expand(space, pre)
 
 
-def random_walk(space: SearchSpace, length: int, seed: int) -> tuple[int, ...]:
-    """Seeded walk: uniform start, then uniform over reachable next positions."""
+def _walk_steps(space: SearchSpace, seed: int) -> Iterator[int]:
+    """The endless seeded walk: uniform start, then uniform over reachable
+    next positions."""
     rng = random.Random(seed)
     pos = rng.randint(1, space.num_vertices)
-    walk = [pos]
-    for _ in range(length - 1):
-        options = list(neighborhood(space, PositionSet.from_members([pos])))
-        pos = rng.choice(options)
-        walk.append(pos)
-    return tuple(walk)
+    while True:
+        yield pos
+        pos = rng.choice(list(neighborhood(space, PositionSet.from_members([pos]))))
 
 
-def _strategy_depth(strategy: Strategy) -> int:
-    return strategy.rows if isinstance(strategy, TestMatrix) else strategy.depth()
+def random_walk(space: SearchSpace, length: int, seed: int) -> tuple[int, ...]:
+    """Seeded walk: uniform start, then uniform over reachable next positions
+    (always at least the start)."""
+    return tuple(itertools.islice(_walk_steps(space, seed), max(length, 1)))
 
 
 def simulate_session(
@@ -166,7 +167,9 @@ def simulate_session(
         walk = consistent_walk_exists(space, tr.tests(), tr.answers())
         assert walk is not None, "greedy adversary produced an unrealizable transcript"
     elif seed is not None:
-        walk = random_walk(space, _strategy_depth(strategy) + 1, seed)
+        # drawn as the session runs, one position ahead of the rounds played
+        steps = _walk_steps(space, seed)
+        walk = [next(steps)]
 
     session = CodecSession(space, strategy)
     rounds = []
@@ -179,6 +182,8 @@ def simulate_session(
         test = session.next_test()
         bit = session.encode_step(walk[i])
         i += 1
+        if seed is not None:
+            walk.append(next(steps))
         rounds.append(TranscriptRound(i, test, bit, session.decoder_state))
 
     if space.moves_after_last_test and i < len(walk):

@@ -30,7 +30,12 @@ state is the antichain of still-unresolved candidate sets, stepped by
 ``nonadaptive.advance_row``, the row step ``evaluate_matrix`` runs too
 (subset-dominated sets are dropped: they succeed whenever a superset does).
 Each row may be complemented freely (that only relabels the two answers),
-and the first row is normalized under left-right reflection.  Everything is
+and the first row is normalized under left-right reflection.  The search is
+branch and bound (A. H. Land, A. G. Doig, "An automatic method of solving
+discrete programming problems", Econometrica 28(3), 1960): r rows that
+resolve a set are an r-test adaptive strategy over arbitrary test sets, so
+the set's all-subsets adaptive value, labelled once per query on this
+module's own graph, bounds the rows it still needs.  Everything is
 single-threaded and deterministic.
 """
 
@@ -46,6 +51,7 @@ from .nonadaptive import TestMatrix, advance_row
 from .spaces import SearchSpace
 
 TEST_CLASSES = ("intervals", "all_subsets")
+MAX_EDGES = 8_000_000  # default edge cap: about 1.1 GB of graph
 
 
 @dataclass
@@ -168,7 +174,7 @@ def _build_graph(
 
 
 def _label(
-    graph: set, index: _Index, root: int, s: int, budget: Optional[int]
+    graph: set, index: _Index, root: Optional[int], s: int, budget: Optional[int]
 ) -> tuple[dict, bool]:
     """Retrograde labelling; returns (values, reached_fixpoint).
 
@@ -178,10 +184,10 @@ def _label(
     every edge that had it as its last open branch settles its parent at
     v+1 unless the parent already has a value.  So a state is looked at
     only when one of its children gets a label.  Stops once the root is
-    labelled, when a level comes out empty (the fixpoint: the states left
-    cannot be won), or after ``budget`` levels; the budget is checked
-    before the level that would show the fixpoint.  The index is only read,
-    so one index serves every ``s``.
+    labelled (never with ``root=None``), when a level comes out empty (the
+    fixpoint: the states left cannot be won), or after ``budget`` levels;
+    the budget is checked before the level that would show the fixpoint.
+    The index is only read, so one index serves every ``s``.
     """
     parents, announced, preds = index
     vals = {d: 0 for d in graph if d.bit_count() <= s}
@@ -234,7 +240,7 @@ def exact_min_tests(
     test_class: str = "intervals",
     budget: Optional[int] = None,
     check_expanded: Optional[bool] = None,
-    max_edges: int = 8_000_000,
+    max_edges: int = MAX_EDGES,
 ) -> GameValue:
     """Minimax-optimal number of tests for accuracy ``s``, or unreachable.
 
@@ -277,7 +283,7 @@ def exact_min_accuracy(
     n_budget: Optional[int] = None,
     test_class: str = "intervals",
     check_expanded: Optional[bool] = None,
-    max_edges: int = 8_000_000,
+    max_edges: int = MAX_EDGES,
 ) -> int:
     """Smallest accuracy reachable within ``n_budget`` tests (any number if None).
 
@@ -354,7 +360,16 @@ def exact_best_matrix(
     """Some n-row matrix that succeeds at accuracy ``s``, or None if none exists.
 
     Exhausts all row sequences up to the two documented symmetries
-    (per-row complement, whole-matrix reflection at the first row).
+    (per-row complement, whole-matrix reflection at the first row), in a
+    fixed order, and returns the first that succeeds.  A branch is cut as
+    soon as some set in its antichain has an all-subsets adaptive value
+    above the rows left: any matrix resolves a set no faster than the best
+    adaptive strategy.  The values come from the all-subsets graph of the
+    arena, labelled to ``n`` levels.  Every set in an antichain is a state of
+    that graph: it is the moved part of an open branch, and a row that
+    leaves a set whole moves it where one of the set's own splits does
+    (drop a vertex of the set it grew from).  Cuts drop only branches that
+    cannot succeed, so the result is the one the unbounded search finds.
     """
     if s < 1:
         raise ValueError("accuracy must be >= 1")
@@ -369,7 +384,13 @@ def exact_best_matrix(
     expand = expand_flag(space, check_expanded)
     if full.bit_count() <= s:
         raise ValueError("trivial instance: the whole arena already fits the accuracy")
+    # every state with value <= n gets it; the rest cannot meet the bound
+    graph, index = _build_graph(arena, "all_subsets", s, expand, MAX_EDGES)
+    vals, _fixpoint = _label(graph, index, None, s, n)
+    if vals.get(full, n + 1) > n:
+        return None
 
+    canon = arena.canon
     tests = [t for t in range(1, full) if not t & 1]  # complement-normalized rows
     counter = {"entries": 0}
     memo: dict[tuple[frozenset[int], int], Optional[tuple[int, ...]]] = {}
@@ -378,6 +399,8 @@ def exact_best_matrix(
         if not states:
             return ()
         if rows_left == 0:
+            return None
+        if any(vals.get(canon(d), rows_left + 1) > rows_left for d in states):
             return None
         key = (states, rows_left)
         if key in memo:

@@ -316,6 +316,12 @@ def neighborhood(space: SearchSpace, a: PositionSet, steps: Optional[int] = None
     if steps < 0:
         raise ValueError("steps must be >= 0")
     _check_members(space, a)
+    return _reach(space, a, steps)
+
+
+def _reach(space: SearchSpace, a: PositionSet, steps: int) -> PositionSet:
+    """``neighborhood`` without argument checks, for a set known to lie in
+    the arena and ``steps >= 0``."""
     if not a._ivs or steps == 0:
         return a
     n = space.num_vertices
@@ -358,7 +364,10 @@ def update(space: SearchSpace, d_prev: PositionSet, t: PositionSet, answer: int)
     May return the empty set, which signals an answer sequence no real
     target walk can produce; callers decide what to do with that.
     """
-    return neighborhood(space, split(space, d_prev, t, answer))
+    e = split(space, d_prev, t, answer)
+    if answer:  # e lies within the test set, which split has checked
+        return _reach(space, e, space.speed)
+    return neighborhood(space, e)
 
 
 def final_expand(space: SearchSpace, d: PositionSet) -> PositionSet:

@@ -268,23 +268,29 @@ def check_accuracy_thresholds(t: _Tally, scale: str):
 
 def check_nonadaptive_optimality(t: _Tally, scale: str):
     top = 10 if scale == "tiny" else 24
-    for n_vertices in range(5, top + 1):
-        rows = -(-n_vertices // 2) - 2
-        m = nonadaptive.expanding_accuracy_matrix(n_vertices)
-        t.ok(m.rows == rows, f"unexpected row count at N={n_vertices}")
-        sp = path(n_vertices, 1)
-        t.ok(nonadaptive.evaluate_matrix(sp, m, 4).success, f"matrix fails at N={n_vertices}")
-        t.ok(
-            rows == adaptive.min_tests("path", n_vertices, 4, 1).n,
-            f"row count differs from the adaptive optimum at N={n_vertices}",
-        )
-        if m.rows > 1:
-            shorter = nonadaptive.TestMatrix(m.bits[:-1])
+    fast = (2,) if scale == "tiny" else (2, 3)
+    grids = [(1, range(5, top + 1))] + [(k, range(6 * k + 1, 16 * k + 40)) for k in fast]
+    for k, sizes in grids:
+        for n_vertices in sizes:
+            if k == 1:
+                m = nonadaptive.expanding_accuracy_matrix(n_vertices)
+                t.ok(m.rows == -(-n_vertices // 2) - 2, f"unexpected row count at N={n_vertices}")
+            else:
+                m = nonadaptive.general_k_matrix(n_vertices, k)
+            sp = path(n_vertices, k)
+            where = f"N={n_vertices} k={k}"
+            t.ok(nonadaptive.evaluate_matrix(sp, m, 4 * k).success, f"matrix fails at {where}")
             t.ok(
-                not nonadaptive.evaluate_matrix(sp, shorter, 4).success,
-                f"dropping a row still succeeds at N={n_vertices}",
+                m.rows == adaptive.min_tests("path", n_vertices, 4 * k, k).n,
+                f"row count differs from the adaptive optimum at {where}",
             )
-    for n_vertices in range(5, 11):
+            if m.rows > 1:
+                shorter = nonadaptive.TestMatrix(m.bits[:-1])
+                t.ok(
+                    not nonadaptive.evaluate_matrix(sp, shorter, 4 * k).success,
+                    f"dropping a row still succeeds at {where}",
+                )
+    for n_vertices in range(5, 13):
         rows = -(-n_vertices // 2) - 2
         if rows < 2:
             continue

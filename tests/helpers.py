@@ -2,7 +2,8 @@
 the reference matrix evaluator."""
 
 from movingsearch.errors import BudgetExceededError
-from movingsearch.kernel import expand_flag
+from movingsearch.kernel import Arena, expand_flag
+from movingsearch.nonadaptive import TestMatrix, advance_row
 from movingsearch.spaces import (
     PositionSet,
     final_expand,
@@ -220,3 +221,48 @@ def reference_evaluate_matrix(space, matrix, s, check_expanded=None):
     if len(d0) <= s or explore(d0, 0):
         return True, None
     return False, worst[0]
+
+
+# -- reference matrix search -------------------------------------------------------
+# The former body of ``oracle.exact_best_matrix``, kept as the reference that
+# its search pruned by the adaptive value is checked against: the same row
+# order and symmetries, with no bound.
+
+
+def reference_best_matrix(space, s, n, check_expanded=None):
+    """The first n-row matrix in the search order that succeeds at accuracy
+    ``s``, or None."""
+    arena = Arena(space)
+    full = arena.full
+    expand = expand_flag(space, check_expanded)
+    tests = [t for t in range(1, full) if not t & 1]  # complement-normalized rows
+    memo = {}
+
+    def solve(states, rows_left):
+        if not states:
+            return ()
+        if rows_left == 0:
+            return None
+        key = (states, rows_left)
+        if key not in memo:
+            memo[key] = None
+            for t in tests:
+                rest = solve(advance_row(arena, states, t, s, expand), rows_left - 1)
+                if rest is not None:
+                    memo[key] = (t,) + rest
+                    break
+        return memo[key]
+
+    def norm(mask):
+        # the complement-normalized (vertex-1-free) representative
+        return mask if not mask & 1 else full ^ mask
+
+    for t in tests:
+        if t <= norm(arena.reflect(t)):
+            rest = solve(advance_row(arena, frozenset([full]), t, s, expand), n - 1)
+            if rest is not None:
+                rows = (t,) + rest
+                return TestMatrix(
+                    tuple(tuple((row >> j) & 1 for j in range(arena.n)) for row in rows)
+                )
+    return None

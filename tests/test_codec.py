@@ -109,6 +109,26 @@ def test_simulate_seeded_cycle_strategy():
         assert tr.witness[len(tr.rounds)] in tr.announced
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_seeded_session_plays_the_seeded_walk(flag):
+    """A seeded session draws its walk as it goes; transcript and witness
+    equal a session on the fixed seeded walk one position longer than the
+    strategy is deep."""
+    st = path_strategy(10, 4, 1)
+    m = expanding_accuracy_matrix(16)
+    cases = [
+        (path(10, 1, moves_after_last_test=flag), st, st.depth(), None),
+        (path(16, 1, moves_after_last_test=flag), m, m.rows, None),
+        (path(16, 1, moves_after_last_test=flag), m, m.rows, 4),
+    ]
+    for sp, strategy, depth, accuracy in cases:
+        for seed in range(20):
+            fixed = random_walk(sp, depth + 1, seed)
+            tr = simulate_session(sp, strategy, seed=seed, accuracy=accuracy)
+            assert tr == simulate_session(sp, strategy, walk=fixed, accuracy=accuracy)
+            assert tr.witness == fixed[: len(tr.rounds) + 1]
+
+
 def test_bit_budget_matches_min_tests():
     st = path_strategy(10, 4, 1)
     budget = min_tests("path", 10, 4, 1).n

@@ -3,6 +3,7 @@ import pytest
 from helpers import (
     assert_every_walk_succeeds,
     assert_leaf_soundness,
+    reference_best_matrix,
     reference_build_graph,
     reference_min_accuracy,
     reference_min_tests,
@@ -290,10 +291,44 @@ def test_no_accuracy_3_matrix_on_p7():
 
 
 def test_matrix_search_agrees_with_construction():
-    for n_vertices in (9, 10):
+    for n_vertices in range(7, 13):
         rows = -(-n_vertices // 2) - 2
         assert exact_best_matrix(path(n_vertices, 1), 4, rows) is not None
         assert exact_best_matrix(path(n_vertices, 1), 4, rows - 1) is None
         assert evaluate_matrix(
             path(n_vertices, 1), expanding_accuracy_matrix(n_vertices), 4
         ).success
+
+
+@pytest.mark.parametrize("make", [path, cycle])
+def test_pruned_matrix_search_matches_reference(make):
+    """The search pruned by the adaptive value returns the very matrix (or
+    None) of the unpruned search, which tries rows in the same order."""
+    found = 0
+    for n_vertices in range(2, 8):
+        for k in (1, 2):
+            for flag in (True, False):
+                sp = make(n_vertices, k, moves_after_last_test=flag)
+                for check_expanded in (None, not flag):
+                    for s in range(1, n_vertices):
+                        for rows in (1, 2, 3):
+                            got = exact_best_matrix(sp, s, rows, check_expanded)
+                            assert got == reference_best_matrix(
+                                sp, s, rows, check_expanded
+                            ), (make.__name__, n_vertices, k, flag, check_expanded, s, rows)
+                            if got is not None:
+                                found += 1
+                                assert evaluate_matrix(sp, got, s, check_expanded).success
+    assert found > 0
+
+
+def test_pruned_matrix_search_with_a_spare_row():
+    """path(10, 2) at s=3 without the trailing move needs 3 tests, and a
+    4-row matrix passes through sets of adaptive value 3 after its first
+    row: the bound must label every state up to the row budget, not stop
+    once the full arena has its value."""
+    sp = path(10, 2)
+    m = exact_best_matrix(sp, 3, 4, check_expanded=False)
+    assert m is not None
+    assert m == reference_best_matrix(sp, 3, 4, check_expanded=False)
+    assert exact_best_matrix(sp, 3, 2, check_expanded=False) is None
