@@ -254,8 +254,8 @@ def margin_adversary(space: SearchSpace, source: TestSource, n: int, s: int) -> 
         test = cursor.next_test()
         if test is None:
             break
-        kept1 = neighborhood(space, a & test)
-        kept0 = neighborhood(space, a - test)
+        kept1 = update(space, a, test, 1)
+        kept0 = update(space, a, test, 0)
         answer = 0 if len(kept1) < len(kept0) else 1
         a = kept1 if answer else kept0
         d = update(space, d, test, answer)

@@ -9,7 +9,9 @@ set of positions consistent with the answers so far evolves as
     answer 1:  D_i = reach(D_{i-1} & T_i)
     answer 0:  D_i = reach(D_{i-1} - T_i)
 
-where ``reach`` is the ``speed``-step reachability operator.
+where ``reach`` is the ``speed``-step reachability operator.  ``update``
+applies a round in one pass over ``D_{i-1}`` and ``T_i``, with the checks
+of ``split`` followed by ``neighborhood``.
 
 Everything in this module is an immutable value or a pure function, so
 unrestricted concurrent use is safe.
@@ -58,6 +60,9 @@ def path(n: int, k: int, moves_after_last_test: bool = True) -> SearchSpace:
 
 def cycle(n: int, k: int, moves_after_last_test: bool = True) -> SearchSpace:
     return SearchSpace(Topology.CYCLE, n, k, moves_after_last_test)
+
+
+_RANGE = re.compile(r"(-?\d+)-(-?\d+)")
 
 
 class PositionSet:
@@ -119,20 +124,25 @@ class PositionSet:
 
     @classmethod
     def parse(cls, text: str) -> "PositionSet":
+        """Read the text form back.  A fragment is a range ``N-M`` if the
+        precompiled ``_RANGE`` matches it, else one label that ``int``
+        accepts (``+5``, ``1_0``), else ValueError; ``int`` rejects all
+        that ``_RANGE`` matches, so the order of the two tries is free."""
         text = text.strip()
         if text in ("", "-"):
             return cls.empty()
         ivs = []
         for part in text.split(","):
             part = part.strip()
+            m = _RANGE.fullmatch(part)
+            if m:
+                ivs.append((int(m[1]), int(m[2])))
+                continue
             try:
                 v = int(part)
-                ivs.append((v, v))
             except ValueError:
-                m = re.fullmatch(r"(-?\d+)-(-?\d+)", part)
-                if not m:
-                    raise ValueError(f"bad position set fragment {part!r}") from None
-                ivs.append((int(m.group(1)), int(m.group(2))))
+                raise ValueError(f"bad position set fragment {part!r}") from None
+            ivs.append((v, v))
         return cls(ivs)
 
     # -- basic protocol ----------------------------------------------------
@@ -244,7 +254,7 @@ class PositionSet:
         """Each interval grown by ``amount`` on both sides (no clipping)."""
         if amount < 0:
             raise ValueError("amount must be >= 0")
-        return PositionSet._of(_grow(self._ivs, amount, None, None))
+        return PositionSet._of(_grow(self._ivs, amount))
 
     def clipped(self, lo: Optional[int], hi: Optional[int]) -> "PositionSet":
         """Restriction to [lo, hi]; either bound may be None for unbounded."""
@@ -259,21 +269,14 @@ class PositionSet:
         return PositionSet._of(tuple(out))
 
 
-def _grow(
-    ivs: Sequence[tuple[int, int]], amount: int, lo_bound: Optional[int], hi_bound: Optional[int]
-) -> tuple[tuple[int, int], ...]:
-    """Sorted intervals widened by ``amount`` on both sides, clipped to
-    [lo_bound, hi_bound] (None: unbounded) and merged where they overlap or
-    touch, in one pass.  The intervals must lie within the bounds, and their
-    starts and ends must both be nondecreasing, as for canonical ones."""
+def _grow(ivs: Sequence[tuple[int, int]], amount: int) -> tuple[tuple[int, int], ...]:
+    """Sorted intervals widened by ``amount`` on both sides and merged where
+    they overlap or touch, in one pass.  Their starts and ends must both be
+    nondecreasing, as for canonical ones."""
     out: list[tuple[int, int]] = []
     for lo, hi in ivs:
         lo -= amount
         hi += amount
-        if lo_bound is not None and lo < lo_bound:
-            lo = lo_bound
-        if hi_bound is not None and hi > hi_bound:
-            hi = hi_bound
         if out and lo <= out[-1][1] + 1:
             out[-1] = (out[-1][0], hi)
         else:
@@ -316,30 +319,32 @@ def neighborhood(space: SearchSpace, a: PositionSet, steps: Optional[int] = None
     if steps < 0:
         raise ValueError("steps must be >= 0")
     _check_members(space, a)
-    return _reach(space, a, steps)
-
-
-def _reach(space: SearchSpace, a: PositionSet, steps: int) -> PositionSet:
-    """``neighborhood`` without argument checks, for a set known to lie in
-    the arena and ``steps >= 0``."""
     if not a._ivs or steps == 0:
         return a
+    return _fold(space, _grow(a._ivs, steps))
+
+
+def _fold(space: SearchSpace, runs: Sequence[tuple[int, int]]) -> PositionSet:
+    """The arena's set covered by ``runs``: nonempty merged runs, widened by
+    one amount from sorted pieces within 1..N.  A piece widened past 1 (or N)
+    meets the run before (after) it, so only the first run can start below 1
+    and only the last end above N.  On a path those overhangs are cut, as
+    clipping each piece before merging would, and on a cycle wrapped."""
     n = space.num_vertices
-    if space.topology is Topology.PATH:
-        return PositionSet._of(_grow(a._ivs, steps, 1, n))
-    # cycle: widen as on a line, then wrap the overhangs back into 1..n
-    runs = _grow(a._ivs, steps, None, None)
     (lo, first_hi), (last_lo, hi) = runs[0], runs[-1]
     if lo >= 1 and hi <= n:
-        return PositionSet._of(runs)
+        return PositionSet._of(tuple(runs))
+    runs = list(runs)
+    if space.topology is Topology.PATH:
+        runs[0] = (max(lo, 1), first_hi)
+        runs[-1] = (runs[-1][0], min(hi, n))
+        return PositionSet._of(tuple(runs))
     if first_hi - lo + 1 >= n or hi - last_lo + 1 >= n:
         return PositionSet.interval(1, n)
-    # Only the first run can start below 1 and only the last can end above
-    # n.  An overhang is at most ``steps`` long, while the first run ends at
-    # least ``steps`` past 1 and the last starts at least ``steps`` before n,
+    # An overhang is at most the widening long, while the first run ends at
+    # least that far past 1 and the last starts at least that far before n,
     # so a wrapped piece can meet only the run at its end of the cycle and
     # one merge pass over head + runs + tail keeps the result canonical.
-    runs = list(runs)
     head, tail = [], []
     if lo < 1:
         runs[0] = (1, first_hi)
@@ -347,7 +352,7 @@ def _reach(space: SearchSpace, a: PositionSet, steps: int) -> PositionSet:
     if hi > n:
         runs[-1] = (last_lo, n)
         head.append((1, hi - n))
-    return PositionSet._of(_grow(head + runs + tail, 0, None, None))
+    return PositionSet._of(_grow(head + runs + tail, 0))
 
 
 def split(space: SearchSpace, d_prev: PositionSet, t: PositionSet, answer: int) -> PositionSet:
@@ -359,15 +364,50 @@ def split(space: SearchSpace, d_prev: PositionSet, t: PositionSet, answer: int) 
 
 
 def update(space: SearchSpace, d_prev: PositionSet, t: PositionSet, answer: int) -> PositionSet:
-    """One test/answer round applied to the candidate set.
+    """One test/answer round applied to the candidate set: ``neighborhood``
+    of ``split`` in one pass.  ``d_prev`` is walked against ``t`` once, each
+    piece of the split widened by the speed and merged into the last run as
+    it is found, and ``_fold`` cuts (path) or wraps (cycle) the overhangs.
+
+    The checks and messages are those of the two-step form.  On answer 0
+    ``d_prev`` must lie in 1..N, which is the check of ``d_prev - t``: ``t``
+    lies in 1..N, so every out-of-range part of ``d_prev`` stays in the
+    difference.  On answer 1 the pieces lie in ``t``; ``d_prev`` is unchecked.
 
     May return the empty set, which signals an answer sequence no real
     target walk can produce; callers decide what to do with that.
     """
-    e = split(space, d_prev, t, answer)
-    if answer:  # e lies within the test set, which split has checked
-        return _reach(space, e, space.speed)
-    return neighborhood(space, e)
+    _check_members(space, t, "test set")
+    if answer not in (0, 1):
+        raise ValueError("answer must be 0 or 1")
+    a, b, k = d_prev._ivs, t._ivs, space.speed
+    if not answer and a and (a[0][0] < 1 or a[-1][1] > space.num_vertices):
+        _check_members(space, d_prev - t)  # raises, naming the difference
+    out: list[tuple[int, int]] = []
+    j, nb = 0, len(b)
+    for lo, hi in a:
+        while j < nb and b[j][1] < lo:
+            j += 1
+        jj = j
+        while lo <= hi:  # lo..hi: the part of this interval past the tests seen
+            if jj < nb and b[jj][0] <= hi:
+                blo, bhi = b[jj]
+                jj += 1
+            else:  # no test interval left here: pretend one starts at hi + 1
+                blo = bhi = hi + 1
+            if answer:
+                plo, phi = (lo if lo > blo else blo), (hi if hi < bhi else bhi)
+            else:
+                plo, phi = lo, blo - 1
+            lo = bhi + 1
+            if plo <= phi:
+                plo -= k
+                phi += k
+                if out and plo <= out[-1][1] + 1:
+                    out[-1] = (out[-1][0], phi)
+                else:
+                    out.append((plo, phi))
+    return _fold(space, out) if out else PositionSet._of(())
 
 
 def final_expand(space: SearchSpace, d: PositionSet) -> PositionSet:

@@ -1,5 +1,7 @@
-"""Shared verification helpers for strategy trees, the reference oracle and
-the reference matrix evaluator."""
+"""Shared verification helpers for strategy trees, the reference interval
+algebra, the reference oracle and the reference matrix evaluator."""
+
+import re
 
 from movingsearch.errors import BudgetExceededError
 from movingsearch.kernel import Arena, expand_flag
@@ -81,6 +83,37 @@ def branch_sizes(strategy):
             sizes.append(len(d))
         out.append((bits, sizes))
     return out
+
+
+# -- reference interval algebra ------------------------------------------------
+# The two-step round and the int-first text parser that spaces.update and
+# PositionSet.parse replaced, kept as the references that the one-pass round
+# and the precompiled parser are checked against.
+
+
+def reference_update(space, d_prev, t, answer):
+    """One test/answer round as split, then reach."""
+    return neighborhood(space, split(space, d_prev, t, answer))
+
+
+def reference_parse_position_set(text):
+    """PositionSet's text form, each fragment read by int() and, failing
+    that, by an uncompiled N-M pattern."""
+    text = text.strip()
+    if text in ("", "-"):
+        return PositionSet.empty()
+    ivs = []
+    for part in text.split(","):
+        part = part.strip()
+        try:
+            v = int(part)
+            ivs.append((v, v))
+        except ValueError:
+            m = re.fullmatch(r"(-?\d+)-(-?\d+)", part)
+            if not m:
+                raise ValueError(f"bad position set fragment {part!r}") from None
+            ivs.append((int(m.group(1)), int(m.group(2))))
+    return PositionSet(ivs)
 
 
 # -- reference oracle ------------------------------------------------------------

@@ -1,10 +1,10 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_line_reach
+from helpers import brute_line_reach, reference_parse_position_set, reference_update
 from movingsearch.kernel import Arena, ps_of
 from movingsearch.spaces import (
     PositionSet,
@@ -43,6 +43,35 @@ def test_negative_labels_round_trip():
     s = PositionSet([(-5, -3), (0, 2)])
     assert str(s) == "-5--3,0-2"
     assert P(str(s)) == s
+
+
+def outcome(f, *args):
+    """A call's result, or the type and message of the exception it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# ASCII digits, the separators, signs and underscores int() accepts, and
+# Arabic-Indic, Devanagari and fullwidth digits
+position_text = st.text(alphabet="0123456789-+_, \u0663\u096b\uff10", max_size=14)
+
+
+@given(position_text)
+@settings(max_examples=300)
+def test_parse_matches_reference_parser(text):
+    got = outcome(P, text)
+    want = outcome(reference_parse_position_set, text)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, PositionSet) and got.intervals == want.intervals
+
+
+@pytest.mark.parametrize("text", ["+5", "1_0", " 3 - 4 ", "\u0663-\u096b", "2-1", "5-", "1-2-3", "x", ","])
+def test_parse_edge_fragments_match_reference_parser(text):
+    assert outcome(P, text) == outcome(reference_parse_position_set, text)
 
 
 def test_set_equality_independent_of_decomposition():
@@ -142,6 +171,68 @@ def test_line_reach_and_update_match_brute_force(n, k, a, t, y):
     got = update(sp, pa, pt, y)
     assert set(got) == brute_line_reach(1, n, k, a & t if y else a - t)
     assert is_canonical(got)
+
+
+def fold(n, a):
+    """Members of ``a`` folded onto 1..n, so sets near both ends stay common."""
+    return PositionSet.from_members((v - 1) % n + 1 for v in a)
+
+
+labels = st.sets(st.integers(min_value=1, max_value=24), max_size=12)
+
+
+@given(
+    st.sampled_from([path, cycle]),
+    st.integers(min_value=1, max_value=24),
+    st.integers(min_value=1, max_value=4),
+    labels,
+    labels,
+    st.integers(min_value=0, max_value=1),
+)
+@settings(max_examples=300)
+def test_update_matches_split_then_reach(make, n, k, d, t, y):
+    sp = make(n, k)
+    pd, pt = fold(n, d), fold(n, t)
+    got = update(sp, pd, pt, y)
+    assert got.intervals == reference_update(sp, pd, pt, y).intervals
+
+
+@given(
+    st.sampled_from([path, cycle]),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=3),
+    st.sets(st.integers(min_value=-2, max_value=15), max_size=8),
+    st.sets(st.integers(min_value=-2, max_value=15), max_size=8),
+    st.integers(min_value=-1, max_value=2),
+)
+@settings(max_examples=200)
+def test_update_outcome_matches_reference_on_any_input(make, n, k, d, t, y):
+    sp = make(n, k)
+    args = sp, PositionSet.from_members(d), PositionSet.from_members(t), y
+    assert outcome(update, *args) == outcome(reference_update, *args)
+
+
+@pytest.mark.parametrize("make", [path, cycle])
+@pytest.mark.parametrize(
+    "d, t, y, raises",
+    [
+        ("1-3", "0-2", 1, "test set 0-2 outside"),
+        ("1-3", "5-7", 0, "test set 5-7 outside"),
+        ("1-3", "2", 2, "answer must be 0 or 1"),
+        ("1-3", "2", -1, "answer must be 0 or 1"),
+        ("0-3,6", "2", 0, "position set 0-1,3,6 outside"),
+        ("0-3,6", "2", 1, None),
+    ],
+)
+def test_update_checks_match_reference(make, d, t, y, raises):
+    sp = make(5, 1)
+    args = sp, P(d), P(t), y
+    got = outcome(update, *args)
+    assert got == outcome(reference_update, *args)
+    if raises is None:
+        assert got == P("1-3")
+    else:
+        assert got[0] is ValueError and got[1].startswith(raises)
 
 
 @given(members, members, st.integers(min_value=0, max_value=3))
