@@ -14,8 +14,9 @@ target walk (every transcript here can be certified by
 strategies: they minimize the forced final set size over every adaptive
 strategy of a given test class, so a lower bound on their value refutes the
 whole class at once.  Both are one memoized minimax recursion over the
-oracle's bitmask ``kernel.Arena``; the adversaries and their transcripts
-keep ``PositionSet``, the public and text type.
+oracle's bitmask ``kernel.Arena``, whose ``splits`` gives each state's
+distinct splits with both parts moved; the adversaries and their
+transcripts keep ``PositionSet``, the public and text type.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .adaptive import AdaptiveStrategy, StrategyNode
 from .errors import WindowInvariantError
-from .kernel import Arena, mask_of
+from .kernel import TEST_CLASSES, Arena, mask_of
 from .nonadaptive import TestMatrix
 from .spaces import (
     PositionSet,
@@ -338,11 +339,17 @@ def matrix_counter(space: SearchSpace, matrix: TestMatrix) -> CounterCertificate
 def _forced_size(arena: Arena, start: int, rounds: int, test_class: str, ties: int) -> int:
     """Smallest final size ``rounds`` tests of the class can force from mask
     ``start`` when each answer keeps the larger of the two moved parts
-    (``ties``, 0 or 1, is the answer on equal sizes)."""
+    (``ties``, 0 or 1, is the answer on equal sizes).
+
+    A split is read both ways round, which matters only on a tie, except on
+    a path with interval tests: the complement of a middle run is no
+    interval's part, so ``e0`` answers 1 only if ``e1`` holds d's highest."""
     if rounds < 0:
         raise ValueError("test budget must be >= 0")
-    tests = arena.tests(test_class)
-    reach = arena.reach
+    if test_class not in TEST_CLASSES:
+        raise ValueError(f"unknown test class {test_class!r}")
+    one_way = test_class == "intervals" and arena.space.topology is Topology.PATH
+    reach, splits = arena.reach, arena.splits
     memo: dict[tuple[int, int], int] = {}
 
     def force(d: int, left: int) -> int:
@@ -354,16 +361,13 @@ def _forced_size(arena: Arena, start: int, rounds: int, test_class: str, ties: i
         # burning a round on an uninformative test is a legal strategy move;
         # a test that misses d, or covers it, leads to that same child
         best = force(reach(d), left - 1)
-        seen = {0, d}
-        for t in tests:
-            e1 = d & t
-            if e1 in seen:
-                continue
-            seen.add(e1)
-            d1 = reach(e1)
-            d0 = reach(d & ~t)
-            nxt = d1 if d1.bit_count() + ties > d0.bit_count() else d0
-            got = force(nxt, left - 1)
+        top = 1 << (d.bit_length() - 1)
+        for e1, d1, _e0, d0 in splits(d, test_class):
+            n1, n0 = d1.bit_count(), d0.bit_count()
+            if n1 == n0 and (e1 & top or not one_way):
+                got = min(force(d1, left - 1), force(d0, left - 1))
+            else:
+                got = force(d1 if n1 + ties > n0 else d0, left - 1)
             if got < best:
                 best = got
         memo[key] = best

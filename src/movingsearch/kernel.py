@@ -5,17 +5,19 @@ A candidate set on a path or cycle of N vertices is an int whose bit v-1
 stands for vertex v.  ``Arena`` holds the mask arithmetic for one space:
 speed-step reachability as a shift-or (path) or rotate-or (cycle), cached
 per arena, the canonical form of a mask under the arena's symmetries, and
-the test masks of each test class.  ``mask_of`` and
-``ps_of`` convert to and from ``PositionSet``, which stays the public and
-text type.  ``expand_flag`` resolves the engines' ``check_expanded``
-option.
+``splits``, which walks a state's own members for the distinct ways a test
+of either class cuts it, both parts moved.  ``mask_of`` and ``ps_of``
+convert to and from ``PositionSet``, which stays the public and text type.
+``expand_flag`` resolves the engines' ``check_expanded`` option.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from .spaces import PositionSet, SearchSpace, Topology
+
+TEST_CLASSES = ("intervals", "all_subsets")
 
 
 def expand_flag(space: SearchSpace, check_expanded: Optional[bool]) -> bool:
@@ -55,6 +57,7 @@ class Arena:
         self.k = space.speed
         self.full = (1 << self.n) - 1
         self._reach_cache: dict[int, int] = {}
+        self._step: Optional[list[int]] = None  # one-vertex moves, on first use
 
     def reach(self, mask: int) -> int:
         out = self._reach_cache.get(mask)
@@ -104,33 +107,38 @@ class Arena:
                 i = twice.find(zeros, i + 1)
         return int(best, 2)
 
-    def interval_tests(self) -> list[int]:
-        """Every consecutive test mask: intervals on a path, arcs (wrap-around
-        included) on a cycle; the empty and the full set are left out."""
-        n = self.n
-        if self.space.topology is Topology.PATH:
-            return [
-                ((1 << (b - a + 1)) - 1) << (a - 1)
-                for a in range(1, n + 1)
-                for b in range(a, n + 1)
-                if not (a == 1 and b == n)
-            ]
-        out = []
-        seen = set()
-        for length in range(1, n):
-            pref = (1 << length) - 1
-            for start in range(n):
-                arc = ((pref << start) | (pref >> (n - start))) & self.full
-                if arc not in seen:
-                    seen.add(arc)
-                    out.append(arc)
-        return out
-
-    def tests(self, test_class: str) -> list[int]:
-        """Every informative test mask of the class: intervals (arcs on a
-        cycle) or all proper nonempty subsets."""
+    def splits(self, d: int, test_class: str) -> Iterator[tuple[int, int, int, int]]:
+        """Every split of ``d`` by a test of the class, once up to swapping
+        the answers, as ``(e1, moved e1, e0, moved e0)``.  ``e1`` misses d's
+        lowest member: it runs over the runs of d's other members (an
+        interval, or an arc on a cycle, meets d in a run of members), or over
+        every nonempty submask of them.  Moved parts are ORs of vertex moves."""
+        if test_class not in TEST_CLASSES:
+            raise ValueError(f"unknown test class {test_class!r}")
+        table = self._step
+        if table is None:
+            table = self._step = [self.move(1 << v) for v in range(self.n)]
+        members = [v for v in range(self.n) if d >> v & 1]
+        bits, moved = [1 << v for v in members], [table[v] for v in members]
+        m = len(members)
         if test_class == "intervals":
-            return self.interval_tests()
-        if test_class == "all_subsets":
-            return list(range(1, self.full))
-        raise ValueError(f"unknown test class {test_class!r}")
+            suffix = [0] * (m + 1)  # suffix[j]: the move of members j..m-1
+            for j in range(m - 1, 0, -1):
+                suffix[j] = suffix[j + 1] | moved[j]
+            prefix = 0  # the move of members 0..i-1
+            for i in range(1, m):
+                prefix |= moved[i - 1]
+                e1 = m1 = 0
+                for j in range(i, m):
+                    e1 |= bits[j]
+                    m1 |= moved[j]
+                    yield e1, m1, d ^ e1, prefix | suffix[j + 1]
+        elif m:
+            # parts[i] is the submask of the other members picked by the
+            # bits of i, so parts[last - i] is its complement among them
+            parts, parts_moved = [0], [0]
+            for b, mb in zip(bits[1:], moved[1:]):
+                parts += [p | b for p in parts]
+                parts_moved += [p | mb for p in parts_moved]
+            moved_rest = [moved[0] | p for p in reversed(parts_moved[:-1])]
+            yield from zip(parts[1:], parts_moved[1:], [d ^ p for p in parts[1:]], moved_rest)

@@ -22,8 +22,10 @@ intervals and commutes with the target's move, so every image of a
 candidate set has its value; each child is stored as ``Arena.canon`` of the
 moved part.  Storage is value-only: the build keeps the states and the
 labelling index, no per-edge tuples, and a solved query keeps just the
-values.  ``extract_strategy`` re-enumerates the raw splits from the full
-arena and reads each child's value at its canonical form.
+values.  The build and ``extract_strategy`` take each state's splits from
+``Arena.splits``, which walks the state's own members, not every test;
+extraction walks raw sets from the full arena and reads each child's value
+at its canonical form.
 
 ``exact_best_matrix`` searches over non-adaptive matrices row by row.  Its
 state is the antichain of still-unresolved candidate sets, stepped by
@@ -42,15 +44,15 @@ single-threaded and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import NamedTuple, Optional
 
 from .adaptive import AdaptiveStrategy, StrategyNode
 from .errors import BudgetExceededError
-from .kernel import Arena, expand_flag, ps_of
+from .kernel import TEST_CLASSES, Arena, expand_flag, ps_of
 from .nonadaptive import TestMatrix, advance_row
 from .spaces import SearchSpace
 
-TEST_CLASSES = ("intervals", "all_subsets")
 MAX_EDGES = 8_000_000  # default edge cap: about 1.1 GB of graph
 
 
@@ -60,8 +62,10 @@ class GameValue:
     strategy extraction.  The graph is built on the symmetry quotient, so
     ``states`` counts orbits of candidate sets (under reflection, and on a
     cycle rotation), and only those whose answer was still open at accuracy
-    ``s``; ``edges`` counts the splits between them.  ``_values`` maps each
-    labelled canonical state to its number of tests."""
+    ``s``; ``edges`` counts the splits between them.  ``build_seconds`` and
+    ``label_seconds`` time the build and the labelling; ``record()``, which
+    is deterministic, leaves them out.
+    ``_values`` maps each labelled canonical state to its number of tests."""
 
     space: SearchSpace
     s: int
@@ -71,6 +75,8 @@ class GameValue:
     min_tests: Optional[int]
     states: int
     edges: int
+    build_seconds: float
+    label_seconds: float
     _arena: Arena = field(repr=False)
     _values: dict = field(repr=False)
 
@@ -87,14 +93,6 @@ class GameValue:
             "states": self.states,
             "edges": self.edges,
         }
-
-
-def _submasks(d: int):
-    # proper nonempty submasks of d
-    sub = (d - 1) & d
-    while sub:
-        yield sub
-        sub = (sub - 1) & d
 
 
 class _Index(NamedTuple):
@@ -114,24 +112,33 @@ def _build_graph(
     """Every canonical state still open at accuracy ``s``, reachable from the
     full arena, and the ``_Index`` of the splits between them.
 
-    Each state has one edge per split up to swapping the answers; a child is
-    the canonical form of the moved part.  A state with at most ``s``
-    candidates is kept with no edges, and a branch whose announced set (the
-    child if ``expand``, else the part) fits is neither pushed nor indexed:
-    its answer is already known.  ``s=0`` prunes nothing.  Raises
-    ``BudgetExceededError`` once more than ``max_edges`` edges are indexed.
+    Each state has one edge per split from ``Arena.splits``; a child is the
+    canonical form of the moved part, found once per distinct moved part.
+    A state with at most ``s`` candidates is kept with no edges, and a
+    branch whose announced set (the child if ``expand``, else the part)
+    fits is neither pushed nor indexed: its answer is already known.
+    ``s=0`` prunes nothing.  Raises ``BudgetExceededError`` once more than
+    ``max_edges`` edges are indexed.
     """
     if test_class not in TEST_CLASSES:
         raise ValueError(f"unknown test class {test_class!r}")
-    interval_masks = arena.interval_tests() if test_class == "intervals" else None
-    move, canon = arena.move, arena.canon
-    children: dict[int, int] = {}  # raw part -> canonical child
-    canonical: dict[int, int] = {}  # moved part -> canonical child
+    splits, canon = arena.splits, arena.canon
     states: set[int] = set()
     parents: list[int] = []
     announced: list[int] = []
     preds: dict[int, list] = {}
+    into_of: dict[int, list] = {}  # moved part -> preds list of its canonical child
     frontier = [arena.full]
+
+    def into(moved: int) -> list:
+        c = canon(moved)
+        branches = preds.setdefault(c, [])
+        if not branches and c not in states:
+            frontier.append(c)
+        into_of[moved] = branches
+        return branches
+
+    branch = 0  # branch 2i answers 1 at edge i, 2i+1 answers 0
     while frontier:
         d = frontier.pop()
         if d in states:
@@ -139,35 +146,17 @@ def _build_graph(
         states.add(d)
         if d.bit_count() <= s:
             continue
-        seen_splits = {0, d}
-        for t in interval_masks if interval_masks is not None else _submasks(d):
-            e1 = t & d
-            if e1 in seen_splits:
-                continue
-            e0 = d ^ e1
-            seen_splits.add(e1)
-            seen_splits.add(e0)
-            branch = 2 * len(parents)
+        for e1, m1, e0, m0 in splits(d, test_class):
             parents.append(d)
-            for e in (e1, e0):
-                c = children.get(e)
-                if c is None:
-                    moved = move(e)
-                    c = canonical.get(moved)
-                    if c is None:
-                        c = canonical[moved] = canon(moved)
-                    children[e] = c
-                size = (c if expand else e).bit_count()
-                announced.append(size)
-                if size > s:
-                    into = preds.get(c)
-                    if into is None:
-                        preds[c] = [branch]
-                        if c not in states:
-                            frontier.append(c)
-                    else:
-                        into.append(branch)
-                branch += 1
+            a1 = (m1 if expand else e1).bit_count()
+            a0 = (m0 if expand else e0).bit_count()
+            announced += (a1, a0)
+            # ``into`` files a new moved part; a filed branch list is never empty
+            if a1 > s:
+                (into_of.get(m1) or into(m1)).append(branch)
+            if a0 > s:
+                (into_of.get(m0) or into(m0)).append(branch + 1)
+            branch += 2
         if len(parents) > max_edges:
             raise BudgetExceededError(f"oracle edge cap {max_edges} exceeded")
     return states, _Index(parents, announced, preds)
@@ -261,10 +250,13 @@ def exact_min_tests(
         raise ValueError("test budget must be >= 0")
     _check_caps(space, test_class)
     arena = Arena(space)
+    start = perf_counter()
     graph, index = _build_graph(
         arena, test_class, s, expand_flag(space, check_expanded), max_edges
     )
+    built = perf_counter()
     vals, fixpoint = _label(graph, index, arena.full, s, budget)
+    labelled = perf_counter()
     root_val = vals.get(arena.full)
     if root_val is not None:
         status, result = "solved", root_val
@@ -274,7 +266,7 @@ def exact_min_tests(
         status, result = "budget_exceeded", None
     return GameValue(
         space, s, test_class, check_expanded, status, result,
-        len(graph), len(index.parents), arena, vals,
+        len(graph), len(index.parents), built - start, labelled - built, arena, vals,
     )
 
 
@@ -305,42 +297,37 @@ def exact_min_accuracy(
 def extract_strategy(gv: GameValue) -> AdaptiveStrategy:
     """Rebuild an optimal decision tree from the oracle's labelled values.
 
-    Walks the raw candidate sets from the full arena, re-enumerating each
-    one's splits in the builder's order and reading every child's value at
-    its canonical form, so the tests and leaves are the raw ones."""
+    Walks the raw candidate sets from the full arena, taking each one's
+    splits from ``Arena.splits`` and reading every child's value at its
+    canonical form, so the tests and leaves are the raw ones.  An interval
+    test is the hull of the answer-1 part, one interval that never wraps;
+    an all-subsets test is that part itself."""
     if gv.status != "solved":
         raise ValueError(f"no strategy to extract: status is {gv.status}")
     arena, vals, s = gv._arena, gv._values, gv.s
     expand = expand_flag(gv.space, gv.check_expanded)
-    interval_masks = arena.interval_tests() if gv.test_class == "intervals" else None
     INF = float("inf")
 
-    def announced(e: int) -> int:
-        return arena.reach(e) if expand else e
-
-    def branch_value(e: int) -> float:
-        if announced(e).bit_count() <= s:
+    def branch_value(e: int, moved: int) -> float:
+        if (moved if expand else e).bit_count() <= s:
             return 0
-        return vals.get(arena.canon(arena.reach(e)), INF)
+        return vals.get(arena.canon(moved), INF)
 
-    def branch(e: int, value: float) -> StrategyNode:
-        return StrategyNode(answer=ps_of(announced(e))) if value == 0 else build(arena.reach(e))
+    def branch(e: int, moved: int, value: float) -> StrategyNode:
+        return StrategyNode(answer=ps_of(moved if expand else e)) if value == 0 else build(moved)
 
     def build(d: int) -> StrategyNode:
         if d.bit_count() <= s:
             return StrategyNode(answer=ps_of(d))
         want = vals[arena.canon(d)] - 1
-        seen_splits = {0, d}
-        for t in interval_masks if interval_masks is not None else _submasks(d):
-            e1 = t & d
-            if e1 in seen_splits:
-                continue
-            e0 = d ^ e1
-            seen_splits.add(e1)
-            seen_splits.add(e0)
-            v1, v0 = branch_value(e1), branch_value(e0)
+        for e1, m1, e0, m0 in arena.splits(d, gv.test_class):
+            v1, v0 = branch_value(e1, m1), branch_value(e0, m0)
             if max(v1, v0) == want:
-                return StrategyNode(test=ps_of(t), on0=branch(e0, v0), on1=branch(e1, v1))
+                # e1 is a run of d's members: its hull meets d in e1 alone,
+                # and starts above d's lowest member, so it never wraps
+                test = e1 if gv.test_class == "all_subsets" else (1 << e1.bit_length()) - (e1 & -e1)
+                on0, on1 = branch(e0, m0, v0), branch(e1, m1, v1)
+                return StrategyNode(test=ps_of(test), on0=on0, on1=on1)
         raise AssertionError("labelled state lost its achieving test")
 
     return AdaptiveStrategy(gv.space, build(arena.full), s)

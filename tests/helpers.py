@@ -1,13 +1,15 @@
 """Shared verification helpers for strategy trees, the reference interval
-algebra, the reference oracle and the reference matrix evaluator."""
+algebra, the reference test enumerator, oracle and class sweep, and the
+reference matrix evaluator."""
 
 import re
 
 from movingsearch.errors import BudgetExceededError
-from movingsearch.kernel import Arena, expand_flag
+from movingsearch.kernel import Arena, expand_flag, mask_of
 from movingsearch.nonadaptive import TestMatrix, advance_row
 from movingsearch.spaces import (
     PositionSet,
+    Topology,
     final_expand,
     full_set,
     neighborhood,
@@ -29,20 +31,26 @@ def brute_line_reach(lo, hi, k, a):
 
 def assert_leaf_soundness(strategy):
     """Every leaf equals the replayed candidate chain and fits the target.
-    The last test's trailing move is applied as the arena's flag says."""
+    The last test's trailing move is applied as the arena's flag says.  One
+    depth-first walk carries the candidate set down each tree edge."""
     space = strategy.space
-    for bits, leaf in strategy.leaves():
-        d = full_set(space)
-        tests, _ = strategy.replay(bits)
-        for t, y in zip(tests[:-1], bits):
-            d = update(space, d, t, y)
-        if tests:
-            d = final_expand(space, split(space, d, tests[-1], bits[-1]))
-        assert leaf.answer == d, f"leaf mismatch on answers {bits}"
-        if d:
-            assert len(d) <= strategy.accuracy_target, (
-                f"leaf too big on answers {bits}: {len(d)} > {strategy.accuracy_target}"
-            )
+    stack = [(strategy.root, (), full_set(space))]
+    while stack:
+        node, bits, d = stack.pop()
+        if node.is_leaf:
+            assert node.answer == d, f"leaf mismatch on answers {bits}"
+            if d:
+                assert len(d) <= strategy.accuracy_target, (
+                    f"leaf too big on answers {bits}: {len(d)} > {strategy.accuracy_target}"
+                )
+            continue
+        for y in (1, 0):
+            child = node.child(y)
+            if child.is_leaf:
+                nxt = final_expand(space, split(space, d, node.test, y))
+            else:
+                nxt = update(space, d, node.test, y)
+            stack.append((child, bits + (y,), nxt))
 
 
 def assert_every_walk_succeeds(strategy):
@@ -71,18 +79,57 @@ def assert_every_walk_succeeds(strategy):
 
 
 def branch_sizes(strategy):
-    """Candidate-set size per round along every root-to-leaf path."""
+    """Candidate-set size per round along every root-to-leaf path, in the
+    order of ``strategy.leaves()``."""
     space = strategy.space
     out = []
-    for bits, _ in strategy.leaves():
-        d = full_set(space)
-        sizes = []
-        tests, _ = strategy.replay(bits)
-        for t, y in zip(tests, bits):
-            d = update(space, d, t, y)
-            sizes.append(len(d))
-        out.append((bits, sizes))
+    stack = [(strategy.root, (), full_set(space), [])]
+    while stack:
+        node, bits, d, sizes = stack.pop()
+        if node.is_leaf:
+            out.append((bits, sizes))
+            continue
+        for y in (1, 0):
+            nxt = update(space, d, node.test, y)
+            stack.append((node.child(y), bits + (y,), nxt, sizes + [len(nxt)]))
     return out
+
+
+def enumerate_interval_tests(space):
+    """Every consecutive test set: intervals on a path, arcs on a cycle.
+
+    Wrap-around arcs are included for cycles; the full vertex set and the
+    empty set are omitted as uninformative.
+    """
+    n = space.num_vertices
+    if space.topology is Topology.CYCLE:
+        seen = set()
+        out = []
+        for length in range(1, n):
+            for start in range(1, n + 1):
+                end = start + length - 1
+                if end <= n:
+                    arc = PositionSet.interval(start, end)
+                else:
+                    arc = PositionSet([(start, n), (1, end - n)])
+                if arc not in seen:
+                    seen.add(arc)
+                    out.append(arc)
+        return out
+    return [
+        PositionSet.interval(a, b)
+        for a in range(1, n + 1)
+        for b in range(a, n + 1)
+        if not (a == 1 and b == n)
+    ]
+
+
+def class_test_masks(space, test_class):
+    """Every informative test mask of the class, from the enumerator above
+    or every proper nonempty mask."""
+    if test_class == "intervals":
+        return [mask_of(t) for t in enumerate_interval_tests(space)]
+    return list(range(1, (1 << space.num_vertices) - 1))
 
 
 # -- reference interval algebra ------------------------------------------------
@@ -133,7 +180,7 @@ def _submasks(d):
 
 def reference_build_graph(arena, test_class, max_states=500_000):
     """state -> list of (test, e1, child1, e0, child0), deduped per split."""
-    interval_masks = arena.interval_tests() if test_class == "intervals" else None
+    interval_masks = class_test_masks(arena.space, "intervals") if test_class == "intervals" else None
     graph = {}
     frontier = [arena.full]
     while frontier:
@@ -217,6 +264,42 @@ def reference_min_accuracy(arena, graph, n_budget=None, check_expanded=None):
         if v is not None and (n_budget is None or v <= n_budget):
             return s
     return arena.n
+
+
+# -- reference class sweep ---------------------------------------------------------
+# The former body of ``adversary._forced_size``, kept as the reference that the
+# sweep over ``Arena.splits`` is checked against: it runs through every test
+# mask of the class and drops repeated answer-1 parts.
+
+
+def reference_forced_size(arena, start, rounds, test_class, ties):
+    """Smallest final size ``rounds`` tests of the class can force from
+    ``start`` against the larger-part adversary (``ties`` on equal sizes)."""
+    tests = class_test_masks(arena.space, test_class)
+    reach = arena.reach
+    memo = {}
+
+    def force(d, left):
+        if left == 0:
+            return d.bit_count()
+        key = (d, left)
+        if key in memo:
+            return memo[key]
+        best = force(reach(d), left - 1)
+        seen = {0, d}
+        for t in tests:
+            e1 = d & t
+            if e1 in seen:
+                continue
+            seen.add(e1)
+            d1 = reach(e1)
+            d0 = reach(d & ~t)
+            nxt = d1 if d1.bit_count() + ties > d0.bit_count() else d0
+            best = min(best, force(nxt, left - 1))
+        memo[key] = best
+        return best
+
+    return force(start, rounds)
 
 
 # -- reference matrix evaluator ----------------------------------------------------

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from helpers import enumerate_interval_tests, reference_forced_size
 from movingsearch.adaptive import (
     cycle_capacity,
     cycle_strategy,
@@ -24,11 +25,10 @@ from movingsearch.adversary import (
     window_adversary,
     window_step,
 )
-from movingsearch.kernel import Arena, ps_of
+from movingsearch.kernel import Arena, mask_of
 from movingsearch.nonadaptive import TestMatrix, evaluate_matrix, expanding_accuracy_matrix
 from movingsearch.spaces import (
     PositionSet,
-    Topology,
     consistent_walk_exists,
     cycle,
     full_set,
@@ -40,49 +40,12 @@ from movingsearch.spaces import (
 P = PositionSet.parse
 
 
-# -- independent reference: minimax over all adversaries, own test enumerator ---
-
-
-def enumerate_interval_tests(space):
-    """Every consecutive test set: intervals on a path, arcs on a cycle.
-
-    Wrap-around arcs are included for cycles; the full vertex set and the
-    empty set are omitted as uninformative.
-    """
-    n = space.num_vertices
-    if space.topology is Topology.CYCLE:
-        seen = set()
-        out = []
-        for length in range(1, n):
-            for start in range(1, n + 1):
-                end = start + length - 1
-                if end <= n:
-                    arc = PositionSet.interval(start, end)
-                else:
-                    arc = PositionSet([(start, n), (1, end - n)])
-                if arc not in seen:
-                    seen.add(arc)
-                    out.append(arc)
-        return out
-    return [
-        PositionSet.interval(a, b)
-        for a in range(1, n + 1)
-        for b in range(a, n + 1)
-        if not (a == 1 and b == n)
-    ]
-
-
-def test_kernel_interval_tests_match_reference_enumerator():
-    for topology in (path, cycle):
-        for n_vertices in range(1, 13):
-            space = topology(n_vertices, 1)
-            kernel = [ps_of(t) for t in Arena(space).interval_tests()]
-            assert kernel == enumerate_interval_tests(space), space
+# -- independent reference: minimax over all adversaries -------------------------
 
 
 def class_tests(space, test_class):
-    """The informative tests of the class, from the enumerator above or the
-    bits of every proper nonempty mask."""
+    """The informative tests of the class, from the reference enumerator or
+    the bits of every proper nonempty mask."""
     if test_class == "intervals":
         return enumerate_interval_tests(space)
     n = space.num_vertices
@@ -196,6 +159,40 @@ def test_sweeps_reproduce_golden_table():
             wrong.append((sweep, topology, n_vertices, k, rounds, s, test_class, want, got))
     assert len(rows) == 701
     assert wrong == []
+
+
+def test_sweeps_match_the_reference_sweep():
+    """The sweeps over ``Arena.splits`` against the former loop over every
+    test mask of the class: greedy from the full arena (all subsets up to
+    N=10) and margin at s = 4k..4k+3, where too small an arena must raise
+    for both."""
+    cases = 0
+    for make in (path, cycle):
+        for n_vertices in range(1, 13):
+            for k in (1, 2, 3):
+                space = make(n_vertices, k)
+                for test_class in ("intervals", "all_subsets"):
+                    for rounds in range(4):
+                        where = (space, test_class, rounds)
+                        if test_class == "intervals" or n_vertices <= 10:
+                            want = reference_forced_size(
+                                Arena(space), (1 << n_vertices) - 1, rounds, test_class, 0
+                            )
+                            assert greedy_forced_size(space, rounds, test_class) == want, where
+                            cases += 1
+                        for s in range(4 * k, 4 * k + 4):
+                            try:
+                                start = mask_of(margin_start(space, rounds, s))
+                            except ValueError:
+                                with pytest.raises(ValueError):
+                                    margin_forced_size(space, rounds, s, test_class)
+                                continue
+                            want = reference_forced_size(Arena(space), start, rounds, test_class, 1)
+                            assert margin_forced_size(space, rounds, s, test_class) == want, (
+                                where, s
+                            )
+                            cases += 1
+    assert cases == 744  # 528 greedy and 216 margin values; 2,088 margin starts raise
 
 
 # The greedy and margin adversaries answer deterministically, so the best a

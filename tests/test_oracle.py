@@ -166,8 +166,29 @@ def test_extracted_strategies_pass_walk_checks(make, flag):
                 assert st.depth() == gv.min_tests
                 assert_leaf_soundness(st)
                 assert_every_walk_succeeds(st)
+                for test in _tests_of(st.root):
+                    runs = test.intervals
+                    assert len(runs) == 1 or (
+                        make is cycle
+                        and len(runs) == 2
+                        and runs[0][0] == 1
+                        and runs[-1][1] == n_vertices
+                    ), f"{sp} s={s}: test {test} is not one interval or arc"
                 solved += 1
     assert solved > 10  # the grid is not vacuous
+
+
+def _tests_of(node):
+    """The test of every inner node of a strategy tree."""
+    if node.is_leaf:
+        return []
+    return [node.test] + _tests_of(node.on0) + _tests_of(node.on1)
+
+
+def test_game_value_times_build_and_labelling():
+    gv = exact_min_tests(path(12, 1), 4)
+    assert gv.build_seconds > 0 and gv.label_seconds > 0
+    assert "build_seconds" not in gv.record() and "label_seconds" not in gv.record()
 
 
 def test_min_accuracy_matches_formulas():

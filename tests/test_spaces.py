@@ -4,8 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_line_reach, reference_parse_position_set, reference_update
-from movingsearch.kernel import Arena, ps_of
+from helpers import (
+    brute_line_reach,
+    class_test_masks,
+    enumerate_interval_tests,
+    reference_parse_position_set,
+    reference_update,
+)
+from movingsearch.kernel import Arena
 from movingsearch.spaces import (
     PositionSet,
     Topology,
@@ -371,9 +377,30 @@ def test_update_chain_sound_and_complete(topo, k):
 # -- misc -----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("test_class, n_max", [("intervals", 10), ("all_subsets", 8)])
+@pytest.mark.parametrize("make", [path, cycle])
+def test_splits_match_every_test_of_the_class(make, test_class, n_max):
+    """``Arena.splits`` of every mask against the parts that every test of
+    the reference enumerator cuts: each unordered split once, never the
+    lowest member on the answer-1 side, moved masks equal to ``move``."""
+    for n_vertices in range(1, n_max + 1):
+        arenas = [Arena(make(n_vertices, k)) for k in (1, 2, 3)]
+        tests = class_test_masks(arenas[0].space, test_class)
+        for d in range(1 << n_vertices):
+            want = {frozenset((t & d, d ^ (t & d))) for t in tests} - {frozenset((0, d))}
+            for arena in arenas:
+                where = f"{arena.space} {test_class} d={d:b}"
+                got = list(arena.splits(d, test_class))
+                pairs = [frozenset((e1, e0)) for e1, _m1, e0, _m0 in got]
+                assert len(pairs) == len(set(pairs)) and set(pairs) == want, where
+                for e1, m1, e0, m0 in got:
+                    assert not e1 & d & -d, where
+                    assert (m1, m0) == (arena.move(e1), arena.move(e0)), where
+
+
 def test_interval_test_enumeration():
-    assert len(Arena(path(4, 1)).interval_tests()) == 9  # 10 intervals minus full
-    arcs = [ps_of(t) for t in Arena(cycle(4, 1)).interval_tests()]
+    assert len(enumerate_interval_tests(path(4, 1))) == 9  # 10 intervals minus full
+    arcs = enumerate_interval_tests(cycle(4, 1))
     assert len(arcs) == 4 + 4 + 4  # lengths 1..3, four rotations each
     assert P("4,1") in arcs
 
