@@ -1,71 +1,237 @@
 """Exact brute-force ground truth for small arenas.
 
-States are candidate sets encoded as bitmasks by ``kernel.Arena``;
-reachability expansion is a shift-or (path) or rotate-or (cycle).
-``exact_min_tests`` materializes the state graph reachable from the initial
-candidate set under the chosen test class, leaving out what is already
-decided: a branch whose announced set fits the accuracy is never expanded.
-It then labels the graph backwards by retrograde analysis, as for endgame
-tablebases (K. Thompson, "Retrograde analysis of certain endgames", ICCA J.
-1986): states are settled in increasing order of their exact
-distance-to-success, each one when the last open branch of one of its tests
-is settled, so a state is looked at only when a child gets a label.  States
-never labelled once the levels run out are provably unwinnable, which is how
-unbounded-budget accuracy queries terminate.  ``exact_min_accuracy`` builds
-one unpruned graph and index and labels it once per accuracy.
+States are candidate sets as ``kernel.Arena`` bitmasks on the symmetry
+quotient used to index endgame tablebases (E. V. Nalimov, G. McC. Haworth,
+E. A. Heinz, ICGA J. 23(3), 2000): a child is ``Arena.canon`` of a moved part.
 
-The graph lives on the symmetry quotient, the reduction used to index
-endgame tablebases (E. V. Nalimov, G. McC. Haworth, E. A. Heinz,
-"Space-efficient indexing of chess endgame tables", ICGA J. 23(3), 2000).
-Reflecting a path, or rotating and reflecting a cycle, maps intervals to
-intervals and commutes with the target's move, so every image of a
-candidate set has its value; each child is stored as ``Arena.canon`` of the
-moved part.  Storage is value-only: the build keeps the states and the
-labelling index, no per-edge tuples, and a solved query keeps just the
-values.  The build and ``extract_strategy`` take each state's splits from
-``Arena.splits``, which walks the state's own members, not every test;
-extraction walks raw sets from the full arena and reads each child's value
-at its canonical form.
+One engine, ``_Search``, answers every query by a depth-first proof search
+over ``win(d, n)``: do n tests bring state d to accuracy s?  It keeps each
+expanded state's distinct splits from ``Arena.splits``, larger announced
+set first, and proven bounds per state.  A state is refuted by its size
+alone (a test leaves a part with half of its members, and a proper part of
+a connected arena gains one when it moves).  Before recursing it skips
+splits with a child ruled out by its lower bound and takes one whose
+children are proven by their upper bounds (the enhanced transposition
+cutoff of A. Reinefeld, T. A. Marsland, IEEE TPAMI 16(7), 1994); a split
+that leads back to its state is never a best one.
 
-``exact_best_matrix`` searches over non-adaptive matrices row by row.  Its
-state is the antichain of still-unresolved candidate sets, stepped by
-``nonadaptive.advance_row``, the row step ``evaluate_matrix`` runs too
-(subset-dominated sets are dropped: they succeed whenever a superset does).
-Each row may be complemented freely (that only relabels the two answers),
-and the first row is normalized under left-right reflection.  The search is
-branch and bound (A. H. Land, A. G. Doig, "An automatic method of solving
-discrete programming problems", Econometrica 28(3), 1960): r rows that
-resolve a set are an r-test adaptive strategy over arbitrary test sets, so
-the set's all-subsets adaptive value, labelled once per query on this
-module's own graph, bounds the rows it still needs.  Everything is
-single-threaded and deterministic.
+``exact_min_tests`` deepens n (R. E. Korf, "Depth-first iterative-deepening:
+an optimal admissible tree search", Artificial Intelligence 27(1), 1985).
+Deepening never shows that no n works: after a failed pass that expanded
+no new state, a closed-trap check in the spirit of A. Kishimoto, M. Mueller
+("A general solution to the graph history interaction problem", AAAI 2004)
+looks for a set of states holding the root, none known to be won, in which
+every split of every member has an open child inside the set.  That proves
+the query unreachable for every n: were a member winnable, one with the
+fewest tests v would have a split whose children are closed or won in fewer
+than v tests, so outside the set.  Once a budget b runs out, the trap grows
+through states that need more than b tests: a root won in v > b tests has a
+best line whose states need v-1, v-2, ... tests, so the trap meets one that
+needs exactly b, or closes and shows that no strategy exists (the level
+argument of retrograde labelling).  ``exact_min_accuracy`` goes up in s on
+one table that keeps the announced sizes; a growing trap drops only won
+states, so it carries over from s to s+1, and the first s at which it loses
+the root is the answer.  ``extract_strategy`` walks raw sets, taking the
+first split whose open children win with one test fewer, and
+``exact_best_matrix`` bounds its branches with the engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from time import perf_counter
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .adaptive import AdaptiveStrategy, StrategyNode
 from .errors import BudgetExceededError
-from .kernel import TEST_CLASSES, Arena, expand_flag, ps_of
+from .kernel import Arena, expand_flag, ps_of
 from .nonadaptive import TestMatrix, advance_row
 from .spaces import SearchSpace
 
-MAX_EDGES = 8_000_000  # default edge cap: about 1.1 GB of graph
+MAX_EDGES = 8_000_000  # default cap on stored pairs: about 1.2 GB at N = 69
+INF = float("inf")
+# the largest N of the measured ladder (60 s, 3 GB): path(80,1) s=5 and
+# cycle(22,1) s=5 over all subsets, whose states have 2^21 splits each
+_CAPS = {"intervals": 80, "all_subsets": 22}
+
+
+class _Search:
+    """The proof search of one query, at accuracy ``s``.  A branch is its
+    announced size shifted above its canonical child, ``a << N | c``, closed
+    once ``a <= s`` and stored as 0 below the floor (``s``, or 0 with
+    ``sized``, where one table serves every ``s``); ``hi`` proves 0 won with
+    no test, ``won`` holds won states.  Past ``max_edges`` stored pairs the
+    search raises ``BudgetExceededError``."""
+
+    def __init__(self, arena: Arena, test_class: str, expand: bool, s: int,
+                 max_edges: int, sized: bool = False):
+        if test_class not in _CAPS:
+            raise ValueError(f"unknown test class {test_class!r}")
+        if arena.n > _CAPS[test_class]:
+            raise BudgetExceededError(f"{test_class} oracle is capped at N <= {_CAPS[test_class]}")
+        self.arena, self.test_class, self.expand = arena, test_class, expand
+        self.max_edges, self.floor = max_edges, 0 if sized else s
+        self.edges, self.trap_seconds = 0, 0.0
+        self.table: dict[int, list] = {}
+        self._branch: dict[int, int] = {}  # moved part -> its branch above the floor
+        self.hi: dict[int, int] = {0: 0}
+        self.won: set[int] = set()
+        # the trap: its members, the pairs (state, index) watching each one,
+        # and by announced size the pairs to look at once that branch closes
+        self.alive, self.watchers, self.recheck = set(), {}, {}
+        self.at(s)
+
+    def at(self, s: int) -> None:
+        """Answer at accuracy ``s``.  Callers only raise it, and a larger
+        accuracy never needs more tests, so ``hi`` and ``won`` carry over."""
+        self.s, self.first_open = s, s + 1 << self.arena.n
+        self.lo: dict[int, int] = {}
+        # need[x]: the fewest tests a state of x members can need, from a
+        # largest part of ceil(x/2) members that gains one when it moves
+        need = self.need = [0] * (self.arena.n + 1)
+        for x in range(s + 1, self.arena.n + 1):
+            part = (x + 1) // 2
+            shown = part + 1 if self.expand else part
+            need[x] = 1 if shown <= s else 1 + need[part + 1] if part + 1 < x else INF
+
+    def child(self, moved: int) -> int:
+        """The canonical form of a moved part above the floor."""
+        return (self._branch.get(moved) or self._new_branch(moved)) & self.arena.full
+
+    def _new_branch(self, moved: int) -> int:
+        size = moved.bit_count()  # a part that fits the floor needs no canonical form
+        b = self._branch[moved] = size << self.arena.n | (self.arena.canon(moved) if size > self.floor else 0)
+        return b
+
+    def pairs(self, d: int) -> list:
+        """d's distinct splits as pairs of branches, the larger first, in
+        increasing order of it; expands d on first use."""
+        out = self.table.get(d)
+        if out is not None:
+            return out
+        n, full, first_open = self.arena.n, self.arena.full, self.floor + 1 << self.arena.n
+        expand, get, new = self.expand, self._branch.get, self._new_branch
+        found = set()
+        for e1, m1, e0, m0 in self.arena.splits(d, self.test_class):
+            if expand:
+                b1, b0 = get(m1) or new(m1), get(m0) or new(m0)
+            else:  # the part itself is announced
+                b1, b0 = e1.bit_count() << n, e0.bit_count() << n
+                b1 = b1 | (get(m1) or new(m1)) & full if b1 >= first_open else 0
+                b0 = b0 | (get(m0) or new(m0)) & full if b0 >= first_open else 0
+            b1, b0 = b1 if b1 >= first_open else 0, b0 if b0 >= first_open else 0
+            found.add((b1, b0) if b1 >= b0 else (b0, b1))
+        out = self.table[d] = sorted(found)
+        self.edges += len(out)
+        if self.edges > self.max_edges:
+            raise BudgetExceededError(f"oracle edge cap {self.max_edges} exceeded")
+        return out
+
+    def win(self, d: int, n: int) -> bool:
+        """Whether ``n`` tests bring canonical state ``d`` (not yet fitting) to the accuracy."""
+        hi, lo = self.hi, self.lo
+        if hi.get(d, INF) <= n:
+            return True
+        if lo.get(d, 0) > n:
+            return False
+        need = self.need[d.bit_count()]
+        if need > n:
+            lo[d] = need
+            return False
+        full, first_open, m = self.arena.full, self.first_open, n - 1
+        live = []
+        for b1, b0 in self.pairs(d):
+            x = b1 & full if b1 >= first_open else 0
+            y = b0 & full if b0 >= first_open else 0
+            if x == d or y == d or lo.get(x, 0) > m or lo.get(y, 0) > m:
+                continue
+            if hi.get(x, INF) <= m and hi.get(y, INF) <= m:
+                hi[d] = n
+                return True
+            live.append((x, y))
+        for x, y in live:
+            if self.win(x, m) and self.win(y, m):
+                hi[d] = n
+                return True
+        lo[d] = n + 1
+        return False
+
+    def trap(self, root: int, b: int = 0) -> bool:
+        """Whether a closed trap holds ``root``.  Each split of a member
+        watches an open child in the trap, else a state not known to be won,
+        which joins (smallest first), else its state drops out, won; it
+        picks again when that child drops out or its branch closes.  States
+        that ``b`` tests fewer win are won, and one that needs exactly
+        ``b >= 1`` empties the trap.  The trap carries over between calls."""
+        start = perf_counter()
+        n, full, first_open = self.arena.n, self.arena.full, self.first_open
+        alive, won, hi, table = self.alive, self.won, self.hi, self.table
+        watchers, recheck = self.watchers, self.recheck
+        joined: list[tuple] = []  # heap of (size, member) still to watch
+        redo = recheck.pop(self.s, [])
+        if not alive:
+            alive.add(root)
+            joined.append((0, root))
+
+        def enlist(pair: tuple) -> int:
+            for w in pair:
+                c = w & full
+                if w < first_open or c in won or c in hi:
+                    continue
+                if b and self.win(c, b - 1):
+                    continue
+                if b and self.win(c, b):
+                    alive.clear()
+                    return 0
+                alive.add(c)
+                heappush(joined, (w >> n, c))
+                return w
+            return 0
+
+        while (joined or redo) and root in alive:
+            if redo:
+                d, i = redo.pop()
+                todo = ((i, table[d][i]),) if d in alive else ()
+            else:
+                d = heappop(joined)[1]
+                todo = enumerate(self.pairs(d)) if d in alive else ()
+            for i, (b1, b0) in todo:
+                if b1 >= first_open and b1 & full in alive:
+                    w = b1
+                elif b0 >= first_open and b0 & full in alive:
+                    w = b0
+                elif not (w := enlist((b1, b0))):
+                    alive.discard(d)
+                    won.add(d)
+                    redo += watchers.pop(d, ())
+                    break
+                watchers.setdefault(w & full, []).append((d, i))
+                recheck.setdefault(w >> n, []).append((d, i))
+        self.trap_seconds += perf_counter() - start
+        return root in alive
+
+    def deepen(self, root: int, budget: Optional[int]) -> tuple[str, Optional[int]]:
+        """(status, tests) of a root above the accuracy, deepening to ``budget``."""
+        n = 0
+        while budget is None or n <= budget:
+            expanded = len(self.table)
+            if self.win(root, n):
+                return "solved", n
+            n = self.lo[root]
+            if n == INF or len(self.table) == expanded and root in self.table and self.trap(root):
+                return "unreachable", None
+        if budget and self.trap(root, budget):
+            return "unreachable", None
+        return "budget_exceeded", None
 
 
 @dataclass
 class GameValue:
-    """Outcome of an exact minimax query, plus the labelled values for
-    strategy extraction.  The graph is built on the symmetry quotient, so
-    ``states`` counts orbits of candidate sets (under reflection, and on a
-    cycle rotation), and only those whose answer was still open at accuracy
-    ``s``; ``edges`` counts the splits between them.  ``build_seconds`` and
-    ``label_seconds`` time the build and the labelling; ``record()``, which
-    is deterministic, leaves them out.
-    ``_values`` maps each labelled canonical state to its number of tests."""
+    """Outcome of an exact minimax query, plus its engine for strategy
+    extraction.  ``states`` counts the orbits of candidate sets the search
+    expanded, ``edges`` their distinct splits; ``search_seconds`` and
+    ``trap_seconds`` are left out of the deterministic ``record()``."""
 
     space: SearchSpace
     s: int
@@ -75,152 +241,17 @@ class GameValue:
     min_tests: Optional[int]
     states: int
     edges: int
-    build_seconds: float
-    label_seconds: float
-    _arena: Arena = field(repr=False)
-    _values: dict = field(repr=False)
+    search_seconds: float
+    trap_seconds: float
+    _search: _Search = field(repr=False)
 
     def record(self) -> dict:
+        sp = self.space
         return {
-            "topology": self.space.topology.value,
-            "N": self.space.num_vertices,
-            "k": self.space.speed,
-            "s": self.s,
-            "class": self.test_class,
-            "flag": self.space.moves_after_last_test,
-            "min_tests": self.min_tests,
-            "status": self.status,
-            "states": self.states,
-            "edges": self.edges,
+            "topology": sp.topology.value, "N": sp.num_vertices, "k": sp.speed, "s": self.s,
+            "class": self.test_class, "flag": sp.moves_after_last_test, "min_tests": self.min_tests,
+            "status": self.status, "states": self.states, "edges": self.edges,
         }
-
-
-class _Index(NamedTuple):
-    """Backward view of a state graph for retrograde labelling.  Edge ``i``
-    leaves state ``parents[i]``; its branch ``2i`` (answer 1) and ``2i+1``
-    (answer 0) announce sets of ``announced[b]`` candidates; ``preds`` maps a
-    child to the ids of the indexed branches that lead to it."""
-
-    parents: list
-    announced: list
-    preds: dict
-
-
-def _build_graph(
-    arena: Arena, test_class: str, s: int, expand: bool, max_edges: int
-) -> tuple[set, _Index]:
-    """Every canonical state still open at accuracy ``s``, reachable from the
-    full arena, and the ``_Index`` of the splits between them.
-
-    Each state has one edge per split from ``Arena.splits``; a child is the
-    canonical form of the moved part, found once per distinct moved part.
-    A state with at most ``s`` candidates is kept with no edges, and a
-    branch whose announced set (the child if ``expand``, else the part)
-    fits is neither pushed nor indexed: its answer is already known.
-    ``s=0`` prunes nothing.  Raises ``BudgetExceededError`` once more than
-    ``max_edges`` edges are indexed.
-    """
-    if test_class not in TEST_CLASSES:
-        raise ValueError(f"unknown test class {test_class!r}")
-    splits, canon = arena.splits, arena.canon
-    states: set[int] = set()
-    parents: list[int] = []
-    announced: list[int] = []
-    preds: dict[int, list] = {}
-    into_of: dict[int, list] = {}  # moved part -> preds list of its canonical child
-    frontier = [arena.full]
-
-    def into(moved: int) -> list:
-        c = canon(moved)
-        branches = preds.setdefault(c, [])
-        if not branches and c not in states:
-            frontier.append(c)
-        into_of[moved] = branches
-        return branches
-
-    branch = 0  # branch 2i answers 1 at edge i, 2i+1 answers 0
-    while frontier:
-        d = frontier.pop()
-        if d in states:
-            continue
-        states.add(d)
-        if d.bit_count() <= s:
-            continue
-        for e1, m1, e0, m0 in splits(d, test_class):
-            parents.append(d)
-            a1 = (m1 if expand else e1).bit_count()
-            a0 = (m0 if expand else e0).bit_count()
-            announced += (a1, a0)
-            # ``into`` files a new moved part; a filed branch list is never empty
-            if a1 > s:
-                (into_of.get(m1) or into(m1)).append(branch)
-            if a0 > s:
-                (into_of.get(m0) or into(m0)).append(branch + 1)
-            branch += 2
-        if len(parents) > max_edges:
-            raise BudgetExceededError(f"oracle edge cap {max_edges} exceeded")
-    return states, _Index(parents, announced, preds)
-
-
-def _label(
-    graph: set, index: _Index, root: Optional[int], s: int, budget: Optional[int]
-) -> tuple[dict, bool]:
-    """Retrograde labelling; returns (values, reached_fixpoint).
-
-    A state's value is its minimax number of tests to accuracy ``s``.  Each
-    edge counts its open branches (announced set above ``s``); labelling
-    goes level by level in increasing value, and when a child gets value v,
-    every edge that had it as its last open branch settles its parent at
-    v+1 unless the parent already has a value.  So a state is looked at
-    only when one of its children gets a label.  Stops once the root is
-    labelled (never with ``root=None``), when a level comes out empty (the
-    fixpoint: the states left cannot be won), or after ``budget`` levels;
-    the budget is checked before the level that would show the fixpoint.
-    The index is only read, so one index serves every ``s``.
-    """
-    parents, announced, preds = index
-    vals = {d: 0 for d in graph if d.bit_count() <= s}
-    if root in vals:
-        return vals, True
-    if budget == 0:
-        return vals, False
-    open_count = [(a1 > s) + (a0 > s) for a1, a0 in zip(announced[::2], announced[1::2])]
-    level = []
-    for edge, n_open in enumerate(open_count):
-        if not n_open:
-            d = parents[edge]
-            if d not in vals:
-                vals[d] = 1
-                level.append(d)
-    value = 1
-    while level and root not in vals:
-        if budget is not None and value >= budget:
-            return vals, False
-        value += 1
-        settled = []
-        for c in level:
-            for branch in preds.get(c, ()):
-                if announced[branch] > s:  # else closed at this s (unpruned graph)
-                    edge = branch >> 1
-                    left = open_count[edge] - 1
-                    open_count[edge] = left
-                    if not left:
-                        d = parents[edge]
-                        if d not in vals:
-                            vals[d] = value
-                            if d == root:
-                                return vals, True
-                            settled.append(d)
-        level = settled
-    return vals, True
-
-
-def _check_caps(space: SearchSpace, test_class: str):
-    n = space.num_vertices
-    if test_class == "all_subsets" and n > 10:
-        raise BudgetExceededError("all_subsets oracle is capped at N <= 10")
-    if test_class == "intervals" and n > 40:
-        raise BudgetExceededError("intervals oracle is capped at N <= 40")
 
 
 def exact_min_tests(
@@ -233,40 +264,26 @@ def exact_min_tests(
 ) -> GameValue:
     """Minimax-optimal number of tests for accuracy ``s``, or unreachable.
 
-    ``budget`` caps the searched depth; hitting it is reported as status
-    ``budget_exceeded`` rather than being conflated with unreachability.
-    The graph holds only states whose answer is still open, so with a
-    budget a query may come out ``unreachable`` where the full graph would
-    have run out of budget first; that happens only when the query without
-    a budget is ``unreachable`` too.  ``check_expanded`` overrides where the
-    accuracy check is applied (after the trailing move by default in the
-    moves-after-last-test model, before it otherwise).  ``max_edges`` caps
-    the graph, whose memory grows with its edges (about 135 bytes each):
-    past it the query raises ``BudgetExceededError``.
+    ``budget`` caps the deepening; hitting it is reported as status
+    ``budget_exceeded`` rather than being conflated with unreachability,
+    unless the states past the budget show that no strategy exists at all.
+    ``check_expanded`` overrides where the accuracy check is applied (after
+    the trailing move by default in the moves-after-last-test model, before
+    it otherwise).  ``max_edges`` caps the stored pairs: past it the query
+    raises ``BudgetExceededError``.
     """
     if s < 1:
         raise ValueError("accuracy must be >= 1")
     if budget is not None and budget < 0:
         raise ValueError("test budget must be >= 0")
-    _check_caps(space, test_class)
     arena = Arena(space)
     start = perf_counter()
-    graph, index = _build_graph(
-        arena, test_class, s, expand_flag(space, check_expanded), max_edges
-    )
-    built = perf_counter()
-    vals, fixpoint = _label(graph, index, arena.full, s, budget)
-    labelled = perf_counter()
-    root_val = vals.get(arena.full)
-    if root_val is not None:
-        status, result = "solved", root_val
-    elif fixpoint:
-        status, result = "unreachable", None
-    else:
-        status, result = "budget_exceeded", None
+    search = _Search(arena, test_class, expand_flag(space, check_expanded), s, max_edges)
+    status, result = ("solved", 0) if arena.full.bit_count() <= s else search.deepen(arena.full, budget)
+    elapsed = perf_counter() - start
     return GameValue(
-        space, s, test_class, check_expanded, status, result,
-        len(graph), len(index.parents), built - start, labelled - built, arena, vals,
+        space, s, test_class, check_expanded, status, result, len(search.table),
+        search.edges, elapsed - search.trap_seconds, search.trap_seconds, search,
     )
 
 
@@ -277,60 +294,50 @@ def exact_min_accuracy(
     check_expanded: Optional[bool] = None,
     max_edges: int = MAX_EDGES,
 ) -> int:
-    """Smallest accuracy reachable within ``n_budget`` tests (any number if None).
-
-    Builds one unpruned graph and its index, then labels it once per s."""
+    """Smallest accuracy reachable within ``n_budget`` tests (any number if None)."""
     if n_budget is not None and n_budget < 0:
         raise ValueError("test budget must be >= 0")
-    _check_caps(space, test_class)
     arena = Arena(space)
-    graph, index = _build_graph(
-        arena, test_class, 0, expand_flag(space, check_expanded), max_edges
-    )
-    for s in range(1, space.num_vertices + 1):
-        vals, _fixpoint = _label(graph, index, arena.full, s, n_budget)
-        if arena.full in vals:
+    search = _Search(arena, test_class, expand_flag(space, check_expanded), 1, max_edges, sized=True)
+    for s in range(1, arena.n):  # at s = N the full arena fits
+        search.at(s)
+        if n_budget is not None:
+            if search.win(arena.full, n_budget):
+                return s
+        elif search.need[arena.n] < INF and not search.trap(arena.full):
             return s
-    return space.num_vertices
+    return arena.n
 
 
 def extract_strategy(gv: GameValue) -> AdaptiveStrategy:
-    """Rebuild an optimal decision tree from the oracle's labelled values.
+    """Rebuild an optimal decision tree from the query's proven bounds.
 
-    Walks the raw candidate sets from the full arena, taking each one's
-    splits from ``Arena.splits`` and reading every child's value at its
-    canonical form, so the tests and leaves are the raw ones.  An interval
-    test is the hull of the answer-1 part, one interval that never wraps;
-    an all-subsets test is that part itself."""
+    Walks raw candidate sets from the full arena; a state with r tests left
+    takes the first split from ``Arena.splits`` whose open children are
+    proven won within r-1 at their canonical forms, as the split that won
+    the state is.  An interval test is the hull of the answer-1 part, one
+    interval that never wraps; an all-subsets test is that part itself."""
     if gv.status != "solved":
         raise ValueError(f"no strategy to extract: status is {gv.status}")
-    arena, vals, s = gv._arena, gv._values, gv.s
-    expand = expand_flag(gv.space, gv.check_expanded)
-    INF = float("inf")
+    search, s = gv._search, gv.s
 
-    def branch_value(e: int, moved: int) -> float:
-        if (moved if expand else e).bit_count() <= s:
-            return 0
-        return vals.get(arena.canon(moved), INF)
+    def shown(e: int, moved: int) -> int:
+        return moved if search.expand else e
 
-    def branch(e: int, moved: int, value: float) -> StrategyNode:
-        return StrategyNode(answer=ps_of(moved if expand else e)) if value == 0 else build(moved)
-
-    def build(d: int) -> StrategyNode:
-        if d.bit_count() <= s:
-            return StrategyNode(answer=ps_of(d))
-        want = vals[arena.canon(d)] - 1
-        for e1, m1, e0, m0 in arena.splits(d, gv.test_class):
-            v1, v0 = branch_value(e1, m1), branch_value(e0, m0)
-            if max(v1, v0) == want:
+    def node(e: int, d: int, left: int) -> StrategyNode:
+        if shown(e, d).bit_count() <= s:
+            return StrategyNode(answer=ps_of(shown(e, d)))
+        for e1, m1, e0, m0 in search.arena.splits(d, gv.test_class):
+            parts = ((e1, m1), (e0, m0))
+            if all(shown(e, m).bit_count() <= s or search.hi.get(search.child(m), INF) < left for e, m in parts):
                 # e1 is a run of d's members: its hull meets d in e1 alone,
                 # and starts above d's lowest member, so it never wraps
                 test = e1 if gv.test_class == "all_subsets" else (1 << e1.bit_length()) - (e1 & -e1)
-                on0, on1 = branch(e0, m0, v0), branch(e1, m1, v1)
-                return StrategyNode(test=ps_of(test), on0=on0, on1=on1)
-        raise AssertionError("labelled state lost its achieving test")
+                return StrategyNode(test=ps_of(test), on0=node(e0, m0, left - 1), on1=node(e1, m1, left - 1))
+        raise AssertionError("a won state lost its winning split")
 
-    return AdaptiveStrategy(gv.space, build(arena.full), s)
+    full = search.arena.full
+    return AdaptiveStrategy(gv.space, node(full, full, gv.min_tests), s)
 
 
 # ---------------------------------------------------------------------------
@@ -346,17 +353,17 @@ def exact_best_matrix(
 ) -> Optional[TestMatrix]:
     """Some n-row matrix that succeeds at accuracy ``s``, or None if none exists.
 
-    Exhausts all row sequences up to the two documented symmetries
-    (per-row complement, whole-matrix reflection at the first row), in a
-    fixed order, and returns the first that succeeds.  A branch is cut as
-    soon as some set in its antichain has an all-subsets adaptive value
-    above the rows left: any matrix resolves a set no faster than the best
-    adaptive strategy.  The values come from the all-subsets graph of the
-    arena, labelled to ``n`` levels.  Every set in an antichain is a state of
-    that graph: it is the moved part of an open branch, and a row that
-    leaves a set whole moves it where one of the set's own splits does
-    (drop a vertex of the set it grew from).  Cuts drop only branches that
-    cannot succeed, so the result is the one the unbounded search finds.
+    The state is the antichain of still-unresolved candidate sets, stepped
+    by ``nonadaptive.advance_row``, the row step ``evaluate_matrix`` runs
+    too (subset-dominated sets are dropped: they succeed whenever a
+    superset does).  Exhausts all row sequences up to per-row complement
+    and reflection at the first row, in a fixed order, and returns the
+    first that succeeds.  It is branch and bound (A. H. Land, A. G. Doig,
+    "An automatic method of solving discrete programming problems",
+    Econometrica 28(3), 1960): r rows that resolve a set are an r-test
+    adaptive strategy over all subsets, so a branch is cut once one
+    all-subsets engine per call shows that some set in it cannot be won
+    within the rows left.  The result is the one the unbounded search finds.
     """
     if s < 1:
         raise ValueError("accuracy must be >= 1")
@@ -371,13 +378,11 @@ def exact_best_matrix(
     expand = expand_flag(space, check_expanded)
     if full.bit_count() <= s:
         raise ValueError("trivial instance: the whole arena already fits the accuracy")
-    # every state with value <= n gets it; the rest cannot meet the bound
-    graph, index = _build_graph(arena, "all_subsets", s, expand, MAX_EDGES)
-    vals, _fixpoint = _label(graph, index, None, s, n)
-    if vals.get(full, n + 1) > n:
+    bound = _Search(arena, "all_subsets", expand, s, MAX_EDGES)
+    if not bound.win(full, n):
         return None
 
-    canon = arena.canon
+    child = bound.child
     tests = [t for t in range(1, full) if not t & 1]  # complement-normalized rows
     counter = {"entries": 0}
     memo: dict[tuple[frozenset[int], int], Optional[tuple[int, ...]]] = {}
@@ -385,9 +390,7 @@ def exact_best_matrix(
     def solve(states: frozenset[int], rows_left: int) -> Optional[tuple[int, ...]]:
         if not states:
             return ()
-        if rows_left == 0:
-            return None
-        if any(vals.get(canon(d), rows_left + 1) > rows_left for d in states):
+        if not all(bound.win(child(d), rows_left) for d in states):  # refutes rows_left = 0 too
             return None
         key = (states, rows_left)
         if key in memo:
@@ -413,8 +416,5 @@ def exact_best_matrix(
         rest = solve(advance_row(arena, frozenset([full]), t, s, expand), n - 1)
         if rest is not None:
             rows = (t,) + rest
-            bits = tuple(
-                tuple((row >> j) & 1 for j in range(arena.n)) for row in rows
-            )
-            return TestMatrix(bits)
+            return TestMatrix(tuple(tuple((row >> j) & 1 for j in range(arena.n)) for row in rows))
     return None

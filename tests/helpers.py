@@ -164,10 +164,10 @@ def reference_parse_position_set(text):
 
 
 # -- reference oracle ------------------------------------------------------------
-# The exact oracle's former graph build and labeller, kept as the reference
-# that its retrograde labelling over a pruned graph is checked against: every
-# state reachable from the full arena is expanded, and synchronous value
-# iteration re-scans every pending state each round.
+# An early graph build and labeller of the exact oracle, kept as the reference
+# that its proof search is checked against: every state reachable from the
+# full arena is expanded, and synchronous value iteration re-scans every
+# pending state each round.
 
 
 def _submasks(d):

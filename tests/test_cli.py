@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -228,10 +229,20 @@ def test_nonadaptive_capacity_table_is_usage_error(capsys, topology):
 
 def test_budget_exit_code():
     code, _ = run_cli(
-        "oracle", "--topology", "path", "--N", "11", "--k", "1", "--s", "4",
+        "oracle", "--topology", "path", "--N", "23", "--k", "1", "--s", "4",
         "--test-class", "all_subsets",
     )
     assert code == 3
+
+
+def test_oracle_budget_bounds_the_search():
+    # the budget stops the deepening: no search of the 5 tests this needs
+    start = time.perf_counter()
+    code, text = run_cli(
+        "oracle", "--topology", "cycle", "--N", "40", "--k", "1", "--s", "6", "--budget", "1",
+    )
+    assert code == 0 and json.loads(text)["status"] == "budget_exceeded"
+    assert time.perf_counter() - start < 2
 
 
 def test_oracle_negative_budget_is_usage_error(capsys):

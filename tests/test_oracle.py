@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from helpers import (
@@ -10,10 +12,9 @@ from helpers import (
 )
 from movingsearch.adaptive import cycle_capacity, path_capacity, path_min_accuracy
 from movingsearch.errors import BudgetExceededError
-from movingsearch.kernel import Arena, expand_flag
+from movingsearch.kernel import Arena
 from movingsearch.nonadaptive import evaluate_matrix, expanding_accuracy_matrix
 from movingsearch.oracle import (
-    _build_graph,
     exact_best_matrix,
     exact_min_accuracy,
     exact_min_tests,
@@ -56,8 +57,8 @@ def test_negative_budget_rejected():
     "test_class, n_max", [("intervals", 12), ("all_subsets", 9)]
 )
 @pytest.mark.parametrize("make", [path, cycle])
-def test_retrograde_oracle_matches_value_iteration(make, test_class, n_max):
-    """The pruned retrograde oracle against the unpruned synchronous one."""
+def test_proof_search_matches_value_iteration(make, test_class, n_max):
+    """The proof search against unpruned synchronous value iteration."""
     for k in (1, 2):
         for flag in (True, False):
             for n_vertices in range(1, n_max + 1):
@@ -97,19 +98,21 @@ def test_retrograde_oracle_matches_value_iteration(make, test_class, n_max):
     ],
 )
 def test_graph_never_expands_decided_states(sp, s):
-    # a branch that fits is never pushed, so only a fitting root is kept
+    # a branch that fits is closed (0), so no state that fits is ever expanded
     arena = Arena(sp)
-    states, index = _build_graph(arena, "intervals", s, expand_flag(sp, None), 10**6)
-    expanded = set(index.parents)
-    for d in states:
-        assert arena.canon(d) == d, f"state {d:b} is not canonical"
-        if d.bit_count() <= s:
-            assert d == arena.full and d not in expanded, (
-                f"state {d:b} fits accuracy {s} but is in the graph"
-            )
-    assert len(states) < len(reference_build_graph(arena, "intervals"))
     gv = exact_min_tests(sp, s)
-    assert (gv.states, gv.edges) == (len(states), len(index.parents))
+    search = gv._search
+    for d, pairs in search.table.items():
+        assert arena.canon(d) == d, f"state {d:b} is not canonical"
+        assert d.bit_count() > s, f"state {d:b} fits accuracy {s} but was expanded"
+        for pair in pairs:
+            for branch in pair:
+                c = branch & arena.full  # a branch is announced size << N | child
+                assert branch == 0 or (arena.canon(c) == c and branch >> sp.num_vertices > s), (
+                    f"state {d:b} keeps branch {branch:b}"
+                )
+    assert len(search.table) < len(reference_build_graph(arena, "intervals"))
+    assert (gv.states, gv.edges) == (len(search.table), sum(map(len, search.table.values())))
 
 
 def _symmetries(sp):
@@ -186,9 +189,10 @@ def _tests_of(node):
 
 
 def test_game_value_times_build_and_labelling():
-    gv = exact_min_tests(path(12, 1), 4)
-    assert gv.build_seconds > 0 and gv.label_seconds > 0
-    assert "build_seconds" not in gv.record() and "label_seconds" not in gv.record()
+    gv = exact_min_tests(cycle(8, 1), 4)  # unreachable: the closed-trap check runs
+    assert gv.status == "unreachable"
+    assert gv.search_seconds > 0 and gv.trap_seconds > 0
+    assert "search_seconds" not in gv.record() and "trap_seconds" not in gv.record()
 
 
 def test_min_accuracy_matches_formulas():
@@ -245,7 +249,14 @@ def test_oracle_agrees_with_k2_path_capacity(n):
 
 def test_oracle_rejects_oversize_subset_class():
     with pytest.raises(BudgetExceededError):
-        exact_min_tests(path(11, 1), 4, test_class="all_subsets")
+        exact_min_tests(path(23, 1), 4, test_class="all_subsets")
+
+
+@pytest.mark.parametrize("sp, s, n", [(path(46, 1), 5, 5), (cycle(68, 1), 6, 5)])
+def test_solves_capacity_rungs_above_n_40_quickly(sp, s, n):
+    start = time.perf_counter()
+    assert exact_min_tests(sp, s).min_tests == n
+    assert time.perf_counter() - start < 1
 
 
 def test_record_shape():
@@ -259,8 +270,8 @@ def test_record_shape():
         "flag": True,
         "min_tests": 1,
         "status": "solved",
-        "states": 3,
-        "edges": 35,
+        "states": 1,
+        "edges": 4,
     }
 
 
