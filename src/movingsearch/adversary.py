@@ -13,20 +13,23 @@ target walk (every transcript here can be certified by
 ``greedy_forced_size`` and ``margin_forced_size`` close the quantifier over
 strategies: they minimize the forced final set size over every adaptive
 strategy of a given test class, so a lower bound on their value refutes the
-whole class at once.  Both are one memoized minimax recursion over the
-oracle's bitmask ``kernel.Arena``, whose ``splits`` gives each state's
-distinct splits with both parts moved; the adversaries and their
-transcripts keep ``PositionSet``, the public and text type.
+whole class at once.  Both are one minimax sweep over the oracle's bitmask
+``kernel.Arena``, whose ``splits`` gives each state's distinct splits with
+both parts moved.  It is memoized on canonical orbits (``Arena.canon``, the
+symmetry quotient the oracle uses) and walks the game a level of tests at a
+time, so no budget recurses; all-subsets sweeps share the oracle's cap on N.
+The adversaries and their transcripts keep ``PositionSet``, the public and
+text type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .adaptive import AdaptiveStrategy, StrategyNode
-from .errors import WindowInvariantError
-from .kernel import TEST_CLASSES, Arena, mask_of
+from .errors import BudgetExceededError, WindowInvariantError
+from .kernel import MAX_SUBSET_N, TEST_CLASSES, Arena, mask_of
 from .nonadaptive import TestMatrix
 from .spaces import (
     PositionSet,
@@ -343,37 +346,64 @@ def _forced_size(arena: Arena, start: int, rounds: int, test_class: str, ties: i
 
     A split is read both ways round, which matters only on a tie, except on
     a path with interval tests: the complement of a middle run is no
-    interval's part, so ``e0`` answers 1 only if ``e1`` holds d's highest."""
+    interval's part, so ``e0`` answers 1 only if ``e1`` holds d's highest.
+
+    The strategy picks a test and the answer rule its child, so the value is
+    the least final size over the lines of exactly ``rounds`` moves.  The
+    sweep walks them a level at a time on canonical orbits (``Arena.canon``,
+    via a dict keyed by the moved part): level i holds the orbits i tests
+    reach, the states a memoized recursion would visit with ``rounds - i``
+    tests left.  Orbits suffice because a reflection, or on a cycle a
+    rotation, maps interval (arc) tests to interval tests and commutes with
+    ``reach``; the larger-part rule reads sizes only; and on a path with
+    intervals a reflection maps a middle run to a middle run and a prefix
+    and suffix split, read both ways round, to one.  A level depends only
+    on the one before, so once one repeats the rest are periodic and a
+    deep budget skips whole periods."""
     if rounds < 0:
         raise ValueError("test budget must be >= 0")
     if test_class not in TEST_CLASSES:
         raise ValueError(f"unknown test class {test_class!r}")
+    if test_class == "all_subsets" and arena.n > MAX_SUBSET_N:
+        raise BudgetExceededError(f"all_subsets sweep is capped at N <= {MAX_SUBSET_N}")
     one_way = test_class == "intervals" and arena.space.topology is Topology.PATH
-    reach, splits = arena.reach, arena.splits
-    memo: dict[tuple[int, int], int] = {}
+    reach, splits, canon = arena.reach, arena.splits, arena.canon
+    orbit: dict[int, int] = {}  # moved part -> its canonical form
 
-    def force(d: int, left: int) -> int:
-        if left == 0:
-            return d.bit_count()
-        key = (d, left)
-        if key in memo:
-            return memo[key]
+    def options(d: int) -> Iterator[int]:
         # burning a round on an uninformative test is a legal strategy move;
         # a test that misses d, or covers it, leads to that same child
-        best = force(reach(d), left - 1)
+        yield reach(d)
         top = 1 << (d.bit_length() - 1)
         for e1, d1, _e0, d0 in splits(d, test_class):
             n1, n0 = d1.bit_count(), d0.bit_count()
             if n1 == n0 and (e1 & top or not one_way):
-                got = min(force(d1, left - 1), force(d0, left - 1))
+                yield d1
+                yield d0
             else:
-                got = force(d1 if n1 + ties > n0 else d0, left - 1)
-            if got < best:
-                best = got
-        memo[key] = best
-        return best
+                yield d1 if n1 + ties > n0 else d0
 
-    return force(start, rounds)
+    if rounds == 0:
+        return start.bit_count()
+    last = frozenset((canon(start),))
+    levels = {last: 0}  # level i: the orbits that i tests reach -> i
+    while len(levels) < rounds:
+        moved: set[int] = set()
+        for d in last:
+            moved.update(options(d))
+        nxt = set()
+        for c in moved:
+            o = orbit.get(c)
+            if o is None:
+                o = orbit[c] = canon(c)
+            nxt.add(o)
+        last = frozenset(nxt)
+        if last in levels:  # the levels from there on repeat
+            first = levels[last]
+            last = list(levels)[first + (rounds - 1 - first) % (len(levels) - first)]
+            break
+        levels[last] = len(levels)
+    return min(c.bit_count() for d in last for c in options(d))
 
 
 def greedy_forced_size(space: SearchSpace, rounds: int, test_class: str = "intervals") -> int:

@@ -18,6 +18,9 @@ from typing import Iterator, Optional
 from .spaces import PositionSet, SearchSpace, Topology
 
 TEST_CLASSES = ("intervals", "all_subsets")
+# the largest arena whose all-subsets splits the engines enumerate: a state
+# of N members has 2^(N-1) of them, which ``splits`` materialises
+MAX_SUBSET_N = 22
 
 
 def expand_flag(space: SearchSpace, check_expanded: Optional[bool]) -> bool:

@@ -45,7 +45,7 @@ from typing import Optional
 
 from .adaptive import AdaptiveStrategy, StrategyNode
 from .errors import BudgetExceededError
-from .kernel import Arena, expand_flag, ps_of
+from .kernel import MAX_SUBSET_N, Arena, expand_flag, ps_of
 from .nonadaptive import TestMatrix, advance_row
 from .spaces import SearchSpace
 
@@ -53,7 +53,7 @@ MAX_EDGES = 8_000_000  # default cap on stored pairs: about 1.2 GB at N = 69
 INF = float("inf")
 # the largest N of the measured ladder (60 s, 3 GB): path(80,1) s=5 and
 # cycle(22,1) s=5 over all subsets, whose states have 2^21 splits each
-_CAPS = {"intervals": 80, "all_subsets": 22}
+_CAPS = {"intervals": 80, "all_subsets": MAX_SUBSET_N}
 
 
 class _Search:

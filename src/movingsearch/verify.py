@@ -171,7 +171,10 @@ def check_eq1(t: _Tally, scale: str):
 def check_cycle_capacity(t: _Tally, scale: str):
     n_max = 2 if scale == "tiny" else 3
     s_values = (5,) if scale == "tiny" else (5, 6)
-    for n, s in itertools.product(range(n_max + 1), s_values):
+    rungs = list(itertools.product(range(n_max + 1), s_values))
+    if scale != "tiny":
+        rungs.append((4, 5))  # cycle(20, 1), refuted on cycle(21, 1)
+    for n, s in rungs:
         cap = adaptive.cycle_capacity(n, s, 1)
         st = adaptive.cycle_strategy(cap, s, 1)
         t.ok(st.depth() == n, f"strategy at capacity N={cap} uses {st.depth()} != {n} tests")

@@ -16,6 +16,7 @@ from movingsearch.adaptive import (
 from movingsearch.adversary import (
     CounterCertificate,
     Transcript,
+    _forced_size,
     greedy_adversary,
     greedy_forced_size,
     margin_adversary,
@@ -25,10 +26,12 @@ from movingsearch.adversary import (
     window_adversary,
     window_step,
 )
-from movingsearch.kernel import Arena, mask_of
+from movingsearch.errors import BudgetExceededError
+from movingsearch.kernel import MAX_SUBSET_N, TEST_CLASSES, Arena, mask_of
 from movingsearch.nonadaptive import TestMatrix, evaluate_matrix, expanding_accuracy_matrix
 from movingsearch.spaces import (
     PositionSet,
+    Topology,
     consistent_walk_exists,
     cycle,
     full_set,
@@ -193,6 +196,87 @@ def test_sweeps_match_the_reference_sweep():
                             )
                             cases += 1
     assert cases == 744  # 528 greedy and 216 margin values; 2,088 margin starts raise
+
+
+def test_greedy_sweep_matches_the_reference_on_larger_cycles():
+    """Where the symmetry quotient saves the most: a cycle has 2N
+    symmetries, and three tests reach many orbits."""
+    for n_vertices in range(13, 19):
+        space = cycle(n_vertices, 1)
+        want = reference_forced_size(Arena(space), (1 << n_vertices) - 1, 3, "intervals", 0)
+        assert greedy_forced_size(space, 3) == want, n_vertices
+
+
+def _images(arena, mask):
+    """The mask's reflection and, on a cycle, all its rotations and theirs."""
+    n, full = arena.n, arena.full
+    out = [mask, arena.reflect(mask)]
+    if arena.space.topology is Topology.CYCLE:
+        out += [((m << r) | (m >> (n - r))) & full for m in out[:2] for r in range(1, n)]
+    return out
+
+
+@pytest.mark.parametrize("make", [path, cycle])
+def test_sweep_values_are_invariant_under_the_arena_symmetries(make):
+    """The reference sweep, which keeps raw masks, gives every image of a
+    start mask the same value, and the quotient sweep gives that value:
+    margin start sets and seeded masks, both tie rules, 0-3 tests."""
+    rng = random.Random(2012)
+    for n_vertices, k in ((7, 1), (10, 1), (11, 2)):
+        arena = Arena(make(n_vertices, k))
+        starts = [rng.randrange(1, arena.full + 1) for _ in range(3)]
+        for rounds, s in itertools.product((1, 2), range(4 * k, 4 * k + 3)):
+            try:
+                starts.append(mask_of(margin_start(arena.space, rounds, s)))
+            except ValueError:
+                pass
+        for start in starts:
+            for test_class in ("intervals", "all_subsets") if n_vertices <= 7 else ("intervals",):
+                for rounds, ties in itertools.product(range(4), (0, 1)):
+                    got = _forced_size(arena, start, rounds, test_class, ties)
+                    for image in _images(arena, start):
+                        want = reference_forced_size(arena, image, rounds, test_class, ties)
+                        assert got == want, (arena.space, start, image, test_class, rounds, ties)
+
+
+def test_tie_orientation_rule_changes_values():
+    """On a path with interval tests a tie is read both ways round only when
+    one part is a prefix and the other a suffix.  Reading a middle run's tie
+    both ways too (its complement is no interval) lowers path(17, 2) from 8
+    to 7, and reading no tie both ways raises path(12, 1) from 4 to 5: three
+    tests from the full arena, ties answered 1, where the reference loop over
+    every interval test agrees with the rule."""
+    for space, want in ((path(17, 2), 8), (path(12, 1), 4)):
+        arena = Arena(space)
+        assert reference_forced_size(arena, arena.full, 3, "intervals", 1) == want
+        assert _forced_size(arena, arena.full, 3, "intervals", 1) == want
+
+
+def test_deep_test_budgets_do_not_recurse():
+    # every budget from 1 up forces 4 on path(5, 1); 2,000 rounds of
+    # recursion would pass Python's limit
+    assert greedy_forced_size(path(5, 1), 2000) == 4
+    assert greedy_forced_size(path(5, 1), 10**9) == 4
+    # small arenas repeat their levels early, so most of these budgets
+    # skip whole periods
+    for space in (path(5, 1), path(6, 2), cycle(6, 1)):
+        arena = Arena(space)
+        for test_class in TEST_CLASSES:
+            for rounds, ties in itertools.product(range(20), (0, 1)):
+                want = reference_forced_size(arena, arena.full, rounds, test_class, ties)
+                assert _forced_size(arena, arena.full, rounds, test_class, ties) == want, (
+                    space, test_class, rounds, ties
+                )
+
+
+def test_all_subsets_sweeps_are_capped():
+    # raised before any split is enumerated, so this allocates nothing
+    n_vertices = MAX_SUBSET_N + 1
+    for space in (path(n_vertices, 1), cycle(n_vertices, 1)):
+        with pytest.raises(BudgetExceededError, match="capped at N <= 22"):
+            greedy_forced_size(space, 1, test_class="all_subsets")
+    with pytest.raises(BudgetExceededError, match="capped at N <= 22"):
+        margin_forced_size(path(n_vertices, 1), 1, 4, test_class="all_subsets")
 
 
 # The greedy and margin adversaries answer deterministically, so the best a

@@ -208,6 +208,23 @@ def test_sweep_negative_test_budget_is_usage_error(capsys, argv):
     assert "test budget must be >= 0" in err and "Traceback" not in err
 
 
+def test_sweep_deep_test_budget_answers(capsys):
+    code, text = run_cli(
+        "adversary", "--mode", "greedy", "--topology", "path", "--N", "5", "--k", "1", "--n", "2000",
+    )
+    assert code == 0 and text.strip().endswith("|D_2000| >= 4")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_all_subsets_sweep_cap_exit_code(capsys):
+    code, text = run_cli(
+        "adversary", "--mode", "greedy", "--topology", "cycle", "--N", "23", "--k", "1", "--n", "1",
+        "--test-class", "all_subsets",
+    )
+    assert code == 3 and text == ""
+    assert "capped at N <= 22" in capsys.readouterr().err
+
+
 def test_nonadaptive_accuracy_table_on_cycles_is_usage_error(capsys):
     code, text = run_cli(
         "table", "--s-star", "--nonadaptive", "--topology", "cycle", "--N", "5..9", "--k", "1",
