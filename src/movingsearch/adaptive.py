@@ -14,8 +14,9 @@ candidate set, so the accuracy guarantees carry over.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import BudgetExceededError, RegimeError
 from .spaces import (
@@ -31,9 +32,11 @@ from .spaces import (
 DEFAULT_NODE_BUDGET = 250_000
 
 
-@dataclass(frozen=True)
-class StrategyNode:
-    """Internal node (test plus two children) or leaf (answer set)."""
+class StrategyNode(NamedTuple):
+    """Internal node (test plus two children) or leaf (answer set).  A
+    named tuple: immutable, compared and hashed by value, and cheaper to
+    build than a frozen dataclass, which matters at tens of thousands of
+    nodes per tree."""
 
     test: Optional[PositionSet] = None
     on0: Optional["StrategyNode"] = None
@@ -46,6 +49,13 @@ class StrategyNode:
 
     def child(self, bit: int) -> "StrategyNode":
         return self.on1 if bit else self.on0
+
+
+# exactly what ``serialize`` writes: the fields in this order, one space
+# apart, position sets in their text form with no spaces, and nothing else
+_ID = "([0-9]+)"
+_SET = "(-|[0-9]+(?:-[0-9]+)?(?:,[0-9]+(?:-[0-9]+)?)*)"
+_LINE = re.compile(f"leaf {_ID} answer={_SET}|node {_ID} test={_SET} on0={_ID} on1={_ID}")
 
 
 @dataclass(frozen=True)
@@ -104,8 +114,8 @@ class AdaptiveStrategy:
         return tests, node
 
     # one node per line: "node <id> test=<set> on0=<id> on1=<id>" or
-    # "leaf <id> answer=<set>", ids assigned in preorder from 0, so a node's
-    # answer-0 child is the next id
+    # "leaf <id> answer=<set>" (``_LINE``), ids assigned in preorder from 0,
+    # so a node's answer-0 child is the next id
     def serialize(self) -> str:
         nodes: list[StrategyNode] = []
         on1: dict[int, int] = {}  # node id -> id of its answer-1 child
@@ -137,21 +147,24 @@ class AdaptiveStrategy:
             line = line.strip()
             if not line:
                 continue
+            m = _LINE.fullmatch(line)
+            if m is None:
+                raise ValueError(
+                    f"bad strategy line {line!r}: not 'leaf <id> answer=<set>' or "
+                    "'node <id> test=<set> on0=<id> on1=<id>'"
+                )
+            leaf_id, answer, node_id, test, on0, on1 = m.groups()
             try:
-                kind, nid, *fields = line.split()
-                kv = dict(f.split("=", 1) for f in fields)
-                if kind == "leaf":
-                    entry = (line, PositionSet.parse(kv["answer"]), ())
-                elif kind == "node":
-                    entry = (line, PositionSet.parse(kv["test"]), (int(kv["on0"]), int(kv["on1"])))
-                else:
-                    raise ValueError(f"unknown kind {kind!r}")
-                nid = int(nid)
-            except (KeyError, ValueError) as exc:
+                ps = PositionSet.parse(test if answer is None else answer)
+            except ValueError as exc:  # an interval that runs backwards
                 raise ValueError(f"bad strategy line {line!r}: {exc!r}") from None
+            if answer is None:
+                nid, children = int(node_id), (int(on0), int(on1))
+            else:
+                nid, children = int(leaf_id), ()
             if nid in raw:
                 raise ValueError(f"strategy line {line!r} redefines id {nid}")
-            raw[nid] = entry
+            raw[nid] = (line, ps, children)
 
         built: dict[int, StrategyNode] = {}
         for nid in sorted(raw, reverse=True):

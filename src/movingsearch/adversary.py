@@ -40,6 +40,11 @@ from .spaces import (
     update,
 )
 
+# the most splits one class sweep may enumerate, counted state by state
+# before each state's are: an all-subsets state of m members has 2^(m-1) - 1
+# of them and an interval state m(m-1)/2
+MAX_SPLITS = 8_000_000
+
 
 @dataclass(frozen=True)
 class TranscriptRound:
@@ -366,11 +371,21 @@ def _forced_size(arena: Arena, start: int, rounds: int, test_class: str, ties: i
         raise ValueError(f"unknown test class {test_class!r}")
     if test_class == "all_subsets" and arena.n > MAX_SUBSET_N:
         raise BudgetExceededError(f"all_subsets sweep is capped at N <= {MAX_SUBSET_N}")
-    one_way = test_class == "intervals" and arena.space.topology is Topology.PATH
+    intervals = test_class == "intervals"
+    one_way = intervals and arena.space.topology is Topology.PATH
     reach, splits, canon = arena.reach, arena.splits, arena.canon
     orbit: dict[int, int] = {}  # moved part -> its canonical form
+    splits_left = MAX_SPLITS
 
     def options(d: int) -> Iterator[int]:
+        nonlocal splits_left
+        m = d.bit_count()
+        if intervals:
+            splits_left -= m * (m - 1) // 2
+        elif m:
+            splits_left -= (1 << (m - 1)) - 1
+        if splits_left < 0:
+            raise BudgetExceededError(f"{test_class} sweep needs more than {MAX_SPLITS} splits")
         # burning a round on an uninformative test is a legal strategy move;
         # a test that misses d, or covers it, leads to that same child
         yield reach(d)

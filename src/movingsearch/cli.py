@@ -22,12 +22,17 @@ from .nonadaptive import TestMatrix
 from .spaces import cycle, path
 
 OUTDIR_ENV = "MOVINGSEARCH_OUTDIR"
+MAX_RANGE = 100_000  # the most values one ``lo..hi`` range may list
 
 
 def _parse_range(text: str) -> list[int]:
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(v) for v in text.split("..", 1))
+        if lo > hi:
+            raise SystemExit2(f"range {text} runs backwards")
+        if hi - lo >= MAX_RANGE:
+            raise SystemExit2(f"range {text} lists more than {MAX_RANGE} values")
+        return list(range(lo, hi + 1))
     return [int(text)]
 
 
@@ -407,6 +412,9 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
         return 2
     except BudgetExceededError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("resource cap exceeded: out of memory", file=sys.stderr)
         return 3
     except (RegimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

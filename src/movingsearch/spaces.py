@@ -11,14 +11,18 @@ set of positions consistent with the answers so far evolves as
 
 where ``reach`` is the ``speed``-step reachability operator.  ``update``
 applies a round in one pass over ``D_{i-1}`` and ``T_i``, with the checks
-of ``split`` followed by ``neighborhood``.
+of ``split`` followed by ``neighborhood``, and remembers its last 256
+rounds: a strategy tree's leaves are replayed from the root, so the rounds
+of a shared prefix repeat.
 
 Everything in this module is an immutable value or a pure function, so
-unrestricted concurrent use is safe.
+unrestricted concurrent use is safe; the round memo is internal and
+thread-safe (``functools.lru_cache``).
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -293,11 +297,10 @@ def full_set(space: SearchSpace) -> PositionSet:
     return PositionSet.interval(1, space.num_vertices)
 
 
-def _check_members(space: SearchSpace, a: PositionSet, what: str = "position set"):
-    """Raise unless ``a`` lies within 1..N."""
-    ivs = a._ivs
-    if ivs and (ivs[0][0] < 1 or ivs[-1][1] > space.num_vertices):
-        raise ValueError(f"{what} {a} outside the arena's vertex range")
+def _check_members(n: int, ivs: tuple[tuple[int, int], ...], what: str = "position set"):
+    """Raise unless the canonical intervals ``ivs`` lie within 1..n."""
+    if ivs and (ivs[0][0] < 1 or ivs[-1][1] > n):
+        raise ValueError(f"{what} {PositionSet._of(ivs)} outside the arena's vertex range")
 
 
 def distance(space: SearchSpace, u: int, v: int) -> int:
@@ -318,24 +321,24 @@ def neighborhood(space: SearchSpace, a: PositionSet, steps: Optional[int] = None
         steps = space.speed
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    _check_members(space, a)
+    _check_members(space.num_vertices, a._ivs)
     if not a._ivs or steps == 0:
         return a
-    return _fold(space, _grow(a._ivs, steps))
+    return _fold(space.num_vertices, space.topology is Topology.CYCLE, _grow(a._ivs, steps))
 
 
-def _fold(space: SearchSpace, runs: Sequence[tuple[int, int]]) -> PositionSet:
-    """The arena's set covered by ``runs``: nonempty merged runs, widened by
-    one amount from sorted pieces within 1..N.  A piece widened past 1 (or N)
-    meets the run before (after) it, so only the first run can start below 1
-    and only the last end above N.  On a path those overhangs are cut, as
-    clipping each piece before merging would, and on a cycle wrapped."""
-    n = space.num_vertices
+def _fold(n: int, cyclic: bool, runs: Sequence[tuple[int, int]]) -> PositionSet:
+    """The set of the n-vertex path (or cycle) covered by ``runs``: nonempty
+    merged runs, widened by one amount from sorted pieces within 1..n.  A
+    piece widened past 1 (or n) meets the run before (after) it, so only the
+    first run can start below 1 and only the last end above n.  On a path
+    those overhangs are cut, as clipping each piece before merging would,
+    and on a cycle wrapped."""
     (lo, first_hi), (last_lo, hi) = runs[0], runs[-1]
     if lo >= 1 and hi <= n:
         return PositionSet._of(tuple(runs))
     runs = list(runs)
-    if space.topology is Topology.PATH:
+    if not cyclic:
         runs[0] = (max(lo, 1), first_hi)
         runs[-1] = (runs[-1][0], min(hi, n))
         return PositionSet._of(tuple(runs))
@@ -357,7 +360,7 @@ def _fold(space: SearchSpace, runs: Sequence[tuple[int, int]]) -> PositionSet:
 
 def split(space: SearchSpace, d_prev: PositionSet, t: PositionSet, answer: int) -> PositionSet:
     """Candidate positions at test time, before the post-test move."""
-    _check_members(space, t, "test set")
+    _check_members(space.num_vertices, t._ivs, "test set")
     if answer not in (0, 1):
         raise ValueError("answer must be 0 or 1")
     return d_prev & t if answer else d_prev - t
@@ -374,15 +377,37 @@ def update(space: SearchSpace, d_prev: PositionSet, t: PositionSet, answer: int)
     lies in 1..N, so every out-of-range part of ``d_prev`` stays in the
     difference.  On answer 1 the pieces lie in ``t``; ``d_prev`` is unchecked.
 
+    The round is memoized on plain values (``_round``); the end-of-game flag
+    plays no part in it.
+
     May return the empty set, which signals an answer sequence no real
     target walk can produce; callers decide what to do with that.
     """
-    _check_members(space, t, "test set")
+    return _round(
+        space.num_vertices, space.speed, space.topology is Topology.CYCLE, d_prev._ivs, t._ivs, answer
+    )
+
+
+# Replaying a strategy's leaves from the root repeats the rounds of each
+# shared prefix, so the memo must hold one root-to-leaf path and the sibling
+# rounds along it: 254 rounds for a 127-test tree, the deepest that the
+# construct-replay benchmark replays leaf by leaf.  Larger memos find few
+# more repeats and cost peak memory.
+_ROUND_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_ROUND_MEMO_SIZE)
+def _round(
+    n: int, k: int, cyclic: bool, a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...], answer: int
+) -> PositionSet:
+    """``update`` on the arena's size, speed and topology and the interval
+    tuples of ``d_prev`` and ``t``.  The checks read nothing else, so a key
+    found in the memo has passed them; a round that raises is not kept."""
+    _check_members(n, b, "test set")
     if answer not in (0, 1):
         raise ValueError("answer must be 0 or 1")
-    a, b, k = d_prev._ivs, t._ivs, space.speed
-    if not answer and a and (a[0][0] < 1 or a[-1][1] > space.num_vertices):
-        _check_members(space, d_prev - t)  # raises, naming the difference
+    if not answer and a and (a[0][0] < 1 or a[-1][1] > n):
+        _check_members(n, (PositionSet._of(a) - PositionSet._of(b))._ivs)  # raises, naming the difference
     out: list[tuple[int, int]] = []
     j, nb = 0, len(b)
     for lo, hi in a:
@@ -407,7 +432,7 @@ def update(space: SearchSpace, d_prev: PositionSet, t: PositionSet, answer: int)
                     out[-1] = (out[-1][0], phi)
                 else:
                     out.append((plo, phi))
-    return _fold(space, out) if out else PositionSet._of(())
+    return _fold(n, cyclic, out) if out else PositionSet._of(())
 
 
 def final_expand(space: SearchSpace, d: PositionSet) -> PositionSet:

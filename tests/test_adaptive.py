@@ -12,6 +12,7 @@ from helpers import (
 from movingsearch.adaptive import (
     AdaptiveStrategy,
     MinTests,
+    StrategyNode,
     cycle_capacity,
     cycle_min_accuracy,
     cycle_strategy,
@@ -305,6 +306,19 @@ MALFORMED_STRATEGIES = {
     ),
     "shared child": ("node 0 test=1 on0=1 on1=1\nleaf 1 answer=1\n", "node 0 test=1 on0=1 on1=1"),
     "bad id": ("leaf x answer=1\n", "leaf x answer=1"),
+    # the grammar is exactly what serialize writes: fields in order, nothing else
+    "reordered fields": (
+        "node 0 test=1 on1=2 on0=1\nleaf 1 answer=1\nleaf 2 answer=2\n",
+        "node 0 test=1 on1=2 on0=1",
+    ),
+    "extra field": ("leaf 0 answer=1 depth=0\n", "leaf 0 answer=1 depth=0"),
+    "trailing garbage": (
+        "node 0 test=1 on0=1 on1=2 #\nleaf 1 answer=1\nleaf 2 answer=2\n",
+        "node 0 test=1 on0=1 on1=2 #",
+    ),
+    "doubled space": ("leaf  0 answer=1\n", "leaf  0 answer=1"),
+    "spaced set": ("leaf 0 answer=1, 3\n", "leaf 0 answer=1, 3"),
+    "backward interval": ("leaf 0 answer=3-1\n", "leaf 0 answer=3-1"),
 }
 
 
@@ -319,6 +333,37 @@ def test_parse_rejects_malformed_text(case):
 def test_parse_rejects_text_that_is_not_one_tree(text):
     with pytest.raises(ValueError, match="one tree rooted at id 0"):
         AdaptiveStrategy.parse(text, path(4, 1), 2)
+
+
+BUILDER_TREES = {
+    "cycle": lambda: cycle_strategy(cycle_capacity(6, 5, 1), 5, 1),
+    "cycle k=2": lambda: cycle_strategy(cycle_capacity(4, 9, 2), 9, 2),
+    "path": lambda: path_strategy(path_capacity(6, 5, 1), 5, 1),
+    "path k=2": lambda: path_strategy(path_capacity(4, 9, 2), 9, 2),
+    "shifting": lambda: path_shifting_strategy(129, 1),
+    "sliding": lambda: path_sliding_window_strategy(2 * 16 * 2 + 8, 2, 2),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDER_TREES))
+def test_parse_gives_back_the_built_tree(builder):
+    st = BUILDER_TREES[builder]()
+    back = AdaptiveStrategy.parse(st.serialize(), st.space, st.accuracy_target)
+    assert back.root == st.root
+    assert hash(back.root) == hash(st.root)
+    assert back.serialize() == st.serialize()
+
+
+def test_strategy_nodes_are_immutable_values():
+    leaf = StrategyNode(answer=P("1-2"))
+    node = StrategyNode(P("1"), leaf, StrategyNode(answer=P("2")))
+    assert node == StrategyNode(test=P("1"), on0=StrategyNode(answer=P("1-2")), on1=StrategyNode(answer=P("2")))
+    assert hash(node) == hash(StrategyNode(P("1"), leaf, StrategyNode(answer=P("2"))))
+    assert node != StrategyNode(P("1"), leaf, leaf)
+    assert leaf.is_leaf and not node.is_leaf and node.child(0) is leaf
+    assert repr(leaf) == "StrategyNode(test=None, on0=None, on1=None, answer=PositionSet.parse('1-2'))"
+    with pytest.raises(AttributeError):
+        node.test = P("2")
 
 
 def test_parse_builds_deep_trees_without_recursion():

@@ -13,6 +13,7 @@ from movingsearch.adaptive import (
     path_shifting_strategy,
     path_strategy,
 )
+from movingsearch import adversary
 from movingsearch.adversary import (
     CounterCertificate,
     Transcript,
@@ -277,6 +278,24 @@ def test_all_subsets_sweeps_are_capped():
             greedy_forced_size(space, 1, test_class="all_subsets")
     with pytest.raises(BudgetExceededError, match="capped at N <= 22"):
         margin_forced_size(path(n_vertices, 1), 1, 4, test_class="all_subsets")
+
+
+@pytest.mark.parametrize("test_class, first", [("all_subsets", 2**7 - 1), ("intervals", 8 * 7 // 2)])
+def test_sweeps_stop_at_the_split_budget(monkeypatch, test_class, first):
+    # the full path(8, 1) has `first` splits; the budget is checked per state,
+    # before its splits are enumerated
+    space = path(8, 1)
+    want = greedy_forced_size(space, 1, test_class)
+    monkeypatch.setattr(adversary, "MAX_SPLITS", first)
+    assert greedy_forced_size(space, 1, test_class) == want
+    with pytest.raises(BudgetExceededError, match=f"needs more than {first} splits"):
+        greedy_forced_size(space, 2, test_class)
+    monkeypatch.setattr(adversary, "MAX_SPLITS", first - 1)
+    with pytest.raises(BudgetExceededError, match=f"needs more than {first - 1} splits"):
+        greedy_forced_size(space, 1, test_class)
+    monkeypatch.setattr(adversary, "MAX_SPLITS", 0)
+    with pytest.raises(BudgetExceededError, match="needs more than 0 splits"):
+        margin_forced_size(path(path_capacity(1, 4, 1) + 1, 1), 1, 4, test_class)
 
 
 # The greedy and margin adversaries answer deterministically, so the best a

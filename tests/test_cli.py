@@ -225,6 +225,39 @@ def test_all_subsets_sweep_cap_exit_code(capsys):
     assert "capped at N <= 22" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--s-star", "--N", "5..3"), "runs backwards"),
+        (("--s-star", "--N", "1..1000000000000"), "lists more than 100000 values"),
+        (("--s", "5", "--n", "6..0"), "runs backwards"),
+        (("--s", "5", "--n", "0..100000"), "lists more than 100000 values"),
+    ],
+)
+def test_table_rejects_reversed_and_huge_ranges(capsys, argv, message):
+    # checked before any value is listed, so nothing is allocated
+    code, text = run_cli("table", "--k", "1", *argv)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_table_range_at_the_length_limit_runs():
+    code, text = run_cli("table", "--s-star", "--N", "1..100000", "--k", "1", "--format", "csv")
+    assert code == 0 and len(text.splitlines()) == 100_001
+
+
+def test_out_of_memory_is_a_resource_cap(capsys, monkeypatch):
+    def exhausted(n, s, k):
+        raise MemoryError
+
+    monkeypatch.setattr("movingsearch.adaptive.path_capacity", exhausted)
+    code, text = run_cli("table", "--s", "5", "--k", "1", "--n", "1000000000000")
+    assert code == 3 and text == ""
+    err = capsys.readouterr().err
+    assert err == "resource cap exceeded: out of memory\n"
+
+
 def test_nonadaptive_accuracy_table_on_cycles_is_usage_error(capsys):
     code, text = run_cli(
         "table", "--s-star", "--nonadaptive", "--topology", "cycle", "--N", "5..9", "--k", "1",

@@ -24,9 +24,14 @@ def test_reimport_releases_the_previous_copy():
         ms = _fresh_copy()[0]
         space = ms.path(7, 1)
         ms.greedy_forced_size(space, 2)
-        ms.greedy_adversary(space, ms.path_shifting_strategy(7, 1))
+        st = ms.path_shifting_strategy(7, 1)
+        ms.greedy_adversary(space, st)
+        # the round memo of update and the parsed nodes hold the old
+        # copy's values; they must go with it
+        ms.update(space, ms.full_set(space), ms.PositionSet.parse("1-3"), 1)
+        ms.AdaptiveStrategy.parse(st.serialize(), space, st.accuracy_target)
         old = weakref.ref(ms.PositionSet)
-        del ms, space
+        del ms, space, st
         _fresh_copy()
         gc.collect()
         assert old() is None

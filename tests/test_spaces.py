@@ -11,8 +11,10 @@ from helpers import (
     reference_parse_position_set,
     reference_update,
 )
+from movingsearch.adaptive import cycle_capacity, cycle_strategy
 from movingsearch.kernel import Arena
 from movingsearch.spaces import (
+    _ROUND_MEMO_SIZE,
     PositionSet,
     Topology,
     consistent_walk_exists,
@@ -26,6 +28,7 @@ from movingsearch.spaces import (
     split,
     update,
 )
+from movingsearch.spaces import _round as round_memo
 
 P = PositionSet.parse
 
@@ -239,6 +242,45 @@ def test_update_checks_match_reference(make, d, t, y, raises):
         assert got == P("1-3")
     else:
         assert got[0] is ValueError and got[1].startswith(raises)
+
+
+def test_memoized_rounds_keep_arenas_apart():
+    # the same interval tuples on arenas of other sizes, speeds and shapes,
+    # interleaved so that each call follows one that differs in one field;
+    # some are out of range on the smaller arenas and must raise there
+    arenas = [make(n, k, moves) for make in (path, cycle) for n in (6, 7, 9) for k in (1, 2)
+              for moves in (True, False)]
+    sets = [P(text) for text in ("1-3", "2,5", "5-6", "1,6", "4-8", "0-2,6")]
+    calls = [(sp, d, t, y) for d in sets for t in sets for y in (0, 1) for sp in arenas]
+    want = [outcome(reference_update, *call) for call in calls]
+    assert any(isinstance(w, tuple) for w in want) and any(isinstance(w, PositionSet) for w in want)
+    for _ in range(2):  # the second round finds every kept result in the memo
+        assert [outcome(update, *call) for call in calls] == want
+
+
+@pytest.mark.parametrize("t, y", [("0-2", 1), ("5-7", 0), ("2", 2)])
+def test_failed_rounds_raise_every_time(t, y):
+    sp = path(5, 1)
+    first = outcome(update, sp, P("1-3"), P(t), y)
+    assert first[0] is ValueError
+    for _ in range(3):
+        assert outcome(update, sp, P("1-3"), P(t), y) == first
+
+
+def test_round_memo_holds_a_root_to_leaf_path():
+    st = cycle_strategy(cycle_capacity(10, 5, 1), 5, 1)  # a full tree of depth 10
+    assert st.num_nodes() == 2047
+    before = round_memo.cache_info()
+    for bits, leaf in st.leaves():  # every leaf replayed from the root
+        d = full_set(st.space)
+        for test, y in zip(st.replay(bits)[0], bits):
+            d = update(st.space, d, test, y)
+        assert d == leaf.answer
+    after = round_memo.cache_info()
+    assert after.currsize <= after.maxsize == _ROUND_MEMO_SIZE
+    # 1024 leaves of 10 rounds each, on 2046 tree edges: every round of a
+    # shared prefix is found again
+    assert after.hits - before.hits >= 1024 * 10 - 2046
 
 
 @given(members, members, st.integers(min_value=0, max_value=3))
