@@ -29,7 +29,7 @@ from .spaces import (
     update,
 )
 
-DEFAULT_NODE_BUDGET = 250_000
+NODE_BUDGET = 250_000  # the most nodes one constructed strategy tree may have
 
 
 class StrategyNode(NamedTuple):
@@ -182,10 +182,10 @@ class AdaptiveStrategy:
 
 
 class _Builder:
-    """Node factory that enforces the construction budget."""
+    """Node factory that enforces ``NODE_BUDGET``."""
 
-    def __init__(self, budget: int):
-        self.budget = budget
+    def __init__(self):
+        self.budget = NODE_BUDGET
         self.count = 0
 
     def leaf(self, answer: PositionSet) -> StrategyNode:
@@ -324,12 +324,7 @@ def _arc_set(n: int, start0: int, length: int) -> PositionSet:
     return PositionSet([(start0 + 1, n), (1, end0 - n + 1)])
 
 
-def cycle_strategy(
-    n_vertices: int,
-    s: int,
-    k: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> AdaptiveStrategy:
+def cycle_strategy(n_vertices: int, s: int, k: int) -> AdaptiveStrategy:
     """Consecutive-arc halving strategy on the cycle.
 
     From a candidate arc, test its first half: either half re-expands by k
@@ -338,7 +333,7 @@ def cycle_strategy(
     """
     space = cycle(n_vertices, k)
     min_tests(Topology.CYCLE, n_vertices, s, k)  # regime check
-    b = _Builder(node_budget)
+    b = _Builder()
 
     def build(start0: int, length: int) -> StrategyNode:
         if length <= s:
@@ -356,7 +351,7 @@ def cycle_strategy(
 # path constructions
 
 
-def _edge_probe_strategy(n_vertices: int, k: int, window: int, s: int, node_budget: int) -> AdaptiveStrategy:
+def _edge_probe_strategy(n_vertices: int, k: int, window: int, s: int) -> AdaptiveStrategy:
     """Halve once, then slide a probe window inward from the far edge.
 
     A hit on the probe pins the target down to at most window + 2k = s
@@ -364,7 +359,7 @@ def _edge_probe_strategy(n_vertices: int, k: int, window: int, s: int, node_budg
     single interval anchored at one end of the path.
     """
     space = path(n_vertices, k)
-    b = _Builder(node_budget)
+    b = _Builder()
 
     def build(d: PositionSet) -> StrategyNode:
         if len(d) <= s:
@@ -386,21 +381,16 @@ def _edge_probe_strategy(n_vertices: int, k: int, window: int, s: int, node_budg
     return AdaptiveStrategy(space, root, s)
 
 
-def path_shifting_strategy(n_vertices: int, k: int, node_budget: int = DEFAULT_NODE_BUDGET) -> AdaptiveStrategy:
+def path_shifting_strategy(n_vertices: int, k: int) -> AdaptiveStrategy:
     """The accuracy-3k+1 strategy for paths with at least 4k+1 vertices."""
     if k < 1:
         raise ValueError("speed k must be >= 1")
     if n_vertices < 4 * k + 1:
         raise RegimeError(f"path too small: need N >= 4k+1 = {4 * k + 1}")
-    return _edge_probe_strategy(n_vertices, k, window=k + 1, s=3 * k + 1, node_budget=node_budget)
+    return _edge_probe_strategy(n_vertices, k, window=k + 1, s=3 * k + 1)
 
 
-def path_sliding_window_strategy(
-    n_vertices: int,
-    k: int,
-    span: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> AdaptiveStrategy:
+def path_sliding_window_strategy(n_vertices: int, k: int, span: int) -> AdaptiveStrategy:
     """Accuracy-(3k+span) strategy whose probe window slides ``span`` per miss.
 
     With n tests this handles paths up to 2*n*span + 4k vertices; span=1
@@ -410,9 +400,7 @@ def path_sliding_window_strategy(
         raise ValueError("speed k must be >= 1")
     if not 1 <= span <= k:
         raise RegimeError(f"window slide must satisfy 1 <= l <= k, got l={span}")
-    return _edge_probe_strategy(
-        n_vertices, k, window=span + k, s=3 * k + span, node_budget=node_budget
-    )
+    return _edge_probe_strategy(n_vertices, k, window=span + k, s=3 * k + span)
 
 
 def _open_cap(j: int, s: int, k: int) -> int:
@@ -425,12 +413,7 @@ def _half_cap(j: int, s: int, k: int) -> int:
     return (s - 4 * k) * (1 << j) + (j + 4) * k
 
 
-def path_strategy(
-    n_vertices: int,
-    s: int,
-    k: int,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> AdaptiveStrategy:
+def path_strategy(n_vertices: int, s: int, k: int) -> AdaptiveStrategy:
     """Optimal-count path strategy for accuracy s >= 4k.
 
     The first test splits the path into two instances that are bounded on
@@ -441,7 +424,7 @@ def path_strategy(
     """
     space = path(n_vertices, k)
     n = min_tests(Topology.PATH, n_vertices, s, k).n  # also checks the regime
-    b = _Builder(node_budget)
+    b = _Builder()
 
     def clip_test(lo: int, hi: int, flip: bool) -> PositionSet:
         if flip:

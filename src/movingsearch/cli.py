@@ -79,8 +79,9 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _make_space(args, flag_attr: str = "restricted"):
-    moves = not getattr(args, flag_attr, False)
+def _make_space(args):
+    # only ``oracle`` and ``simulate`` take --restricted: nothing else reads the flag
+    moves = not getattr(args, "restricted", False)
     maker = cycle if args.topology == "cycle" else path
     return maker(args.N, args.k, moves_after_last_test=moves)
 
@@ -248,10 +249,7 @@ def _has_strategy_params(args) -> bool:
 
 def cmd_oracle(args, out) -> int:
     space = _make_space(args)
-    override = {"auto": None, "before": False, "after": True}[args.check]
-    gv = oracle.exact_min_tests(
-        space, args.s, test_class=args.test_class, budget=args.budget, check_expanded=override
-    )
+    gv = oracle.exact_min_tests(space, args.s, test_class=args.test_class, budget=args.budget)
     _emit([gv.record()], args.format, out)
     if args.emit_strategy and gv.status == "solved":
         out.write(oracle.extract_strategy(gv).serialize())
@@ -281,7 +279,7 @@ def cmd_codec(args, out) -> int:
 def cmd_verify(args, out) -> int:
     names = args.check if args.check else None
     try:
-        results = verify.run_checks(names, scale=args.scale)
+        results = verify.run_checks(names)
     except KeyError as exc:
         raise SystemExit2(str(exc)) from None
     rows = [r.record() for r in results]
@@ -370,16 +368,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_strategy_params(p)
     p.add_argument("--matrix-file", default=None)
     p.add_argument("--test-class", choices=["intervals", "all_subsets"], default="intervals")
-    p.add_argument("--restricted", action="store_true")
     p.set_defaults(fn=cmd_adversary)
 
     p = sub.add_parser("oracle", help="exact minimax ground truth at desk scale")
-    _add_common(p, s=True)
+    _add_common(p)
+    p.add_argument("--s", type=int, required=True, help="accuracy target")
     p.add_argument("--test-class", choices=["intervals", "all_subsets"], default="intervals")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--restricted", action="store_true")
-    p.add_argument("--check", choices=["auto", "before", "after"], default="auto",
-                   help="where the accuracy check applies relative to the trailing move")
+    p.add_argument("--restricted", action="store_true",
+                   help="the target does not move after the last test")
     p.add_argument("--emit-strategy", action="store_true")
     p.add_argument("--format", choices=["human", "json-lines", "csv"], default="json-lines")
     p.set_defaults(fn=cmd_oracle)
@@ -392,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_codec)
 
     p = sub.add_parser("verify", help="run the acceptance checks")
-    p.add_argument("--scale", choices=["tiny", "default"], default="default")
     p.add_argument("--check", action="append", default=None,
                    help="run only this check (repeatable)")
     p.add_argument("--format", choices=["human", "json-lines", "csv"], default="human")

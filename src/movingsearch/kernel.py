@@ -8,7 +8,8 @@ per arena, the canonical form of a mask under the arena's symmetries, and
 ``splits``, which walks a state's own members for the distinct ways a test
 of either class cuts it, both parts moved.  ``mask_of`` and ``ps_of``
 convert to and from ``PositionSet``, which stays the public and text type.
-``expand_flag`` resolves the engines' ``check_expanded`` option.
+The engines read the end-of-game rule from the space's
+``moves_after_last_test`` alone.
 """
 
 from __future__ import annotations
@@ -21,11 +22,6 @@ TEST_CLASSES = ("intervals", "all_subsets")
 # the largest arena whose all-subsets splits the engines enumerate: a state
 # of N members has 2^(N-1) of them, which ``splits`` materialises
 MAX_SUBSET_N = 22
-
-
-def expand_flag(space: SearchSpace, check_expanded: Optional[bool]) -> bool:
-    """Whether the accuracy check reads the post-move set (the child)."""
-    return space.moves_after_last_test if check_expanded is None else check_expanded
 
 
 def mask_of(ps: PositionSet) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import RegimeError
-from .kernel import Arena, expand_flag, mask_of, ps_of
+from .kernel import Arena, mask_of, ps_of
 from .spaces import PositionSet, SearchSpace
 
 
@@ -129,17 +129,17 @@ def nonadaptive_min_accuracy(n_vertices: int, k: int) -> int:
     return 4 * k
 
 
-def advance_row(
-    arena: Arena, states: frozenset[int], row: int, s: int, expand: bool
-) -> frozenset[int]:
+def advance_row(arena: Arena, states: frozenset[int], row: int, s: int) -> frozenset[int]:
     """One matrix row applied to an antichain of open candidate masks.
 
     Each set splits by the answer to ``row``.  A part is closed when it is
     empty (no target walk gives that answer) or when its announced set (its
-    child if ``expand``, else the part itself) has at most ``s`` elements.
+    child if the arena's space has ``moves_after_last_test``, else the part
+    itself) has at most ``s`` elements.
     The children of the open parts are pruned to the subset-maximal ones: a
     row sequence that resolves a set resolves each of its subsets.
     """
+    expand = arena.space.moves_after_last_test
     out = set()
     for d in states:
         for e in (d & row, d & ~row):
@@ -162,12 +162,7 @@ class MatrixEvaluation:
     worst_final: Optional[PositionSet]  # a largest final candidate set on failure
 
 
-def evaluate_matrix(
-    space: SearchSpace,
-    matrix: TestMatrix,
-    s: int,
-    check_expanded: Optional[bool] = None,
-) -> MatrixEvaluation:
+def evaluate_matrix(space: SearchSpace, matrix: TestMatrix, s: int) -> MatrixEvaluation:
     """Exhaustive worst-case evaluation of a matrix at accuracy ``s``.
 
     Steps the antichain of still-open candidate masks through the rows with
@@ -184,10 +179,9 @@ def evaluate_matrix(
         raise ValueError(
             f"matrix has {matrix.cols} columns but the arena has {arena.n} vertices"
         )
-    expand = expand_flag(space, check_expanded)
     states = frozenset([arena.full])
     for i in range(matrix.rows):
-        states = advance_row(arena, states, mask_of(matrix.row_test(i)), s, expand)
+        states = advance_row(arena, states, mask_of(matrix.row_test(i)), s)
     if not states:
         return MatrixEvaluation(True, None)
     worst = min(states, key=lambda d: (-d.bit_count(), d))

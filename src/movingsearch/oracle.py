@@ -45,11 +45,12 @@ from typing import Optional
 
 from .adaptive import AdaptiveStrategy, StrategyNode
 from .errors import BudgetExceededError
-from .kernel import MAX_SUBSET_N, Arena, expand_flag, ps_of
+from .kernel import MAX_SUBSET_N, Arena, ps_of
 from .nonadaptive import TestMatrix, advance_row
 from .spaces import SearchSpace
 
-MAX_EDGES = 8_000_000  # default cap on stored pairs: about 1.2 GB at N = 69
+MAX_EDGES = 8_000_000  # cap on the oracle's stored pairs: about 1.2 GB at N = 69
+MAX_MATRIX_ENTRIES = 2_000_000  # cap on the matrix search's memo entries
 INF = float("inf")
 # the largest N of the measured ladder (60 s, 3 GB): path(80,1) s=5 and
 # cycle(22,1) s=5 over all subsets, whose states have 2^21 splits each
@@ -57,21 +58,22 @@ _CAPS = {"intervals": 80, "all_subsets": MAX_SUBSET_N}
 
 
 class _Search:
-    """The proof search of one query, at accuracy ``s``.  A branch is its
+    """The proof search of one query, at accuracy ``s``.  The announced set
+    of a part is its moved form (its child) when the arena's space has
+    ``moves_after_last_test``, else the part itself.  A branch is its
     announced size shifted above its canonical child, ``a << N | c``, closed
     once ``a <= s`` and stored as 0 below the floor (``s``, or 0 with
     ``sized``, where one table serves every ``s``); ``hi`` proves 0 won with
-    no test, ``won`` holds won states.  Past ``max_edges`` stored pairs the
+    no test, ``won`` holds won states.  Past ``MAX_EDGES`` stored pairs the
     search raises ``BudgetExceededError``."""
 
-    def __init__(self, arena: Arena, test_class: str, expand: bool, s: int,
-                 max_edges: int, sized: bool = False):
+    def __init__(self, arena: Arena, test_class: str, s: int, sized: bool = False):
         if test_class not in _CAPS:
             raise ValueError(f"unknown test class {test_class!r}")
         if arena.n > _CAPS[test_class]:
             raise BudgetExceededError(f"{test_class} oracle is capped at N <= {_CAPS[test_class]}")
-        self.arena, self.test_class, self.expand = arena, test_class, expand
-        self.max_edges, self.floor = max_edges, 0 if sized else s
+        self.arena, self.test_class = arena, test_class
+        self.expand, self.floor = arena.space.moves_after_last_test, 0 if sized else s
         self.edges, self.trap_seconds = 0, 0.0
         self.table: dict[int, list] = {}
         self._branch: dict[int, int] = {}  # moved part -> its branch above the floor
@@ -124,8 +126,8 @@ class _Search:
             found.add((b1, b0) if b1 >= b0 else (b0, b1))
         out = self.table[d] = sorted(found)
         self.edges += len(out)
-        if self.edges > self.max_edges:
-            raise BudgetExceededError(f"oracle edge cap {self.max_edges} exceeded")
+        if self.edges > MAX_EDGES:
+            raise BudgetExceededError(f"oracle edge cap {MAX_EDGES} exceeded")
         return out
 
     def win(self, d: int, n: int) -> bool:
@@ -236,7 +238,6 @@ class GameValue:
     space: SearchSpace
     s: int
     test_class: str
-    check_expanded: Optional[bool]
     status: str  # "solved" | "unreachable" | "budget_exceeded"
     min_tests: Optional[int]
     states: int
@@ -259,18 +260,15 @@ def exact_min_tests(
     s: int,
     test_class: str = "intervals",
     budget: Optional[int] = None,
-    check_expanded: Optional[bool] = None,
-    max_edges: int = MAX_EDGES,
 ) -> GameValue:
     """Minimax-optimal number of tests for accuracy ``s``, or unreachable.
 
     ``budget`` caps the deepening; hitting it is reported as status
     ``budget_exceeded`` rather than being conflated with unreachability,
     unless the states past the budget show that no strategy exists at all.
-    ``check_expanded`` overrides where the accuracy check is applied (after
-    the trailing move by default in the moves-after-last-test model, before
-    it otherwise).  ``max_edges`` caps the stored pairs: past it the query
-    raises ``BudgetExceededError``.
+    The accuracy check applies after the trailing move when the space has
+    ``moves_after_last_test``, before it otherwise.  Past ``MAX_EDGES``
+    stored pairs the query raises ``BudgetExceededError``.
     """
     if s < 1:
         raise ValueError("accuracy must be >= 1")
@@ -278,11 +276,11 @@ def exact_min_tests(
         raise ValueError("test budget must be >= 0")
     arena = Arena(space)
     start = perf_counter()
-    search = _Search(arena, test_class, expand_flag(space, check_expanded), s, max_edges)
+    search = _Search(arena, test_class, s)
     status, result = ("solved", 0) if arena.full.bit_count() <= s else search.deepen(arena.full, budget)
     elapsed = perf_counter() - start
     return GameValue(
-        space, s, test_class, check_expanded, status, result, len(search.table),
+        space, s, test_class, status, result, len(search.table),
         search.edges, elapsed - search.trap_seconds, search.trap_seconds, search,
     )
 
@@ -291,14 +289,12 @@ def exact_min_accuracy(
     space: SearchSpace,
     n_budget: Optional[int] = None,
     test_class: str = "intervals",
-    check_expanded: Optional[bool] = None,
-    max_edges: int = MAX_EDGES,
 ) -> int:
     """Smallest accuracy reachable within ``n_budget`` tests (any number if None)."""
     if n_budget is not None and n_budget < 0:
         raise ValueError("test budget must be >= 0")
     arena = Arena(space)
-    search = _Search(arena, test_class, expand_flag(space, check_expanded), 1, max_edges, sized=True)
+    search = _Search(arena, test_class, 1, sized=True)
     for s in range(1, arena.n):  # at s = N the full arena fits
         search.at(s)
         if n_budget is not None:
@@ -344,13 +340,7 @@ def extract_strategy(gv: GameValue) -> AdaptiveStrategy:
 # exhaustive search over non-adaptive matrices
 
 
-def exact_best_matrix(
-    space: SearchSpace,
-    s: int,
-    n: int,
-    check_expanded: Optional[bool] = None,
-    max_entries: int = 2_000_000,
-) -> Optional[TestMatrix]:
+def exact_best_matrix(space: SearchSpace, s: int, n: int) -> Optional[TestMatrix]:
     """Some n-row matrix that succeeds at accuracy ``s``, or None if none exists.
 
     The state is the antichain of still-unresolved candidate sets, stepped
@@ -364,6 +354,7 @@ def exact_best_matrix(
     adaptive strategy over all subsets, so a branch is cut once one
     all-subsets engine per call shows that some set in it cannot be won
     within the rows left.  The result is the one the unbounded search finds.
+    Past ``MAX_MATRIX_ENTRIES`` memo entries it raises ``BudgetExceededError``.
     """
     if s < 1:
         raise ValueError("accuracy must be >= 1")
@@ -375,10 +366,9 @@ def exact_best_matrix(
         raise ValueError("need at least one row")
     arena = Arena(space)
     full = arena.full
-    expand = expand_flag(space, check_expanded)
     if full.bit_count() <= s:
         raise ValueError("trivial instance: the whole arena already fits the accuracy")
-    bound = _Search(arena, "all_subsets", expand, s, MAX_EDGES)
+    bound = _Search(arena, "all_subsets", s)
     if not bound.win(full, n):
         return None
 
@@ -396,11 +386,11 @@ def exact_best_matrix(
         if key in memo:
             return memo[key]
         counter["entries"] += 1
-        if counter["entries"] > max_entries:
-            raise BudgetExceededError(f"matrix search cap {max_entries} exceeded")
+        if counter["entries"] > MAX_MATRIX_ENTRIES:
+            raise BudgetExceededError(f"matrix search cap {MAX_MATRIX_ENTRIES} exceeded")
         result = None
         for t in tests:
-            rest = solve(advance_row(arena, states, t, s, expand), rows_left - 1)
+            rest = solve(advance_row(arena, states, t, s), rows_left - 1)
             if rest is not None:
                 result = (t,) + rest
                 break
@@ -413,7 +403,7 @@ def exact_best_matrix(
 
     first_rows = [t for t in tests if t <= norm(arena.reflect(t))]
     for t in first_rows:
-        rest = solve(advance_row(arena, frozenset([full]), t, s, expand), n - 1)
+        rest = solve(advance_row(arena, frozenset([full]), t, s), n - 1)
         if rest is not None:
             rows = (t,) + rest
             return TestMatrix(tuple(tuple((row >> j) & 1 for j in range(arena.n)) for row in rows))

@@ -1,11 +1,11 @@
 """Acceptance checks: reproduce every headline result at desk scale.
 
-Each check is a plain function returning a ``CheckResult``; the CLI's
-``verify`` command and the test suite both run them.  ``scale="tiny"`` is a
-documented subset for smoke runs; ``scale="default"`` runs the full stated
-ranges.  Where a check compares the exact oracle against a formula that
-has no accompanying proof, disagreements are reported in ``findings``
-rather than failing the check; everything else must match exactly.
+Each check is a plain function over one fixed grid, the full stated
+ranges; ``run_check`` wraps it in a ``CheckResult``, and the CLI's
+``verify`` command and the test suite both run them.  Where a check
+compares the exact oracle against a formula that has no accompanying
+proof, disagreements are reported in ``findings`` rather than failing the
+check; everything else must match exactly.
 
 The walk-enumeration reference used here deliberately avoids the library's
 candidate-set machinery: it walks positions one step at a time with its
@@ -115,16 +115,20 @@ def endpoints_by_answers(space: SearchSpace, tests: list[PositionSet]) -> dict:
 
 
 def _strategy_succeeds_everywhere(t: _Tally, strategy: adaptive.AdaptiveStrategy, walks: bool = True):
-    """Leaf soundness on every branch, plus position-level success."""
+    """Leaf soundness on every branch, plus position-level success.  One
+    depth-first walk carries the candidate set down each tree edge, the
+    answer-0 side first."""
     space = strategy.space
-    for bits, leaf in strategy.leaves():
-        d = full_set(space)
-        tests, _ = strategy.replay(bits)
-        for test, y in zip(tests, bits):
-            d = update(space, d, test, y)
-        t.ok(leaf.answer == d, f"leaf mismatch on {bits}")
-        if d:
-            t.ok(len(d) <= strategy.accuracy_target, f"leaf over target on {bits}: {len(d)}")
+    stack = [(strategy.root, (), full_set(space))]
+    while stack:
+        node, bits, d = stack.pop()
+        if node.is_leaf:
+            t.ok(node.answer == d, f"leaf mismatch on {bits}")
+            if d:
+                t.ok(len(d) <= strategy.accuracy_target, f"leaf over target on {bits}: {len(d)}")
+        else:
+            stack.append((node.on1, bits + (1,), update(space, d, node.test, 1)))
+            stack.append((node.on0, bits + (0,), update(space, d, node.test, 0)))
     if not walks:
         return
     seen = set()
@@ -148,7 +152,7 @@ def _strategy_succeeds_everywhere(t: _Tally, strategy: adaptive.AdaptiveStrategy
 # the nine checks
 
 
-def check_example1(t: _Tally, scale: str):
+def check_example1(t: _Tally):
     m = nonadaptive.expanding_accuracy_matrix(16)
     t.ok(m.to_text().split() == list(REFERENCE_MATRIX_16), "matrix differs from the reference")
     t.ok(m.rows == 6 == -(-16 // 2) - 2, "row count is not ceil(N/2)-2")
@@ -157,23 +161,19 @@ def check_example1(t: _Tally, scale: str):
     t.ok(codec.decode(sp, m, (0,) * 6) == PositionSet.parse("1-4"), "all-miss branch decode")
 
 
-def check_eq1(t: _Tally, scale: str):
-    top = 8 if scale == "tiny" else 14
-    for n_vertices in range(5, top + 1):
+def check_eq1(t: _Tally):
+    for n_vertices in range(5, 15):
         want = -(-n_vertices // 2) - 2
         got = oracle.exact_min_tests(path(n_vertices, 1), 4, test_class="intervals")
         t.ok(got.min_tests == want, f"interval oracle at N={n_vertices}: {got.min_tests} != {want}")
-        if n_vertices <= (8 if scale == "tiny" else 9):
+        if n_vertices <= 9:
             sub = oracle.exact_min_tests(path(n_vertices, 1), 4, test_class="all_subsets")
             t.ok(sub.min_tests == want, f"subset oracle at N={n_vertices}: {sub.min_tests}")
 
 
-def check_cycle_capacity(t: _Tally, scale: str):
-    n_max = 2 if scale == "tiny" else 3
-    s_values = (5,) if scale == "tiny" else (5, 6)
-    rungs = list(itertools.product(range(n_max + 1), s_values))
-    if scale != "tiny":
-        rungs.append((4, 5))  # cycle(20, 1), refuted on cycle(21, 1)
+def check_cycle_capacity(t: _Tally):
+    rungs = list(itertools.product(range(4), (5, 6)))
+    rungs.append((4, 5))  # cycle(20, 1), refuted on cycle(21, 1)
     for n, s in rungs:
         cap = adaptive.cycle_capacity(n, s, 1)
         st = adaptive.cycle_strategy(cap, s, 1)
@@ -192,10 +192,8 @@ def check_cycle_capacity(t: _Tally, scale: str):
             )
 
 
-def check_path_capacity(t: _Tally, scale: str):
-    grids = [(1, 4, 1), (1, 5, 1), (2, 8, 2)] if scale == "tiny" else [
-        (n, s, 1) for n in range(4) for s in (4, 5)
-    ] + [(n, 8, 2) for n in range(3)]
+def check_path_capacity(t: _Tally):
+    grids = [(n, s, 1) for n in range(4) for s in (4, 5)] + [(n, 8, 2) for n in range(3)]
     for n, s, k in grids:
         cap = adaptive.path_capacity(n, s, k)
         st = adaptive.path_strategy(cap, s, k)
@@ -205,10 +203,9 @@ def check_path_capacity(t: _Tally, scale: str):
         t.ok(forced >= s + 1, f"margin sweep at N={cap + 1} k={k} n={n}: {forced} < {s + 1}")
 
 
-def check_accuracy_thresholds(t: _Tally, scale: str):
-    top = 6 if scale == "tiny" else 9
+def check_accuracy_thresholds(t: _Tally):
     for k in (1, 2):
-        for n_vertices in range(1, top + 1):
+        for n_vertices in range(1, 10):
             got = oracle.exact_min_accuracy(path(n_vertices, k), test_class="all_subsets")
             t.ok(
                 got == adaptive.path_min_accuracy(n_vertices, k),
@@ -219,18 +216,14 @@ def check_accuracy_thresholds(t: _Tally, scale: str):
                 got == adaptive.cycle_min_accuracy(n_vertices, k),
                 f"cycle accuracy at N={n_vertices} k={k}: {got}",
             )
-    if scale != "tiny":
-        for n_vertices in range(10, 14):
-            got = oracle.exact_min_accuracy(path(n_vertices, 1), test_class="intervals")
-            t.ok(got == adaptive.path_min_accuracy(n_vertices, 1), f"path s* at N={n_vertices}")
-            got = oracle.exact_min_accuracy(path(n_vertices, 2), test_class="intervals")
-            t.ok(got == adaptive.path_min_accuracy(n_vertices, 2), f"path s* k=2 at N={n_vertices}")
+    for n_vertices in range(10, 14):
+        got = oracle.exact_min_accuracy(path(n_vertices, 1), test_class="intervals")
+        t.ok(got == adaptive.path_min_accuracy(n_vertices, 1), f"path s* at N={n_vertices}")
+        got = oracle.exact_min_accuracy(path(n_vertices, 2), test_class="intervals")
+        t.ok(got == adaptive.path_min_accuracy(n_vertices, 2), f"path s* k=2 at N={n_vertices}")
 
     # non-adaptive thresholds by exhaustive matrix search
-    matrix_grid = [(5, 1), (6, 1), (7, 1)] if scale == "tiny" else [
-        (n_vertices, k) for k in (1, 2) for n_vertices in range(3, 9)
-    ]
-    for n_vertices, k in matrix_grid:
+    for k, n_vertices in itertools.product((1, 2), range(3, 9)):
         want = nonadaptive.nonadaptive_min_accuracy(n_vertices, k)
         if n_vertices <= want:
             continue
@@ -248,8 +241,7 @@ def check_accuracy_thresholds(t: _Tally, scale: str):
 
     # counter-strategy refutes any below-4k claim on longer paths
     rng = random.Random(2024)
-    counter_grid = [(7, 1)] if scale == "tiny" else [(7, 1), (9, 1), (13, 2), (16, 2)]
-    for n_vertices, k in counter_grid:
+    for n_vertices, k in [(7, 1), (9, 1), (13, 2), (16, 2)]:
         sp = path(n_vertices, k)
         samples = [nonadaptive.general_k_matrix(n_vertices, k)]
         for _ in range(10):
@@ -269,10 +261,8 @@ def check_accuracy_thresholds(t: _Tally, scale: str):
                 t.ok(walk[-1] in cert.final_candidates, "counter witness misses final set")
 
 
-def check_nonadaptive_optimality(t: _Tally, scale: str):
-    top = 10 if scale == "tiny" else 24
-    fast = (2,) if scale == "tiny" else (2, 3)
-    grids = [(1, range(5, top + 1))] + [(k, range(6 * k + 1, 16 * k + 40)) for k in fast]
+def check_nonadaptive_optimality(t: _Tally):
+    grids = [(1, range(5, 25))] + [(k, range(6 * k + 1, 16 * k + 40)) for k in (2, 3)]
     for k, sizes in grids:
         for n_vertices in sizes:
             if k == 1:
@@ -303,20 +293,18 @@ def check_nonadaptive_optimality(t: _Tally, scale: str):
         )
 
 
-def check_restricted_formulas(t: _Tally, scale: str):
+def check_restricted_formulas(t: _Tally):
     """The source's restricted-model formulas against the oracle, with each
     miss a finding; on cycles with n >= 1 the oracle's capacity must also
     equal ``adaptive.restricted_cycle_capacity``."""
     t.info(
-        "accuracy bookkeeping: check_expanded=None, i.e. the announced set follows "
-        "the arena's moves_after_last_test flag; with the flag off the size check "
+        "accuracy bookkeeping: the announced set follows the arena's "
+        "moves_after_last_test flag; with the flag off the size check "
         "applies before the trailing move"
     )
-    n_max = 2 if scale == "tiny" else 3
-    k_values = (1,) if scale == "tiny" else (1, 2)
-    for k in k_values:
+    for k in (1, 2):
         for s in (4 * k, 4 * k + 1):
-            for n in range(n_max + 1):
+            for n in range(4):
                 for topo, formula in (
                     ("path", (s - 2 * k) * (1 << n) + k * (2 * n + 2)),
                     ("cycle", (s - 2 * k) * (1 << n) + 2 * k),
@@ -355,21 +343,16 @@ def check_restricted_formulas(t: _Tally, scale: str):
                         t.checked += 1
 
 
-def check_soundness_suite(t: _Tally, scale: str):
+def check_soundness_suite(t: _Tally):
     rng = random.Random(99)
-    if scale == "tiny":
-        configs = [("path", 6, 1, 3), ("cycle", 6, 1, 3)]
-        n_test_seqs = 2
-    else:
-        configs = [
-            (topo, n_vertices, k, rounds)
-            for topo in ("path", "cycle")
-            for n_vertices, k, rounds in ((6, 1, 4), (8, 1, 4), (7, 2, 3), (8, 2, 4))
-        ]
-        n_test_seqs = 3
+    configs = [
+        (topo, n_vertices, k, rounds)
+        for topo in ("path", "cycle")
+        for n_vertices, k, rounds in ((6, 1, 4), (8, 1, 4), (7, 2, 3), (8, 2, 4))
+    ]
     for topo, n_vertices, k, rounds in configs:
         sp = path(n_vertices, k) if topo == "path" else cycle(n_vertices, k)
-        for _ in range(n_test_seqs):
+        for _ in range(3):
             tests = [
                 PositionSet.from_members(
                     v for v in range(1, n_vertices + 1) if rng.random() < 0.45
@@ -411,7 +394,7 @@ def check_soundness_suite(t: _Tally, scale: str):
                 t.ok(tr.witness[len(tr.rounds)] in tr.announced, "codec missed the target")
 
     # interval compression against a plain-set reference
-    for _ in range(300 if scale != "tiny" else 60):
+    for _ in range(300):
         a = {rng.randint(1, 30) for _ in range(rng.randint(0, 12))}
         b = {rng.randint(1, 30) for _ in range(rng.randint(0, 12))}
         pa, pb = PositionSet.from_members(a), PositionSet.from_members(b)
@@ -425,9 +408,8 @@ def check_soundness_suite(t: _Tally, scale: str):
         )
 
 
-def check_sliding_window(t: _Tally, scale: str):
-    grid = [(1, 1, 4)] if scale == "tiny" else [(2, 1, 3), (2, 2, 2), (1, 1, 4)]
-    for k, span, n in grid:
+def check_sliding_window(t: _Tally):
+    for k, span, n in [(2, 1, 3), (2, 2, 2), (1, 1, 4)]:
         n_vertices = 2 * n * span + 4 * k
         st = adaptive.path_sliding_window_strategy(n_vertices, k, span)
         t.ok(st.accuracy_target == 3 * k + span, "wrong accuracy target")
@@ -448,12 +430,12 @@ CHECKS: dict[str, tuple[int, Callable]] = {
 }
 
 
-def run_check(name: str, scale: str = "default") -> CheckResult:
+def run_check(name: str) -> CheckResult:
     criterion, fn = CHECKS[name]
     t = _Tally()
     start = time.perf_counter()
     try:
-        fn(t, scale)
+        fn(t)
         passed, error = True, None
     except AssertionError as exc:
         passed, error = False, str(exc)
@@ -462,10 +444,10 @@ def run_check(name: str, scale: str = "default") -> CheckResult:
     )
 
 
-def run_checks(names: Optional[list[str]] = None, scale: str = "default") -> list[CheckResult]:
+def run_checks(names: Optional[list[str]] = None) -> list[CheckResult]:
     if names is None:
         names = list(CHECKS)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise KeyError(f"unknown checks: {', '.join(unknown)}")
-    return [run_check(n, scale) for n in names]
+    return [run_check(n) for n in names]

@@ -5,7 +5,7 @@ reference matrix evaluator."""
 import re
 
 from movingsearch.errors import BudgetExceededError
-from movingsearch.kernel import Arena, expand_flag, mask_of
+from movingsearch.kernel import Arena, mask_of
 from movingsearch.nonadaptive import TestMatrix, advance_row
 from movingsearch.spaces import (
     PositionSet,
@@ -211,9 +211,9 @@ def reference_build_graph(arena, test_class, max_states=500_000):
     return graph
 
 
-def reference_label(arena, graph, s, check_expanded, budget):
+def reference_label(arena, graph, s, budget):
     """Synchronous value iteration; returns (values, reached_fixpoint)."""
-    expand = arena.space.moves_after_last_test if check_expanded is None else check_expanded
+    expand = arena.space.moves_after_last_test
     INF = float("inf")
 
     def branch_value(e, child, vals):
@@ -248,18 +248,18 @@ def reference_label(arena, graph, s, check_expanded, budget):
     return vals, True
 
 
-def reference_min_tests(arena, graph, s, budget=None, check_expanded=None):
+def reference_min_tests(arena, graph, s, budget=None):
     """(status, min_tests) as the former ``exact_min_tests`` reported them."""
-    vals, fixpoint = reference_label(arena, graph, s, check_expanded, budget)
+    vals, fixpoint = reference_label(arena, graph, s, budget)
     root_val = vals.get(arena.full)
     if root_val is not None:
         return "solved", int(root_val)
     return ("unreachable" if fixpoint else "budget_exceeded"), None
 
 
-def reference_min_accuracy(arena, graph, n_budget=None, check_expanded=None):
+def reference_min_accuracy(arena, graph, n_budget=None):
     for s in range(1, arena.n + 1):
-        vals, _fixpoint = reference_label(arena, graph, s, check_expanded, n_budget)
+        vals, _fixpoint = reference_label(arena, graph, s, n_budget)
         v = vals.get(arena.full)
         if v is not None and (n_budget is None or v <= n_budget):
             return s
@@ -308,14 +308,14 @@ def reference_forced_size(arena, start, rounds, test_class, ties):
 # walks all 2^rows answer sequences one by one.
 
 
-def reference_evaluate_matrix(space, matrix, s, check_expanded=None):
+def reference_evaluate_matrix(space, matrix, s):
     """(success, a largest final candidate set or None) by exhaustive descent.
 
     A branch succeeds as soon as the announced set has at most ``s``
     elements; a branch whose candidate set empties is vacuously successful.
     """
     tests = list(matrix.tests())
-    expand = expand_flag(space, check_expanded)
+    expand = space.moves_after_last_test
     worst = [None]
 
     def explore(d, i):
@@ -345,12 +345,11 @@ def reference_evaluate_matrix(space, matrix, s, check_expanded=None):
 # order and symmetries, with no bound.
 
 
-def reference_best_matrix(space, s, n, check_expanded=None):
+def reference_best_matrix(space, s, n):
     """The first n-row matrix in the search order that succeeds at accuracy
     ``s``, or None."""
     arena = Arena(space)
     full = arena.full
-    expand = expand_flag(space, check_expanded)
     tests = [t for t in range(1, full) if not t & 1]  # complement-normalized rows
     memo = {}
 
@@ -363,7 +362,7 @@ def reference_best_matrix(space, s, n, check_expanded=None):
         if key not in memo:
             memo[key] = None
             for t in tests:
-                rest = solve(advance_row(arena, states, t, s, expand), rows_left - 1)
+                rest = solve(advance_row(arena, states, t, s), rows_left - 1)
                 if rest is not None:
                     memo[key] = (t,) + rest
                     break
@@ -375,7 +374,7 @@ def reference_best_matrix(space, s, n, check_expanded=None):
 
     for t in tests:
         if t <= norm(arena.reflect(t)):
-            rest = solve(advance_row(arena, frozenset([full]), t, s, expand), n - 1)
+            rest = solve(advance_row(arena, frozenset([full]), t, s), n - 1)
             if rest is not None:
                 rows = (t,) + rest
                 return TestMatrix(

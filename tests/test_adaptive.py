@@ -9,6 +9,7 @@ from helpers import (
     branch_sizes,
     brute_line_reach,
 )
+from movingsearch import adaptive
 from movingsearch.adaptive import (
     AdaptiveStrategy,
     MinTests,
@@ -389,6 +390,7 @@ def test_replay_descends_by_answers():
     assert len(tests) == 3 and leaf.is_leaf
 
 
-def test_node_budget_enforced():
-    with pytest.raises(BudgetExceededError):
-        path_strategy(24, 4, 1, node_budget=5)
+def test_node_budget_enforced(monkeypatch):
+    monkeypatch.setattr(adaptive, "NODE_BUDGET", 5)
+    with pytest.raises(BudgetExceededError, match="exceeds 5 nodes"):
+        path_strategy(24, 4, 1)

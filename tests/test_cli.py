@@ -7,7 +7,10 @@ import time
 
 import pytest
 
+from helpers import assert_every_walk_succeeds, assert_leaf_soundness
+from movingsearch.adaptive import AdaptiveStrategy
 from movingsearch.cli import main
+from movingsearch.spaces import path
 
 
 def run_cli(*argv):
@@ -139,6 +142,34 @@ def test_oracle_restricted_flag():
     assert code == 0 and rec["flag"] is False and rec["min_tests"] == 1
 
 
+def test_oracle_restricted_strategy_is_sound():
+    code, text = run_cli(
+        "oracle", "--N", "8", "--k", "1", "--s", "4", "--restricted", "--emit-strategy",
+    )
+    record, tree = text.split("\n", 1)
+    assert code == 0 and json.loads(record)["flag"] is False
+    st = AdaptiveStrategy.parse(tree, path(8, 1, moves_after_last_test=False), 4)
+    assert st.depth() == 1
+    assert_leaf_soundness(st)
+    assert_every_walk_succeeds(st)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "--N", "8", "--k", "1"),  # --s is required
+        ("oracle", "--N", "8", "--k", "1", "--s", "4", "--check", "before"),
+        ("adversary", "--mode", "greedy", "--N", "8", "--k", "1", "--n", "2", "--restricted"),
+        ("verify", "--scale", "tiny"),
+    ],
+)
+def test_missing_or_removed_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_simulate_seeded_deterministic():
     code1, text1 = run_cli(
         "simulate", "--topology", "path", "--N", "10", "--k", "1", "--s", "4", "--seed", "3",
@@ -172,9 +203,12 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_verify_tiny_scale():
-    code, text = run_cli("verify", "--scale", "tiny", "--check", "example1", "--check", "sliding-window")
+    code, text = run_cli("verify", "--check", "example1", "--check", "sliding-window")
     assert code == 0
-    assert text.count("PASS") == 2
+    assert [line.split()[:4] for line in text.splitlines()] == [
+        ["PASS", "criterion", "1", "[example1]"],
+        ["PASS", "criterion", "9", "[sliding-window]"],
+    ]
 
 
 def test_verify_unknown_check_is_usage_error():

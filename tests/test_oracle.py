@@ -10,6 +10,7 @@ from helpers import (
     reference_min_accuracy,
     reference_min_tests,
 )
+from movingsearch import oracle
 from movingsearch.adaptive import cycle_capacity, path_capacity, path_min_accuracy
 from movingsearch.errors import BudgetExceededError
 from movingsearch.kernel import Arena
@@ -143,13 +144,26 @@ def test_canon_is_constant_on_orbits_and_commutes_with_reach(make):
 
 
 @pytest.mark.parametrize("make", [path, cycle])
-def test_edge_cap_raises_budget_exceeded(make):
+def test_edge_cap_raises_budget_exceeded(make, monkeypatch):
     sp = make(12, 1)
+    monkeypatch.setattr(oracle, "MAX_EDGES", 10)
     with pytest.raises(BudgetExceededError, match="edge cap"):
-        exact_min_tests(sp, 4, max_edges=10)
+        exact_min_tests(sp, 4)
     with pytest.raises(BudgetExceededError, match="edge cap"):
-        exact_min_accuracy(sp, max_edges=10)
-    assert exact_min_tests(sp, 5, max_edges=10**6).edges < 10**6
+        exact_min_accuracy(sp)
+    monkeypatch.setattr(oracle, "MAX_EDGES", 10**6)
+    assert exact_min_tests(sp, 5).edges < 10**6
+
+
+def test_matrix_search_caps_raise_budget_exceeded(monkeypatch):
+    with pytest.raises(BudgetExceededError, match="N <= 12"):
+        exact_best_matrix(path(13, 1), 4, 3)
+    with pytest.raises(BudgetExceededError, match="n <= 5 rows"):
+        exact_best_matrix(path(8, 1), 4, 6)
+    assert exact_best_matrix(path(10, 1), 4, 3) is not None
+    monkeypatch.setattr(oracle, "MAX_MATRIX_ENTRIES", 1)
+    with pytest.raises(BudgetExceededError, match="matrix search cap 1 exceeded"):
+        exact_best_matrix(path(10, 1), 4, 3)
 
 
 @pytest.mark.parametrize("flag", [True, False])
@@ -210,10 +224,10 @@ def test_restricted_model_small_path():
 
 
 def test_check_expanded_toggle():
-    sp = path(6, 1)
-    forced_pre = exact_min_tests(sp, 3, check_expanded=False)
+    """The space's flag alone says where the accuracy check applies."""
+    forced_pre = exact_min_tests(path(6, 1, moves_after_last_test=False), 3)
     assert forced_pre.min_tests == 1
-    default = exact_min_tests(sp, 3)
+    default = exact_min_tests(path(6, 1), 3)
     assert default.status == "unreachable"
 
 
@@ -341,16 +355,15 @@ def test_pruned_matrix_search_matches_reference(make):
         for k in (1, 2):
             for flag in (True, False):
                 sp = make(n_vertices, k, moves_after_last_test=flag)
-                for check_expanded in (None, not flag):
-                    for s in range(1, n_vertices):
-                        for rows in (1, 2, 3):
-                            got = exact_best_matrix(sp, s, rows, check_expanded)
-                            assert got == reference_best_matrix(
-                                sp, s, rows, check_expanded
-                            ), (make.__name__, n_vertices, k, flag, check_expanded, s, rows)
-                            if got is not None:
-                                found += 1
-                                assert evaluate_matrix(sp, got, s, check_expanded).success
+                for s in range(1, n_vertices):
+                    for rows in (1, 2, 3):
+                        got = exact_best_matrix(sp, s, rows)
+                        assert got == reference_best_matrix(sp, s, rows), (
+                            make.__name__, n_vertices, k, flag, s, rows
+                        )
+                        if got is not None:
+                            found += 1
+                            assert evaluate_matrix(sp, got, s).success
     assert found > 0
 
 
@@ -359,8 +372,8 @@ def test_pruned_matrix_search_with_a_spare_row():
     4-row matrix passes through sets of adaptive value 3 after its first
     row: the bound must label every state up to the row budget, not stop
     once the full arena has its value."""
-    sp = path(10, 2)
-    m = exact_best_matrix(sp, 3, 4, check_expanded=False)
+    sp = path(10, 2, moves_after_last_test=False)
+    m = exact_best_matrix(sp, 3, 4)
     assert m is not None
-    assert m == reference_best_matrix(sp, 3, 4, check_expanded=False)
-    assert exact_best_matrix(sp, 3, 2, check_expanded=False) is None
+    assert m == reference_best_matrix(sp, 3, 4)
+    assert exact_best_matrix(sp, 3, 2) is None
