@@ -79,16 +79,13 @@ class AdaptiveStrategy:
         return deepest
 
     def num_nodes(self) -> int:
-        return sum(1 for _ in self.iter_nodes())
-
-    def iter_nodes(self) -> Iterator[StrategyNode]:
-        stack = [self.root]
+        count, stack = 0, [self.root]
         while stack:
             node = stack.pop()
-            yield node
+            count += 1
             if not node.is_leaf:
-                stack.append(node.on1)
-                stack.append(node.on0)
+                stack += (node.on0, node.on1)
+        return count
 
     def leaves(self) -> Iterator[tuple[tuple[int, ...], StrategyNode]]:
         """(answer bits, leaf) pairs for every root-to-leaf path, the
@@ -265,9 +262,6 @@ class MinTests:
 
     n: int
     exact: bool = True
-
-    def __int__(self) -> int:
-        return self.n
 
 
 def min_tests(topology: Union[Topology, str], n_vertices: int, s: int, k: int) -> MinTests:

@@ -64,17 +64,13 @@ class TranscriptRound:
 @dataclass(frozen=True)
 class Transcript:
     space: SearchSpace
-    initial: PositionSet
     rounds: tuple[TranscriptRound, ...]
     witness: Optional[tuple[int, ...]] = None
     announced: Optional[PositionSet] = None
 
     @property
     def final_candidates(self) -> PositionSet:
-        return self.rounds[-1].candidates if self.rounds else self.initial
-
-    def sizes(self) -> list[int]:
-        return [len(r.candidates) for r in self.rounds]
+        return self.rounds[-1].candidates if self.rounds else full_set(self.space)
 
     def tests(self) -> list[PositionSet]:
         return [r.test for r in self.rounds]
@@ -83,7 +79,7 @@ class Transcript:
         return [r.answer for r in self.rounds]
 
     def serialize(self) -> str:
-        lines = [f"round=0 test=- answer=- D={self.initial}"]
+        lines = [f"round=0 test=- answer=- D={full_set(self.space)}"]
         lines += [r.to_line() for r in self.rounds]
         if self.witness is not None:
             lines.append("walk=" + ",".join(str(p) for p in self.witness))
@@ -126,20 +122,14 @@ class SourceCursor:
             self._i += 1
 
 
-def greedy_adversary(
-    space: SearchSpace,
-    source: TestSource,
-    rounds: Optional[int] = None,
-) -> Transcript:
-    """Answer each test toward the larger candidate set (ties answer 0)."""
+def greedy_adversary(space: SearchSpace, source: TestSource) -> Transcript:
+    """Answer each test toward the larger candidate set (ties answer 0).
+    The rule is online: the first r rounds of a play are ``rounds[:r]``."""
     cursor = SourceCursor(source)
     d = full_set(space)
     out = []
     i = 0
-    while rounds is None or i < rounds:
-        test = cursor.next_test()
-        if test is None:
-            break
+    while (test := cursor.next_test()) is not None:
         i += 1
         d1 = update(space, d, test, 1)
         d0 = update(space, d, test, 0)
@@ -147,7 +137,7 @@ def greedy_adversary(
         d = d1 if answer else d0
         cursor.feed(answer)
         out.append(TranscriptRound(i, test, answer, d))
-    return Transcript(space, full_set(space), tuple(out))
+    return Transcript(space, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +214,7 @@ def window_adversary(space: SearchSpace, source: TestSource) -> Transcript:
             raise WindowInvariantError(f"round {i}: window {window} escaped candidates {d}")
         out.append(TranscriptRound(i, test, answer, d, tracked=window))
         cursor.feed(answer)
-    return Transcript(space, full_set(space), tuple(out))
+    return Transcript(space, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +262,7 @@ def margin_adversary(space: SearchSpace, source: TestSource, n: int, s: int) -> 
             raise AssertionError("tracked set escaped the candidate set")
         out.append(TranscriptRound(i, test, answer, d, tracked=a))
         cursor.feed(answer)
-    return Transcript(space, full_set(space), tuple(out))
+    return Transcript(space, tuple(out))
 
 
 # ---------------------------------------------------------------------------

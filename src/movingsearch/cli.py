@@ -116,9 +116,11 @@ class SystemExit2(Exception):
 
 def cmd_table(args, out) -> int:
     rows = []
-    if args.s_star:
-        if args.N is None:
-            raise SystemExit2("accuracy tables need --N")
+    if args.N is not None:
+        if args.s is not None or args.n is not None:
+            raise SystemExit2(
+                "--N asks for accuracy floors, --s with --n for capacities: give one or the other"
+            )
         if args.nonadaptive and args.topology == "cycle":
             raise SystemExit2("the non-adaptive accuracy floor is known for paths only")
         for n_vertices in _parse_range(args.N):
@@ -137,9 +139,9 @@ def cmd_table(args, out) -> int:
             )
     else:
         if args.nonadaptive:
-            raise SystemExit2("non-adaptive capacity tables are not implemented; use --s-star")
+            raise SystemExit2("non-adaptive capacity tables are not implemented; accuracy floors need --N")
         if args.s is None or args.n is None:
-            raise SystemExit2("capacity tables need --s and --n (or use --s-star with --N)")
+            raise SystemExit2("capacity tables need --s and --n, accuracy floors --N")
         fn = adaptive.cycle_capacity if args.topology == "cycle" else adaptive.path_capacity
         tag = f"{args.topology}-capacity"
         for n in _parse_range(args.n):
@@ -332,11 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--n", type=str, default=None, help="test budget or range, e.g. 0..6")
-    p.add_argument("--N", type=str, default=None, help="vertex count or range, e.g. 1..13")
-    p.add_argument("--s-star", dest="s_star", action="store_true",
-                   help="tabulate the best accuracy instead of capacities")
-    p.add_argument("--nonadaptive", action="store_true",
-                   help="with --s-star: the non-adaptive accuracy floor")
+    p.add_argument("--N", type=str, default=None,
+                   help="vertex count or range, e.g. 1..13: tabulate the best accuracy instead of capacities")
+    p.add_argument("--nonadaptive", action="store_true", help="with --N: the non-adaptive accuracy floor")
     p.add_argument("--format", choices=["human", "json-lines", "csv"], default="human")
     p.set_defaults(fn=cmd_table)
 

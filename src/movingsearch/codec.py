@@ -196,7 +196,7 @@ def simulate_session(
     if accuracy is not None and len(announced) > accuracy:
         raise AssertionError(f"decoded set has {len(announced)} > {accuracy} positions")
     used = tuple(walk[: i + 1]) if i < len(walk) else tuple(walk)
-    return Transcript(space, full_set(space), tuple(rounds), witness=used, announced=announced)
+    return Transcript(space, tuple(rounds), witness=used, announced=announced)
 
 
 def bits_to_text(bits: Sequence[int]) -> str:

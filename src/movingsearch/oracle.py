@@ -28,12 +28,12 @@ than v tests, so outside the set.  Once a budget b runs out, the trap grows
 through states that need more than b tests: a root won in v > b tests has a
 best line whose states need v-1, v-2, ... tests, so the trap meets one that
 needs exactly b, or closes and shows that no strategy exists (the level
-argument of retrograde labelling).  ``exact_min_accuracy`` goes up in s on
-one table that keeps the announced sizes; a growing trap drops only won
-states, so it carries over from s to s+1, and the first s at which it loses
-the root is the answer.  ``extract_strategy`` walks raw sets, taking the
-first split whose open children win with one test fewer, and
-``exact_best_matrix`` bounds its branches with the engine.
+argument of retrograde labelling).  ``exact_min_accuracy``, with any number
+of tests, goes up in s on one table that keeps the announced sizes; a
+growing trap drops only won states, so it carries over from s to s+1, and
+the first s at which it loses the root is the answer.  ``extract_strategy``
+walks raw sets, taking the first split whose open children win with one
+test fewer, and ``exact_best_matrix`` bounds its branches with the engine.
 """
 
 from __future__ import annotations
@@ -85,8 +85,9 @@ class _Search:
         self.at(s)
 
     def at(self, s: int) -> None:
-        """Answer at accuracy ``s``.  Callers only raise it, and a larger
-        accuracy never needs more tests, so ``hi`` and ``won`` carry over."""
+        """Answer at accuracy ``s``.  Only ``exact_min_accuracy`` calls it
+        again, raising ``s`` on a ``sized`` table; a larger accuracy never
+        needs more tests, so ``hi``, ``won`` and the trap carry over."""
         self.s, self.first_open = s, s + 1 << self.arena.n
         self.lo: dict[int, int] = {}
         # need[x]: the fewest tests a state of x members can need, from a
@@ -285,22 +286,14 @@ def exact_min_tests(
     )
 
 
-def exact_min_accuracy(
-    space: SearchSpace,
-    n_budget: Optional[int] = None,
-    test_class: str = "intervals",
-) -> int:
-    """Smallest accuracy reachable within ``n_budget`` tests (any number if None)."""
-    if n_budget is not None and n_budget < 0:
-        raise ValueError("test budget must be >= 0")
+def exact_min_accuracy(space: SearchSpace, test_class: str = "intervals") -> int:
+    """Smallest accuracy reachable with any number of tests: the least s
+    below N at which the trap loses the full arena, else N, which fits."""
     arena = Arena(space)
     search = _Search(arena, test_class, 1, sized=True)
-    for s in range(1, arena.n):  # at s = N the full arena fits
+    for s in range(1, arena.n):
         search.at(s)
-        if n_budget is not None:
-            if search.win(arena.full, n_budget):
-                return s
-        elif search.need[arena.n] < INF and not search.trap(arena.full):
+        if search.need[arena.n] < INF and not search.trap(arena.full):
             return s
     return arena.n
 

@@ -260,14 +260,11 @@ class PositionSet:
             raise ValueError("amount must be >= 0")
         return PositionSet._of(_grow(self._ivs, amount))
 
-    def clipped(self, lo: Optional[int], hi: Optional[int]) -> "PositionSet":
-        """Restriction to [lo, hi]; either bound may be None for unbounded."""
+    def clipped(self, lo: int, hi: int) -> "PositionSet":
+        """Restriction to [lo, hi]."""
         out = []
         for a, b in self._ivs:
-            if lo is not None:
-                a = max(a, lo)
-            if hi is not None:
-                b = min(b, hi)
+            a, b = max(a, lo), min(b, hi)
             if a <= b:
                 out.append((a, b))
         return PositionSet._of(tuple(out))
@@ -311,20 +308,13 @@ def distance(space: SearchSpace, u: int, v: int) -> int:
     return d
 
 
-def neighborhood(space: SearchSpace, a: PositionSet, steps: Optional[int] = None) -> PositionSet:
-    """All vertices reachable from ``a`` by a walk of at most ``steps`` edges.
-
-    ``steps`` defaults to the arena's target speed.  The result always
-    contains ``a``.
-    """
-    if steps is None:
-        steps = space.speed
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+def neighborhood(space: SearchSpace, a: PositionSet) -> PositionSet:
+    """All vertices reachable from ``a`` by a walk of at most the arena's
+    speed in edges.  The result always contains ``a``."""
     _check_members(space.num_vertices, a._ivs)
-    if not a._ivs or steps == 0:
+    if not a._ivs:
         return a
-    return _fold(space.num_vertices, space.topology is Topology.CYCLE, _grow(a._ivs, steps))
+    return _fold(space.num_vertices, space.topology is Topology.CYCLE, _grow(a._ivs, space.speed))
 
 
 def _fold(n: int, cyclic: bool, runs: Sequence[tuple[int, int]]) -> PositionSet:

@@ -96,12 +96,12 @@ def test_greedy_single_round_bounds():
 
 
 def test_greedy_no_rounds_transcript():
-    tr = greedy_adversary(path(5, 1), [], rounds=0)
+    tr = greedy_adversary(path(5, 1), [])
     assert tr.rounds == () and tr.final_candidates == P("1-5")
 
 
 def test_greedy_ties_answer_zero():
-    tr = greedy_adversary(path(8, 1), [P("1-4")], rounds=1)
+    tr = greedy_adversary(path(8, 1), [P("1-4")])
     assert tr.answers() == [0]
     assert tr.final_candidates == P("4-8")
 

@@ -40,7 +40,7 @@ def test_table_cycle_capacity_row():
 
 def test_table_accuracy_column():
     code, text = run_cli(
-        "table", "--topology", "path", "--k", "2", "--s-star", "--N", "1..13",
+        "table", "--topology", "path", "--k", "2", "--N", "1..13",
         "--format", "json-lines",
     )
     assert code == 0
@@ -161,6 +161,7 @@ def test_oracle_restricted_strategy_is_sound():
         ("oracle", "--N", "8", "--k", "1", "--s", "4", "--check", "before"),
         ("adversary", "--mode", "greedy", "--N", "8", "--k", "1", "--n", "2", "--restricted"),
         ("verify", "--scale", "tiny"),
+        ("table", "--k", "1", "--s-star", "--N", "5"),
     ],
 )
 def test_missing_or_removed_options_are_usage_errors(capsys, argv):
@@ -222,7 +223,7 @@ def test_usage_error_exit_code():
 
 
 def test_accuracy_table_without_vertex_range_is_usage_error(capsys):
-    code, _ = run_cli("table", "--k", "1", "--s-star")
+    code, _ = run_cli("table", "--k", "1")
     assert code == 2
     err = capsys.readouterr().err
     assert "--N" in err and "Traceback" not in err
@@ -262,8 +263,8 @@ def test_all_subsets_sweep_cap_exit_code(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("--s-star", "--N", "5..3"), "runs backwards"),
-        (("--s-star", "--N", "1..1000000000000"), "lists more than 100000 values"),
+        (("--N", "5..3"), "runs backwards"),
+        (("--N", "1..1000000000000"), "lists more than 100000 values"),
         (("--s", "5", "--n", "6..0"), "runs backwards"),
         (("--s", "5", "--n", "0..100000"), "lists more than 100000 values"),
     ],
@@ -277,7 +278,7 @@ def test_table_rejects_reversed_and_huge_ranges(capsys, argv, message):
 
 
 def test_table_range_at_the_length_limit_runs():
-    code, text = run_cli("table", "--s-star", "--N", "1..100000", "--k", "1", "--format", "csv")
+    code, text = run_cli("table", "--N", "1..100000", "--k", "1", "--format", "csv")
     assert code == 0 and len(text.splitlines()) == 100_001
 
 
@@ -294,11 +295,27 @@ def test_out_of_memory_is_a_resource_cap(capsys, monkeypatch):
 
 def test_nonadaptive_accuracy_table_on_cycles_is_usage_error(capsys):
     code, text = run_cli(
-        "table", "--s-star", "--nonadaptive", "--topology", "cycle", "--N", "5..9", "--k", "1",
+        "table", "--nonadaptive", "--topology", "cycle", "--N", "5..9", "--k", "1",
     )
     assert code == 2 and text == ""
     err = capsys.readouterr().err
     assert "paths only" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--s", "4", "--n", "0..2", "--N", "5"),
+        ("--N", "5..6", "--s", "4", "--n", "2"),
+        ("--N", "5", "--n", "2"),
+    ],
+)
+def test_table_with_floor_and_capacity_inputs_is_usage_error(capsys, argv):
+    # --N asks for accuracy floors, --s with --n for capacities: no input is ignored
+    code, text = run_cli("table", "--k", "1", *argv)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("topology", ["path", "cycle"])
