@@ -36,7 +36,8 @@ class StrategyNode(NamedTuple):
     """Internal node (test plus two children) or leaf (answer set).  A
     named tuple: immutable, compared and hashed by value, and cheaper to
     build than a frozen dataclass, which matters at tens of thousands of
-    nodes per tree."""
+    nodes per tree.  Hot paths build nodes positionally and read the fields
+    directly, not ``is_leaf`` and ``child``."""
 
     test: Optional[PositionSet] = None
     on0: Optional["StrategyNode"] = None
@@ -71,7 +72,7 @@ class AdaptiveStrategy:
         stack = [(self.root, 0)]
         while stack:
             node, d = stack.pop()
-            if node.is_leaf:
+            if node.test is None:
                 deepest = max(deepest, d)
             else:
                 stack.append((node.on0, d + 1))
@@ -83,7 +84,7 @@ class AdaptiveStrategy:
         while stack:
             node = stack.pop()
             count += 1
-            if not node.is_leaf:
+            if node.test is not None:
                 stack += (node.on0, node.on1)
         return count
 
@@ -93,7 +94,7 @@ class AdaptiveStrategy:
         stack = [(self.root, ())]
         while stack:
             node, bits = stack.pop()
-            if node.is_leaf:
+            if node.test is None:
                 yield bits, node
             else:
                 stack.append((node.on1, bits + (1,)))
@@ -104,10 +105,11 @@ class AdaptiveStrategy:
         node = self.root
         tests = []
         for bit in answers:
-            if node.is_leaf:
+            test = node.test
+            if test is None:
                 break
-            tests.append(node.test)
-            node = node.child(bit)
+            tests.append(test)
+            node = node.on1 if bit else node.on0
         return tests, node
 
     # one node per line: "node <id> test=<set> on0=<id> on1=<id>" or
@@ -121,12 +123,12 @@ class AdaptiveStrategy:
             node, parent = stack.pop()
             if parent is not None:
                 on1[parent] = len(nodes)
-            if not node.is_leaf:
+            if node.test is not None:
                 stack.append((node.on1, len(nodes)))
                 stack.append((node.on0, None))
             nodes.append(node)
         lines = [
-            f"leaf {i} answer={node.answer}" if node.is_leaf
+            f"leaf {i} answer={node.answer}" if node.test is None
             else f"node {i} test={node.test} on0={i + 1} on1={on1[i]}"
             for i, node in enumerate(nodes)
         ]
@@ -140,6 +142,7 @@ class AdaptiveStrategy:
         own that no other node uses.  Text that breaks this, or that is not
         one tree rooted at id 0, raises ``ValueError`` naming the line."""
         raw: dict[int, tuple] = {}
+        parse_set = PositionSet.parse
         for line in text.splitlines():
             line = line.strip()
             if not line:
@@ -152,7 +155,7 @@ class AdaptiveStrategy:
                 )
             leaf_id, answer, node_id, test, on0, on1 = m.groups()
             try:
-                ps = PositionSet.parse(test if answer is None else answer)
+                ps = parse_set(test if answer is None else answer)
             except ValueError as exc:  # an interval that runs backwards
                 raise ValueError(f"bad strategy line {line!r}: {exc!r}") from None
             if answer is None:
@@ -167,12 +170,12 @@ class AdaptiveStrategy:
         for nid in sorted(raw, reverse=True):
             line, ps, children = raw[nid]
             if not children:
-                built[nid] = StrategyNode(answer=ps)
+                built[nid] = StrategyNode(None, None, None, ps)
                 continue
             on0, on1 = children
             if on0 == on1 or on0 not in built or on1 not in built:
                 raise ValueError(f"strategy line {line!r}: children must be distinct, later, unused ids")
-            built[nid] = StrategyNode(test=ps, on0=built.pop(on0), on1=built.pop(on1))
+            built[nid] = StrategyNode(ps, built.pop(on0), built.pop(on1))
         if list(built) != [0]:
             raise ValueError("strategy text is not one tree rooted at id 0")
         return cls(space, built[0], accuracy_target)
@@ -186,16 +189,16 @@ class _Builder:
         self.count = 0
 
     def leaf(self, answer: PositionSet) -> StrategyNode:
-        return self._mk(StrategyNode(answer=answer))
-
-    def node(self, test: PositionSet, on0: StrategyNode, on1: StrategyNode) -> StrategyNode:
-        return self._mk(StrategyNode(test=test, on0=on0, on1=on1))
-
-    def _mk(self, node: StrategyNode) -> StrategyNode:
         self.count += 1
         if self.count > self.budget:
             raise BudgetExceededError(f"strategy tree exceeds {self.budget} nodes")
-        return node
+        return StrategyNode(None, None, None, answer)
+
+    def node(self, test: PositionSet, on0: StrategyNode, on1: StrategyNode) -> StrategyNode:
+        self.count += 1
+        if self.count > self.budget:
+            raise BudgetExceededError(f"strategy tree exceeds {self.budget} nodes")
+        return StrategyNode(test, on0, on1)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +318,9 @@ def _arc_set(n: int, start0: int, length: int) -> PositionSet:
     end0 = start0 + length - 1
     if end0 < n:
         return PositionSet.interval(start0 + 1, end0 + 1)
-    return PositionSet([(start0 + 1, n), (1, end0 - n + 1)])
+    # wrapped: the two pieces hold length < n vertices, so at least one lies
+    # between them and the pair is canonical as it stands
+    return PositionSet._of(((1, end0 - n + 1), (start0 + 1, n)))
 
 
 def cycle_strategy(n_vertices: int, s: int, k: int) -> AdaptiveStrategy:
@@ -421,9 +426,11 @@ def path_strategy(n_vertices: int, s: int, k: int) -> AdaptiveStrategy:
     b = _Builder()
 
     def clip_test(lo: int, hi: int, flip: bool) -> PositionSet:
+        # the model interval is never empty: every test takes t >= 1 members
         if flip:
             lo, hi = n_vertices + 1 - hi, n_vertices + 1 - lo
-        return PositionSet.interval(lo, hi).clipped(1, n_vertices)
+        lo, hi = max(lo, 1), min(hi, n_vertices)
+        return PositionSet._of(((lo, hi),) if lo <= hi else ())
 
     def build_open(d: PositionSet, lo: int, hi: int, j: int, flip: bool) -> StrategyNode:
         # model state: interval [lo, hi], free to grow on both sides

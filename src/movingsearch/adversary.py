@@ -112,12 +112,12 @@ class SourceCursor:
 
     def next_test(self) -> Optional[PositionSet]:
         if self._node is not None:
-            return None if self._node.is_leaf else self._node.test
+            return self._node.test  # None at a leaf
         return self._fixed[self._i] if self._i < len(self._fixed) else None
 
     def feed(self, answer: int):
         if self._node is not None:
-            self._node = self._node.child(answer)
+            self._node = self._node.on1 if answer else self._node.on0
         else:
             self._i += 1
 

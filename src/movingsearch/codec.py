@@ -60,10 +60,12 @@ class CodecSession:
 
     @property
     def decoded(self) -> PositionSet:
-        """The set the receiver would announce if transmission stopped now."""
+        """The set the receiver would announce if transmission stopped now,
+        ``final_expand`` of the test-time set: the post-move set already held
+        if the target moves after the last test, else the test-time set."""
         if not self.bits:
             return full_set(self.space)
-        return final_expand(self.space, self._pre)
+        return self._post if self.space.moves_after_last_test else self._pre
 
     @property
     def done(self) -> bool:
@@ -125,7 +127,7 @@ def _walk_steps(space: SearchSpace, seed: int) -> Iterator[int]:
     pos = rng.randint(1, space.num_vertices)
     while True:
         yield pos
-        pos = rng.choice(list(neighborhood(space, PositionSet.from_members([pos]))))
+        pos = rng.choice(list(neighborhood(space, PositionSet.interval(pos, pos))))
 
 
 def random_walk(space: SearchSpace, length: int, seed: int) -> tuple[int, ...]:

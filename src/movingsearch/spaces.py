@@ -34,11 +34,17 @@ class Topology(Enum):
     CYCLE = "cycle"
 
 
+# Looking a member up on an Enum class is slow; the hot paths compare with this.
+_CYCLE = Topology.CYCLE
+
+
 @dataclass(frozen=True)
 class SearchSpace:
     """Arena description: graph shape, size, target speed, end-of-game rule.
 
-    ``num_vertices`` is the number N of vertices, labelled 1..N.
+    ``topology`` may be given by name (``"path"``, ``"cycle"``) and is stored
+    as the ``Topology`` member.  ``num_vertices`` is the number N of
+    vertices, labelled 1..N.
 
     ``moves_after_last_test`` selects the end-of-game convention: True means
     the target takes one more move after the final test (the searcher's
@@ -52,6 +58,11 @@ class SearchSpace:
     moves_after_last_test: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "topology", Topology(self.topology))  # ValueError on an unknown name
+        for name in ("num_vertices", "speed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.num_vertices < 1:
             raise ValueError("num_vertices must be >= 1")
         if self.speed < 1:
@@ -81,8 +92,9 @@ class PositionSet:
     The constructor accepts intervals in any order and normalizes them.
     The internal ``_of`` wraps a tuple that is already canonical without
     looking at it; only operations whose output is canonical by
-    construction (intersection, difference, clipping, reach) use it, which
-    keeps each of them linear in the number of intervals.
+    construction (intersection, difference, clipping, reach) or checked
+    canonical on the way (``parse`` of canonical text) use it, which keeps
+    each of them linear in the number of intervals.
     """
 
     __slots__ = ("_ivs",)
@@ -128,13 +140,32 @@ class PositionSet:
 
     @classmethod
     def parse(cls, text: str) -> "PositionSet":
-        """Read the text form back.  A fragment is a range ``N-M`` if the
-        precompiled ``_RANGE`` matches it, else one label that ``int``
-        accepts (``+5``, ``1_0``), else ValueError; ``int`` rejects all
-        that ``_RANGE`` matches, so the order of the two tries is free."""
+        """Read the text form back.  Canonical text (what ``str`` writes for
+        labels >= 0) takes a fast path: fragments ``D`` or ``D-D`` of decimal
+        digits, checked in the same pass to run forwards and to start two
+        past the previous end, go to ``_of`` as they are.  Other text is read
+        again: a fragment is a range ``N-M`` if the precompiled ``_RANGE``
+        matches it, else one label that ``int`` accepts (``+5``, ``1_0``),
+        else ValueError, and the constructor sorts and merges."""
         text = text.strip()
         if text in ("", "-"):
             return cls.empty()
+        ivs, end = [], -2  # labels read here are >= 0, so any first interval fits
+        try:
+            for part in text.split(","):
+                lo, dash, hi = part.partition("-")
+                if not lo.isdecimal() or (dash and not hi.isdecimal()):
+                    break
+                lo = int(lo)
+                hi = int(hi) if dash else lo
+                if hi < lo or lo <= end + 1:
+                    break
+                ivs.append((lo, hi))
+                end = hi
+            else:
+                return cls._of(tuple(ivs))
+        except ValueError:  # an over-long label: the reading below reports it as before
+            pass
         ivs = []
         for part in text.split(","):
             part = part.strip()
@@ -156,10 +187,12 @@ class PositionSet:
         return self._ivs
 
     def cardinality(self) -> int:
-        return sum(hi - lo + 1 for lo, hi in self._ivs)
+        n = 0
+        for lo, hi in self._ivs:
+            n += hi - lo + 1
+        return n
 
-    def __len__(self) -> int:
-        return self.cardinality()
+    __len__ = cardinality
 
     def __bool__(self) -> bool:
         return bool(self._ivs)
@@ -291,7 +324,7 @@ def _grow(ivs: Sequence[tuple[int, int]], amount: int) -> tuple[tuple[int, int],
 
 def full_set(space: SearchSpace) -> PositionSet:
     """The initial candidate set: every labelled vertex."""
-    return PositionSet.interval(1, space.num_vertices)
+    return PositionSet._of(((1, space.num_vertices),))
 
 
 def _check_members(n: int, ivs: tuple[tuple[int, int], ...], what: str = "position set"):
@@ -303,7 +336,7 @@ def _check_members(n: int, ivs: tuple[tuple[int, int], ...], what: str = "positi
 def distance(space: SearchSpace, u: int, v: int) -> int:
     """Graph distance between two vertices (loops ignored)."""
     d = abs(u - v)
-    if space.topology is Topology.CYCLE:
+    if space.topology is _CYCLE:
         return min(d, space.num_vertices - d)
     return d
 
@@ -314,7 +347,7 @@ def neighborhood(space: SearchSpace, a: PositionSet) -> PositionSet:
     _check_members(space.num_vertices, a._ivs)
     if not a._ivs:
         return a
-    return _fold(space.num_vertices, space.topology is Topology.CYCLE, _grow(a._ivs, space.speed))
+    return _fold(space.num_vertices, space.topology is _CYCLE, _grow(a._ivs, space.speed))
 
 
 def _fold(n: int, cyclic: bool, runs: Sequence[tuple[int, int]]) -> PositionSet:
@@ -374,7 +407,7 @@ def update(space: SearchSpace, d_prev: PositionSet, t: PositionSet, answer: int)
     target walk can produce; callers decide what to do with that.
     """
     return _round(
-        space.num_vertices, space.speed, space.topology is Topology.CYCLE, d_prev._ivs, t._ivs, answer
+        space.num_vertices, space.speed, space.topology is _CYCLE, d_prev._ivs, t._ivs, answer
     )
 
 
@@ -465,9 +498,10 @@ def consistent_walk_exists(
             return None
         at_test.append(e)
         reachable = neighborhood(space, e)
-    walk = [reachable.min_value()]
+    walk = [reachable.min_value()]  # built last position first
     for e in reversed(at_test):
-        step = neighborhood(space, PositionSet.from_members([walk[0]]))
-        walk.insert(0, (e & step).min_value())
+        step = neighborhood(space, PositionSet.interval(walk[-1], walk[-1]))
+        walk.append((e & step).min_value())
+    walk.reverse()
     return tuple(walk)
 

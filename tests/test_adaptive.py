@@ -25,8 +25,11 @@ from movingsearch.adaptive import (
     path_strategy,
     restricted_cycle_capacity,
 )
+from movingsearch.adversary import greedy_adversary
+from movingsearch.codec import simulate_session
 from movingsearch.errors import BudgetExceededError, RegimeError
-from movingsearch.spaces import PositionSet, Topology, path
+from movingsearch.spaces import PositionSet, Topology, consistent_walk_exists, path
+from movingsearch.spaces import _round as round_memo
 
 P = PositionSet.parse
 
@@ -394,3 +397,56 @@ def test_node_budget_enforced(monkeypatch):
     monkeypatch.setattr(adaptive, "NODE_BUDGET", 5)
     with pytest.raises(BudgetExceededError, match="exceeds 5 nodes"):
         path_strategy(24, 4, 1)
+
+
+# -- canonical form ----------------------------------------------------------
+
+
+@pytest.fixture
+def canonical_of(monkeypatch):
+    """``PositionSet._of`` asserts that every tuple it wraps is canonical,
+    so a fast path that hands it anything else fails here instead of
+    breaking equality and hashing.  The round memo starts empty, so every
+    round builds its result under the check."""
+    wrap = PositionSet.__dict__["_of"].__func__
+
+    def checked(cls, ivs):
+        assert isinstance(ivs, tuple) and all(lo <= hi for lo, hi in ivs), ivs
+        assert all(b[0] >= a[1] + 2 for a, b in zip(ivs, ivs[1:])), ivs
+        return wrap(cls, ivs)
+
+    monkeypatch.setattr(PositionSet, "_of", classmethod(checked))
+    round_memo.cache_clear()
+
+
+def test_canonical_guard_rejects_adjacent_and_reversed_intervals(canonical_of):
+    for ivs in (((1, 2), (3, 4)), ((3, 1),), ((5, 6), (1, 2)), [(1, 2)]):
+        with pytest.raises(AssertionError):
+            PositionSet._of(ivs)
+    assert PositionSet._of(((1, 2), (4, 4))) == P("1-2,4")
+
+
+GUARDED_TREES = {
+    **{f"cycle n={n}": lambda n=n: cycle_strategy(cycle_capacity(n, 5, 1), 5, 1) for n in range(4)},
+    "cycle k=2": lambda: cycle_strategy(cycle_capacity(2, 9, 2), 9, 2),
+    "cycle below capacity": lambda: cycle_strategy(11, 5, 1),
+    **{f"path n={n}": lambda n=n: path_strategy(path_capacity(n, 5, 1), 5, 1) for n in range(4)},
+    "path k=2": lambda: path_strategy(path_capacity(2, 9, 2), 9, 2),
+    "path below capacity": lambda: path_strategy(15, 4, 1),
+    **{f"shifting N={n}": lambda n=n: path_shifting_strategy(n, 1) for n in (5, 6, 17)},
+    "shifting k=2": lambda: path_shifting_strategy(21, 2),
+    **{f"sliding span={span}": lambda span=span: path_sliding_window_strategy(4 * span + 8, 2, span) for span in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("builder", sorted(GUARDED_TREES))
+def test_builders_and_round_trips_wrap_only_canonical_tuples(canonical_of, builder):
+    st = GUARDED_TREES[builder]()
+    back = AdaptiveStrategy.parse(st.serialize(), st.space, st.accuracy_target)
+    assert back.root == st.root
+    assert_leaf_soundness(back)
+    for seed in range(3):
+        tr = simulate_session(back.space, back, seed=seed)
+        assert len(tr.announced) <= back.accuracy_target
+    tr = greedy_adversary(back.space, back)
+    assert consistent_walk_exists(back.space, tr.tests(), tr.answers()) is not None

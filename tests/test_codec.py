@@ -10,7 +10,7 @@ from movingsearch.codec import (
     text_to_bits,
 )
 from movingsearch.nonadaptive import expanding_accuracy_matrix
-from movingsearch.spaces import PositionSet, cycle, full_set, is_valid_walk, path, update
+from movingsearch.spaces import PositionSet, cycle, final_expand, full_set, is_valid_walk, path, update
 
 P = PositionSet.parse
 
@@ -127,6 +127,24 @@ def test_seeded_session_plays_the_seeded_walk(flag):
             tr = simulate_session(sp, strategy, seed=seed, accuracy=accuracy)
             assert tr == simulate_session(sp, strategy, walk=fixed, accuracy=accuracy)
             assert tr.witness == fixed[: len(tr.rounds) + 1]
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_decoded_is_the_final_expansion_after_every_step(flag):
+    sources = [
+        (path(10, 1, moves_after_last_test=flag), path_strategy(10, 4, 1)),
+        (cycle(12, 1, moves_after_last_test=flag), cycle_strategy(12, 5, 1)),
+        (path(16, 1, moves_after_last_test=flag), expanding_accuracy_matrix(16)),
+    ]
+    for sp, strategy in sources:
+        for seed in range(10):
+            session = CodecSession(sp, strategy)
+            assert session.decoded == full_set(sp)
+            for pos in random_walk(sp, 8, seed):
+                if session.done:
+                    break
+                session.encode_step(pos)
+                assert session.decoded == final_expand(sp, session._pre)
 
 
 def test_bit_budget_matches_min_tests():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,9 +14,11 @@ from helpers import (
 )
 from movingsearch.adaptive import cycle_capacity, cycle_strategy
 from movingsearch.kernel import Arena
+from movingsearch.oracle import exact_min_tests
 from movingsearch.spaces import (
     _ROUND_MEMO_SIZE,
     PositionSet,
+    SearchSpace,
     Topology,
     consistent_walk_exists,
     cycle,
@@ -81,6 +84,50 @@ def test_parse_matches_reference_parser(text):
 @pytest.mark.parametrize("text", ["+5", "1_0", " 3 - 4 ", "\u0663-\u096b", "2-1", "5-", "1-2-3", "x", ","])
 def test_parse_edge_fragments_match_reference_parser(text):
     assert outcome(P, text) == outcome(reference_parse_position_set, text)
+
+
+def render(ivs, singles):
+    """Interval list as text: ``lo-hi``, or ``lo`` where singles says so."""
+    return ",".join(str(lo) if one and lo == hi else f"{lo}-{hi}" for (lo, hi), one in zip(ivs, singles))
+
+
+def chain(start, steps):
+    """Intervals in increasing order, each ``gap`` past the previous end and
+    ``length`` long: gap 1 is adjacent, gap <= 0 overlaps, length < 0
+    runs backwards."""
+    ivs, end = [], start
+    for gap, length in steps:
+        lo = end + gap
+        end = lo + length
+        ivs.append((lo, end))
+    return ivs
+
+
+# canonical lists, near-canonical ones (sorted, with adjacent, overlapping or
+# reversed intervals mixed in), and lists in any order
+canonical_intervals = st.sets(st.integers(0, 60), max_size=30).map(
+    lambda members: PositionSet.from_members(members).intervals
+)
+sorted_intervals = st.builds(
+    chain, st.integers(0, 5), st.lists(st.tuples(st.integers(-1, 3), st.integers(-1, 3)), max_size=6)
+)
+any_intervals = st.lists(st.tuples(st.integers(-3, 30), st.integers(-3, 30)), max_size=6)
+
+
+@given(
+    st.one_of(canonical_intervals, sorted_intervals, any_intervals),
+    st.lists(st.booleans(), min_size=30, max_size=30),
+)
+@settings(max_examples=400)
+def test_parse_fast_path_matches_reference_parser(ivs, singles):
+    text = render(ivs, singles)
+    got = outcome(P, text)
+    want = outcome(reference_parse_position_set, text)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, PositionSet) and got.intervals == want.intervals
+        assert str(P(str(got))) == str(got)
 
 
 def test_set_equality_independent_of_decomposition():
@@ -372,6 +419,40 @@ def test_consistent_walk_small_case_against_enumeration():
     assert walk[:2] in ok
 
 
+def reference_witness(sp, tests, answers):
+    """consistent_walk_exists on plain sets of labels: forward sets of the
+    positions at each test, then back from the smallest final position,
+    the smallest label within speed of the next one at each step."""
+    labels = range(1, sp.num_vertices + 1)
+    reachable, at_test = set(labels), []
+    for t, y in zip(tests, answers):
+        e = {p for p in reachable if (p in t) == bool(y)}
+        if not e:
+            return None
+        at_test.append(e)
+        reachable = {q for p in e for q in labels if distance(sp, p, q) <= sp.speed}
+    walk = [min(reachable)]
+    for e in reversed(at_test):
+        walk.append(min(p for p in e if distance(sp, p, walk[-1]) <= sp.speed))
+    return tuple(reversed(walk))
+
+
+def test_consistent_walk_is_the_smallest_label_witness():
+    rng = random.Random(5)
+    found = 0
+    for _ in range(300):
+        sp = rng.choice((path, cycle))(rng.randint(3, 9), rng.randint(1, 2))
+        rounds = rng.randint(1, 4)
+        tests = [PositionSet.from_members(rng.sample(range(1, sp.num_vertices + 1), rng.randint(1, 3)))
+                 for _ in range(rounds)]
+        answers = [rng.randint(0, 1) for _ in range(rounds)]
+        walk = consistent_walk_exists(sp, tests, answers)
+        assert walk == reference_witness(sp, tests, answers)
+        found += walk is not None
+    assert found > 100
+    assert consistent_walk_exists(path(6, 1), [P("3"), P("4-6")], [1, 1]) == (3, 4, 3)
+
+
 def test_inconsistent_answers_have_no_walk():
     sp = path(4, 1)
     # being inside {1,2} at one test and at vertex 4 the next needs speed >= 2
@@ -458,3 +539,14 @@ def test_space_validation():
         cycle(5, 0)
     assert path(5, 1).topology is Topology.PATH
     assert split(path(5, 1), P("1-5"), P("2-3"), 1) == P("2-3")
+    # a topology given by name is the member, so every module reads one arena
+    named = SearchSpace("path", 9, 1)
+    assert named.topology is Topology.PATH and named == path(9, 1)
+    assert neighborhood(named, P("1")) == P("1-2")
+    assert exact_min_tests(named, 4).min_tests == exact_min_tests(path(9, 1), 4).min_tests == 3
+    assert SearchSpace("cycle", 9, 1) == cycle(9, 1)
+    with pytest.raises(ValueError, match="not a valid Topology"):
+        SearchSpace("line", 9, 1)
+    for size, speed in ((5.5, 1), (5, 1.0), (True, 1), ("5", 1)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SearchSpace(Topology.PATH, size, speed)
