@@ -52,9 +52,11 @@ class StrategyNode(NamedTuple):
         return self.on1 if bit else self.on0
 
 
+_new = tuple.__new__  # a StrategyNode from all four fields at half the cost of StrategyNode(...)
+
 # exactly what ``serialize`` writes: the fields in this order, one space
 # apart, position sets in their text form with no spaces, and nothing else
-_ID = "([0-9]+)"
+_ID = "(0|[1-9][0-9]*)"
 _SET = "(-|[0-9]+(?:-[0-9]+)?(?:,[0-9]+(?:-[0-9]+)?)*)"
 _LINE = re.compile(f"leaf {_ID} answer={_SET}|node {_ID} test={_SET} on0={_ID} on1={_ID}")
 
@@ -136,12 +138,15 @@ class AdaptiveStrategy:
 
     @classmethod
     def parse(cls, text: str, space: SearchSpace, accuracy_target: int) -> "AdaptiveStrategy":
-        """Read the ``serialize`` format back, building from the highest id
-        down, so without recursion.  Ids are preorder numbers: each id is
-        defined once, and a node's two children are distinct ids above its
-        own that no other node uses.  Text that breaks this, or that is not
-        one tree rooted at id 0, raises ``ValueError`` naming the line."""
-        raw: dict[int, tuple] = {}
+        """Read the ``serialize`` format back, walking the ids from the
+        highest down with a stack of built subtrees, so without recursion or
+        sorting.  The ids must be the preorder numbers ``serialize`` writes:
+        0 up with none missing, each once, no leading zeros, a node's
+        answer-0 child the next id and its answer-1 child the id after that
+        subtree.  The order of the lines does not matter.  Other text raises
+        ``ValueError``, naming the line where one is at fault."""
+        rows: dict[int, tuple] = {}  # id -> (line, set, children or None)
+        sets: dict[str, PositionSet] = {}  # set text -> set, as sets repeat
         parse_set = PositionSet.parse
         for line in text.splitlines():
             line = line.strip()
@@ -154,31 +159,36 @@ class AdaptiveStrategy:
                     "'node <id> test=<set> on0=<id> on1=<id>'"
                 )
             leaf_id, answer, node_id, test, on0, on1 = m.groups()
+            set_text = test if answer is None else answer
             try:
-                ps = parse_set(test if answer is None else answer)
-            except ValueError as exc:  # an interval that runs backwards
+                ps = sets.get(set_text)
+                if ps is None:
+                    ps = sets[set_text] = parse_set(set_text)
+                nid = int(leaf_id or node_id)
+                children = None if answer is not None else (int(on0), int(on1))
+            except ValueError as exc:  # an interval that runs backwards, or past int's digit limit
                 raise ValueError(f"bad strategy line {line!r}: {exc!r}") from None
-            if answer is None:
-                nid, children = int(node_id), (int(on0), int(on1))
-            else:
-                nid, children = int(leaf_id), ()
-            if nid in raw:
+            if nid in rows:
                 raise ValueError(f"strategy line {line!r} redefines id {nid}")
-            raw[nid] = (line, ps, children)
+            rows[nid] = (line, ps, children)
 
-        built: dict[int, StrategyNode] = {}
-        for nid in sorted(raw, reverse=True):
-            line, ps, children = raw[nid]
-            if not children:
-                built[nid] = StrategyNode(None, None, None, ps)
-                continue
-            on0, on1 = children
-            if on0 == on1 or on0 not in built or on1 not in built:
-                raise ValueError(f"strategy line {line!r}: children must be distinct, later, unused ids")
-            built[nid] = StrategyNode(ps, built.pop(on0), built.pop(on1))
-        if list(built) != [0]:
+        nodes, roots = [], []  # subtrees built so far and their root ids, the lowest on top
+        for i in range(len(rows) - 1, -1, -1):
+            if i not in rows:
+                raise ValueError(f"strategy text is not one tree rooted at id 0: no line for id {i}")
+            line, ps, children = rows[i]
+            if children is None:
+                nodes.append(_new(StrategyNode, (None, None, None, ps)))
+            elif len(roots) < 2 or children != (i + 1, roots[-2]):
+                raise ValueError(f"strategy line {line!r}: on0 is not the next id "
+                                 "or on1 the one after its subtree")
+            else:
+                del roots[-2:]
+                nodes.append(_new(StrategyNode, (ps, nodes.pop(), nodes.pop(), None)))
+            roots.append(i)
+        if len(nodes) != 1:
             raise ValueError("strategy text is not one tree rooted at id 0")
-        return cls(space, built[0], accuracy_target)
+        return cls(space, nodes[0], accuracy_target)
 
 
 class _Builder:
@@ -192,13 +202,13 @@ class _Builder:
         self.count += 1
         if self.count > self.budget:
             raise BudgetExceededError(f"strategy tree exceeds {self.budget} nodes")
-        return StrategyNode(None, None, None, answer)
+        return _new(StrategyNode, (None, None, None, answer))
 
     def node(self, test: PositionSet, on0: StrategyNode, on1: StrategyNode) -> StrategyNode:
         self.count += 1
         if self.count > self.budget:
             raise BudgetExceededError(f"strategy tree exceeds {self.budget} nodes")
-        return StrategyNode(test, on0, on1)
+        return _new(StrategyNode, (test, on0, on1, None))
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +323,11 @@ def min_tests(topology: Union[Topology, str], n_vertices: int, s: int, k: int) -
 def _arc_set(n: int, start0: int, length: int) -> PositionSet:
     """Arc of ``length`` vertices starting at 0-based position ``start0``."""
     if length >= n:
-        return PositionSet.interval(1, n)
+        return PositionSet._of(((1, n),))
     start0 %= n
     end0 = start0 + length - 1
     if end0 < n:
-        return PositionSet.interval(start0 + 1, end0 + 1)
+        return PositionSet._of(((start0 + 1, end0 + 1),))
     # wrapped: the two pieces hold length < n vertices, so at least one lies
     # between them and the pair is canonical as it stands
     return PositionSet._of(((1, end0 - n + 1), (start0 + 1, n)))

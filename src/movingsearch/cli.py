@@ -191,7 +191,11 @@ def cmd_simulate(args, out) -> int:
         kwargs["adversarial"] = True
     else:
         kwargs["seed"] = args.seed if args.seed is not None else 0
-    tr = codec.simulate_session(space, source, accuracy=args.s, **kwargs)
+    try:
+        tr = codec.simulate_session(space, source, accuracy=args.s, **kwargs)
+    except AssertionError as exc:  # the decoded set misses the object or is wider than --s
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 1
     out.write(tr.serialize())
     out.write(f"bits={codec.bits_to_text(tr.answers())} announced={tr.announced}\n")
     return 0

@@ -24,11 +24,11 @@ from .spaces import (
     SearchSpace,
     consistent_walk_exists,
     distance,
-    final_expand,
     full_set,
     is_valid_walk,
     neighborhood,
     split,
+    update,
 )
 
 if TYPE_CHECKING:
@@ -90,7 +90,8 @@ class CodecSession:
         self._pre = split(self.space, self._post, test, bit)
         if not self._pre:
             raise AssertionError("decoder state emptied on an honest position")
-        self._post = neighborhood(self.space, self._pre)
+        # through the round memo, so that decoding these bits finds every round
+        self._post = update(self.space, self._post, test, bit)
         self._last_position = position
         self.bits.append(bit)
         self._cursor.feed(bit)
@@ -105,19 +106,18 @@ def decode(space: SearchSpace, strategy: Strategy, bits: Sequence[int]) -> Posit
     """
     cursor = SourceCursor(strategy)
     post = full_set(space)
-    pre = None
+    test = None
     for i, bit in enumerate(bits):
         test = cursor.next_test()
         if test is None:
             raise ValueError(f"bit {i} has no matching test: strategy exhausted")
-        pre = split(space, post, test, bit)
-        if not pre:
+        prev, post = post, update(space, post, test, bit)
+        if not post:
             raise ValueError(f"inconsistent bit stream at position {i}")
-        post = neighborhood(space, pre)
         cursor.feed(bit)
-    if pre is None:
-        return full_set(space)
-    return final_expand(space, pre)
+    if test is None or space.moves_after_last_test:
+        return post
+    return split(space, prev, test, bit)  # the last round's test-time set
 
 
 def _walk_steps(space: SearchSpace, seed: int) -> Iterator[int]:

@@ -152,6 +152,13 @@ class PositionSet:
             return cls.empty()
         ivs, end = [], -2  # labels read here are >= 0, so any first interval fits
         try:
+            if "," not in text:  # one interval, the commonest text
+                lo, dash, hi = text.partition("-")
+                if lo.isdecimal() and (hi.isdecimal() or not dash):
+                    lo = int(lo)
+                    hi = int(hi) if dash else lo
+                    if lo <= hi:
+                        return cls._of(((lo, hi),))
             for part in text.split(","):
                 lo, dash, hi = part.partition("-")
                 if not lo.isdecimal() or (dash and not hi.isdecimal()):
@@ -219,12 +226,11 @@ class PositionSet:
         return f"PositionSet.parse({str(self)!r})"
 
     def __str__(self) -> str:
-        if not self._ivs:
-            return "-"
-        parts = []
-        for lo, hi in self._ivs:
-            parts.append(str(lo) if lo == hi else f"{lo}-{hi}")
-        return ",".join(parts)
+        ivs = self._ivs
+        if len(ivs) == 1:
+            lo, hi = ivs[0]
+            return f"{lo}-{hi}" if lo != hi else str(lo)
+        return ",".join([str(lo) if lo == hi else f"{lo}-{hi}" for lo, hi in ivs]) or "-"
 
     def min_value(self) -> int:
         if not self._ivs:
@@ -431,6 +437,18 @@ def _round(
         raise ValueError("answer must be 0 or 1")
     if not answer and a and (a[0][0] < 1 or a[-1][1] > n):
         _check_members(n, (PositionSet._of(a) - PositionSet._of(b))._ivs)  # raises, naming the difference
+    if len(a) == 1 and len(b) == 1:  # one interval each, the commonest round: at most two pieces
+        (lo, hi), (blo, bhi) = a[0], b[0]
+        if answer:
+            lo, hi = (lo if lo > blo else blo), (hi if hi < bhi else bhi)
+            return _fold(n, cyclic, ((lo - k, hi + k),)) if lo <= hi else PositionSet._of(())
+        if blo <= lo and hi <= bhi:  # the test covers d_prev
+            return PositionSet._of(())
+        if lo < blo and bhi < hi and bhi - blo < 2 * k:  # the two pieces merge once widened
+            return _fold(n, cyclic, ((lo - k, hi + k),))
+        left = ((lo - k, (hi if hi < blo else blo - 1) + k),) if lo < blo else ()
+        right = (((lo if lo > bhi else bhi + 1) - k, hi + k),) if bhi < hi else ()
+        return _fold(n, cyclic, left + right)
     out: list[tuple[int, int]] = []
     j, nb = 0, len(b)
     for lo, hi in a:

@@ -1,9 +1,10 @@
 """Shared verification helpers for strategy trees, the reference interval
-algebra, the reference test enumerator, oracle and class sweep, and the
-reference matrix evaluator."""
+algebra, the reference strategy parser, the reference test enumerator,
+oracle and class sweep, and the reference matrix evaluator."""
 
 import re
 
+from movingsearch.adaptive import StrategyNode
 from movingsearch.errors import BudgetExceededError
 from movingsearch.kernel import Arena, mask_of
 from movingsearch.nonadaptive import TestMatrix, advance_row
@@ -161,6 +162,56 @@ def reference_parse_position_set(text):
                 raise ValueError(f"bad position set fragment {part!r}") from None
             ivs.append((int(m.group(1)), int(m.group(2))))
     return PositionSet(ivs)
+
+
+# -- reference strategy parser ---------------------------------------------------
+# The dict-and-sort reader that AdaptiveStrategy.parse replaced, kept as the
+# reference that its one-pass preorder reading is checked against.  It takes
+# any numbering in which a node's children are distinct, later, unused ids.
+
+_REF_ID = "([0-9]+)"
+_REF_SET = "(-|[0-9]+(?:-[0-9]+)?(?:,[0-9]+(?:-[0-9]+)?)*)"
+_REF_LINE = re.compile(
+    f"leaf {_REF_ID} answer={_REF_SET}|node {_REF_ID} test={_REF_SET} on0={_REF_ID} on1={_REF_ID}"
+)
+
+
+def reference_parse_strategy(text):
+    """The root of the tree that the strategy text describes."""
+    raw = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        m = _REF_LINE.fullmatch(line)
+        if m is None:
+            raise ValueError(f"bad strategy line {line!r}")
+        leaf_id, answer, node_id, test, on0, on1 = m.groups()
+        try:
+            ps = PositionSet.parse(test if answer is None else answer)
+        except ValueError as exc:  # an interval that runs backwards
+            raise ValueError(f"bad strategy line {line!r}: {exc!r}") from None
+        if answer is None:
+            nid, children = int(node_id), (int(on0), int(on1))
+        else:
+            nid, children = int(leaf_id), ()
+        if nid in raw:
+            raise ValueError(f"strategy line {line!r} redefines id {nid}")
+        raw[nid] = (line, ps, children)
+
+    built = {}
+    for nid in sorted(raw, reverse=True):
+        line, ps, children = raw[nid]
+        if not children:
+            built[nid] = StrategyNode(None, None, None, ps)
+            continue
+        on0, on1 = children
+        if on0 == on1 or on0 not in built or on1 not in built:
+            raise ValueError(f"strategy line {line!r}: children must be distinct, later, unused ids")
+        built[nid] = StrategyNode(ps, built.pop(on0), built.pop(on1))
+    if list(built) != [0]:
+        raise ValueError("strategy text is not one tree rooted at id 0")
+    return built[0]
 
 
 # -- reference oracle ------------------------------------------------------------

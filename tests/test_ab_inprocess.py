@@ -1,0 +1,18 @@
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def test_ab_inprocess_compares_a_checkout_with_itself():
+    run = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "ab_inprocess.py"), ROOT, ROOT,
+         "--workload", "sweep-refute", "--repeats", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0].startswith("parent: ") and lines[0].endswith("(0 raised)")
+    assert lines[1].startswith("change: ") and lines[1].endswith("(0 raised)")
+    assert lines[2].startswith("ratio change/parent: ") and float(lines[2].split(": ")[1]) > 0

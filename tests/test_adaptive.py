@@ -1,13 +1,17 @@
+import functools
 import itertools
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from helpers import (
     assert_every_walk_succeeds,
     assert_leaf_soundness,
     branch_sizes,
     brute_line_reach,
+    reference_parse_strategy,
 )
 from movingsearch import adaptive
 from movingsearch.adaptive import (
@@ -323,6 +327,13 @@ MALFORMED_STRATEGIES = {
     "doubled space": ("leaf  0 answer=1\n", "leaf  0 answer=1"),
     "spaced set": ("leaf 0 answer=1, 3\n", "leaf 0 answer=1, 3"),
     "backward interval": ("leaf 0 answer=3-1\n", "leaf 0 answer=3-1"),
+    # ids are exactly the preorder numbers serialize writes
+    "id past int's digit limit": ("leaf " + "1" * 5000 + " answer=1\n", "leaf " + "1" * 5000 + " answer=1"),
+    "leading zero": ("leaf 00 answer=1\n", "leaf 00 answer=1"),
+    "children out of preorder": (
+        "node 0 test=1 on0=2 on1=1\nleaf 1 answer=1\nleaf 2 answer=2\n",
+        "node 0 test=1 on0=2 on1=1",
+    ),
 }
 
 
@@ -356,6 +367,95 @@ def test_parse_gives_back_the_built_tree(builder):
     assert back.root == st.root
     assert hash(back.root) == hash(st.root)
     assert back.serialize() == st.serialize()
+
+
+@functools.cache
+def small_builder_texts():
+    trees = [
+        cycle_strategy(12, 5, 1),
+        cycle_strategy(cycle_capacity(2, 9, 2), 9, 2),
+        path_strategy(path_capacity(2, 5, 1), 5, 1),
+        path_strategy(path_capacity(1, 9, 2), 9, 2),
+        path_shifting_strategy(10, 1),
+        path_sliding_window_strategy(2 * 2 * 2 + 8, 2, 2),
+    ]
+    return [tree.serialize() for tree in trees]
+
+
+def swap_ids(line, swap):
+    """The line with its own id and its child ids renamed by ``swap``."""
+    tokens = line.split(" ")
+    tokens[1] = swap.get(tokens[1], tokens[1])
+    for pos in range(3, len(tokens)):
+        head, eq, num = tokens[pos].partition("=")
+        tokens[pos] = head + eq + swap.get(num, num)
+    return " ".join(tokens)
+
+
+def edit_strategy_text(text, edits):
+    """The text after each (kind, i, j, value) edit; i and j pick lines."""
+    lines = text.splitlines()
+    for kind, i, j, value in edits:
+        if not lines:
+            break
+        i, j = i % len(lines), j % len(lines)
+        tokens = lines[i].split(" ")
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(j, lines[i])
+        elif kind == "swap lines":
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "space":
+            cut = value % (len(lines[i]) + 1)
+            lines[i] = lines[i][:cut] + " " + lines[i][cut:]
+        elif kind == "swap ids":  # exchange two ids throughout, child references included
+            a, b = tokens[1], lines[j].split(" ")[1]
+            lines = [swap_ids(line, {a: b, b: a}) for line in lines]
+        else:
+            if kind == "renumber":
+                tokens[1] = str(value)
+            elif kind == "zero-pad":
+                tokens[1] = "0" + tokens[1]
+            elif kind == "swap children" and tokens[0] == "node":
+                tokens[3:5] = "on0=" + tokens[4][4:], "on1=" + tokens[3][4:]
+            elif kind == "set child" and tokens[0] == "node":
+                tokens[3 + j % 2] = f"on{j % 2}={value}"
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def id_skeleton(text):
+    """Each line's tokens other than its position set, as written, sorted."""
+    return sorted(tuple(t for pos, t in enumerate(line.strip().split(" ")) if pos != 2)
+                  for line in text.splitlines() if line.strip())
+
+
+EDIT_KINDS = ["drop", "duplicate", "swap lines", "renumber", "zero-pad", "swap children", "set child",
+              "swap ids", "space"]
+
+
+@given(
+    hs.integers(min_value=0, max_value=5),
+    hs.lists(hs.tuples(hs.sampled_from(EDIT_KINDS), hs.integers(0, 999), hs.integers(0, 999),
+                       hs.integers(0, 40)), max_size=3),
+)
+@settings(max_examples=400, deadline=None)
+def test_parse_agrees_with_the_reference_on_edited_text(which, edits):
+    text = edit_strategy_text(small_builder_texts()[which], edits)
+    try:
+        got = AdaptiveStrategy.parse(text, path(4, 1), 2).root
+    except ValueError:  # anything else fails the test
+        got = None
+    try:
+        want = reference_parse_strategy(text)
+    except ValueError:
+        want = None
+    if got is not None:
+        assert want is not None and got == want
+    elif want is not None:
+        # the reference also takes other numberings; the preorder one must be taken
+        assert id_skeleton(text) != id_skeleton(AdaptiveStrategy(path(4, 1), want, 2).serialize())
 
 
 def test_strategy_nodes_are_immutable_values():

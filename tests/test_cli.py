@@ -1,15 +1,20 @@
+import argparse
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from helpers import assert_every_walk_succeeds, assert_leaf_soundness
 from movingsearch.adaptive import AdaptiveStrategy
-from movingsearch.cli import main
+from movingsearch.cli import build_parser, main
 from movingsearch.spaces import path
 
 
@@ -192,6 +197,15 @@ def test_simulate_illegal_walk_is_usage_error(capsys):
     assert "speed 1" in err and "Traceback" not in err
 
 
+def test_simulate_below_the_strategys_accuracy_is_a_verification_failure(capsys):
+    # the sliding strategy reaches 3k+span = 4 whatever --s asks for
+    code, _ = run_cli("simulate", "--N", "12", "--k", "1", "--kind", "sliding", "--span", "1",
+                      "--s", "2", "--seed", "3")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification failed: decoded set has") and "Traceback" not in err
+
+
 def test_python_dash_m_runs_the_cli():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -353,3 +367,69 @@ def test_oracle_negative_budget_is_usage_error(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "budget" in err and "Traceback" not in err
+
+
+# -- fuzzed argv ------------------------------------------------------------------
+
+def cli_options():
+    """Subcommand name -> {long option: the values it takes}: its choices,
+    [] for a flag, None for anything else."""
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    return {
+        name: {a.option_strings[-1]: (list(a.choices) if a.choices else [] if a.nargs == 0 else None)
+               for a in p._actions if a.option_strings and a.option_strings[-1] != "--help"}
+        for name, p in subs.items()
+    }
+
+
+CLI_OPTIONS = cli_options()
+# small values (N <= 10) and ranges, then junk
+CLI_NUMBERS = ["0", "1", "2", "3", "4", "5", "6", "7", "8", "10", "-1", "0..3", "3..1", "2..2", "4..10"]
+CLI_CHECKS = ["example1", "eq1", "restricted-formulas", "sliding-window", "x"]  # the quick ones
+CLI_JUNK = ["1,2,3", "3,3,4", "1-3", "01", "2.5", "", "x", "--", "-", ",", "..", "\u0663", "0101",
+            "tree.txt", "--x"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-fuzz")
+
+
+@hs.composite
+def cli_argv(draw):
+    """A subcommand with most of its options, each with a value it takes;
+    now and then a junk token in place of an option or a value."""
+    command = draw(hs.sampled_from(sorted(CLI_OPTIONS)))
+    options = CLI_OPTIONS[command]
+    argv = [command]
+    for option in draw(hs.permutations(sorted(options))):
+        if draw(hs.integers(0, 3)) == 0:
+            continue
+        argv.append(option)
+        takes = options[option]
+        if takes != []:  # not a flag
+            argv.append(draw(hs.sampled_from(CLI_CHECKS if option == "--check" else takes or CLI_NUMBERS)))
+        if draw(hs.integers(0, 9)) == 0:
+            argv.append(draw(hs.sampled_from(CLI_JUNK)))
+    if command == "verify" and "--check" not in argv:
+        argv += ["--check", "eq1"]  # all nine checks take half a second; test_verify_* run them
+    return argv
+
+
+@given(cli_argv())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_argv_keeps_the_exit_code_contract(fuzz_dir, argv):
+    # files that --out writes land in fuzz_dir, and --matrix-file reads from there
+    err, cwd = io.StringIO(), os.getcwd()
+    os.chdir(fuzz_dir)
+    try:
+        with mock.patch.dict(os.environ, {"MOVINGSEARCH_OUTDIR": str(fuzz_dir)}), \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv, out=io.StringIO())
+    except SystemExit as exc:  # argparse: 2 on a usage error
+        code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -291,6 +291,19 @@ def test_update_checks_match_reference(make, d, t, y, raises):
         assert got[0] is ValueError and got[1].startswith(raises)
 
 
+@pytest.mark.parametrize("make", [path, cycle])
+def test_one_interval_rounds_match_reference(make):
+    # every round on one interval each, out-of-range ones included, computed
+    # afresh: the memo is cleared so that no result comes from an earlier test
+    round_memo.cache_clear()
+    for n in range(1, 10):
+        ivs = [P(f"{lo}-{hi}") for lo in range(n + 2) for hi in range(lo, n + 2)]
+        for k in (1, 2, 3):
+            sp = make(n, k)
+            for d, t, y in itertools.product(ivs, ivs, (0, 1)):
+                assert outcome(update, sp, d, t, y) == outcome(reference_update, sp, d, t, y), (n, k, d, t, y)
+
+
 def test_memoized_rounds_keep_arenas_apart():
     # the same interval tuples on arenas of other sizes, speeds and shapes,
     # interleaved so that each call follows one that differs in one field;
