@@ -97,14 +97,18 @@ def _build_strategy(args) -> adaptive.AdaptiveStrategy:
         if args.s is None:
             raise SystemExit2("cycle strategies need --s")
         return adaptive.cycle_strategy(args.N, args.s, args.k)
-    if kind == "shifting" or (kind == "auto" and args.s is None and args.span is None):
+    if kind == "auto":
+        kind = "sliding" if args.span is not None else "split" if args.s is not None else "shifting"
+    if kind == "split":
+        if args.s is None:
+            raise SystemExit2("this strategy kind needs --s")
+        return adaptive.path_strategy(args.N, args.s, args.k)
+    span = args.span if kind == "sliding" and args.span is not None else 1
+    if args.s is not None and getattr(args, "mode", None) != "margin":  # margin's --s is its own target
+        raise SystemExit2(f"--s does not apply to the {kind} strategy: it reaches accuracy {3 * args.k + span}")
+    if kind == "shifting":
         return adaptive.path_shifting_strategy(args.N, args.k)
-    if kind == "sliding" or (kind == "auto" and args.span is not None):
-        span = args.span if args.span is not None else 1
-        return adaptive.path_sliding_window_strategy(args.N, args.k, span)
-    if args.s is None:
-        raise SystemExit2("this strategy kind needs --s")
-    return adaptive.path_strategy(args.N, args.s, args.k)
+    return adaptive.path_sliding_window_strategy(args.N, args.k, span)
 
 
 class SystemExit2(Exception):

@@ -51,7 +51,7 @@ class CodecSession:
         self._cursor = SourceCursor(strategy)
         self.bits: list[int] = []
         self._last_position: Optional[int] = None
-        self._pre = full_set(space)  # candidate set before the pending move
+        self._pre = full_set(space)  # the test-time set, kept with the flag off only
         self._post = full_set(space)
 
     @property
@@ -63,8 +63,6 @@ class CodecSession:
         """The set the receiver would announce if transmission stopped now,
         ``final_expand`` of the test-time set: the post-move set already held
         if the target moves after the last test, else the test-time set."""
-        if not self.bits:
-            return full_set(self.space)
         return self._post if self.space.moves_after_last_test else self._pre
 
     @property
@@ -87,11 +85,12 @@ class CodecSession:
                     f"farther than speed {self.space.speed}"
                 )
         bit = 1 if position in test else 0
-        self._pre = split(self.space, self._post, test, bit)
-        if not self._pre:
-            raise AssertionError("decoder state emptied on an honest position")
+        if not self.space.moves_after_last_test:  # ``decoded`` announces the test-time set
+            self._pre = split(self.space, self._post, test, bit)
         # through the round memo, so that decoding these bits finds every round
         self._post = update(self.space, self._post, test, bit)
+        if not self._post:
+            raise AssertionError("decoder state emptied on an honest position")
         self._last_position = position
         self.bits.append(bit)
         self._cursor.feed(bit)

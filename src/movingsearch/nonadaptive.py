@@ -65,8 +65,15 @@ class TestMatrix:
 
     @classmethod
     def parse(cls, text: str) -> "TestMatrix":
-        rows = [tuple(int(c) for c in line.strip()) for line in text.splitlines() if line.strip()]
-        return cls(tuple(rows))
+        """The matrix of the text form, blank lines skipped; a line that is
+        not a row of '0'/'1' as wide as the first raises ``ValueError``."""
+        lines = [line.strip() for line in text.splitlines()]
+        width = next((len(line) for line in lines if line), 0)
+        for number, line in enumerate(lines, 1):
+            if line.strip("01") or line and len(line) != width:
+                raise ValueError(f"matrix line {number}: expected a row of '0'/'1' characters as wide as "
+                                 f"the first, got {line[:24]!r}")
+        return cls(tuple(tuple(map(int, line)) for line in lines if line))
 
 
 def _run_value(p: int) -> int:

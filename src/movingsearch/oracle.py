@@ -7,9 +7,14 @@ E. A. Heinz, ICGA J. 23(3), 2000): a child is ``Arena.canon`` of a moved part.
 One engine, ``_Search``, answers every query by a depth-first proof search
 over ``win(d, n)``: do n tests bring state d to accuracy s?  It keeps each
 expanded state's distinct splits from ``Arena.splits``, larger announced
-set first, and proven bounds per state.  A state is refuted by its size
-alone (a test leaves a part with half of its members, and a proper part of
-a connected arena gains one when it moves).  Before recursing it skips
+set first, and proven bounds per state.  A subset of a state is never
+harder to win, so ``_dominated`` drops splits no optimal line needs (a
+dominance relation after T. Ibaraki, J. ACM 24(2), 1977): one with an open
+side whose move covers the state, and, on a path with interval tests and
+the flag on, a middle run within k+1 vertices of an end, which the test
+stretched to that end dominates.  A state is refuted by its size alone (a
+test leaves a part with half of its members, and a proper part of a
+connected arena gains one when it moves).  Before recursing it skips
 splits with a child ruled out by its lower bound and takes one whose
 children are proven by their upper bounds (the enhanced transposition
 cutoff of A. Reinefeld, T. A. Marsland, IEEE TPAMI 16(7), 1994); a split
@@ -47,7 +52,7 @@ from .adaptive import AdaptiveStrategy, StrategyNode
 from .errors import BudgetExceededError
 from .kernel import MAX_SUBSET_N, Arena, ps_of
 from .nonadaptive import TestMatrix, advance_row
-from .spaces import SearchSpace
+from .spaces import SearchSpace, Topology
 
 MAX_EDGES = 8_000_000  # cap on the oracle's stored pairs: about 1.2 GB at N = 69
 MAX_MATRIX_ENTRIES = 2_000_000  # cap on the matrix search's memo entries
@@ -55,6 +60,14 @@ INF = float("inf")
 # the largest N of the measured ladder (60 s, 3 GB): path(80,1) s=5 and
 # cycle(22,1) s=5 over all subsets, whose states have 2^21 splits each
 _CAPS = {"intervals": 80, "all_subsets": MAX_SUBSET_N}
+
+
+def _dominated(d: int, e1: int, m1: int, e0: int, m0: int, lim: int, ends: int) -> bool:
+    """Whether no optimal line needs the split (e1, moved m1, e0, moved m0) of
+    ``d``: a side of over ``lim`` members whose move covers ``d``, or a middle
+    run ``e1`` (``e0`` on both sides) meeting ``ends`` (vertices 1..k+1, N-k..N)."""
+    return (not d & ~m1 and e1.bit_count() > lim or not d & ~m0 and e0.bit_count() > lim
+            or e0 > e1 and e1 & ends)
 
 
 class _Search:
@@ -75,6 +88,11 @@ class _Search:
         self.arena, self.test_class = arena, test_class
         self.expand, self.floor = arena.space.moves_after_last_test, 0 if sized else s
         self.edges, self.trap_seconds = 0, 0.0
+        # a part of over lim members whose move covers d stays open at every
+        # accuracy the table serves (with the flag on, its move is announced)
+        self.lim = -1 if self.expand else arena.n if sized else s
+        ends = self.expand and test_class == "intervals" and arena.space.topology is Topology.PATH
+        self.ends = (1 << arena.k + 1) - 1 | arena.full ^ arena.full >> arena.k + 1 if ends else 0
         self.table: dict[int, list] = {}
         self._branch: dict[int, int] = {}  # moved part -> its branch above the floor
         self.hi: dict[int, int] = {0: 0}
@@ -108,15 +126,17 @@ class _Search:
         return b
 
     def pairs(self, d: int) -> list:
-        """d's distinct splits as pairs of branches, the larger first, in
-        increasing order of it; expands d on first use."""
+        """d's distinct undominated splits as pairs of branches, the larger
+        first, in increasing order of it; expands d on first use."""
         out = self.table.get(d)
         if out is not None:
             return out
         n, full, first_open = self.arena.n, self.arena.full, self.floor + 1 << self.arena.n
-        expand, get, new = self.expand, self._branch.get, self._new_branch
+        expand, get, new, lim, ends = self.expand, self._branch.get, self._new_branch, self.lim, self.ends
         found = set()
         for e1, m1, e0, m0 in self.arena.splits(d, self.test_class):
+            if _dominated(d, e1, m1, e0, m0, lim, ends):
+                continue
             if expand:
                 b1, b0 = get(m1) or new(m1), get(m0) or new(m0)
             else:  # the part itself is announced
@@ -233,8 +253,8 @@ class _Search:
 class GameValue:
     """Outcome of an exact minimax query, plus its engine for strategy
     extraction.  ``states`` counts the orbits of candidate sets the search
-    expanded, ``edges`` their distinct splits; ``search_seconds`` and
-    ``trap_seconds`` are left out of the deterministic ``record()``."""
+    expanded, ``edges`` the distinct undominated splits it kept of them;
+    ``search_seconds`` and ``trap_seconds`` stay out of ``record()``."""
 
     space: SearchSpace
     s: int

@@ -1,9 +1,10 @@
 """Shared verification helpers for strategy trees, the reference interval
 algebra, the reference strategy parser, the reference test enumerator,
-oracle and class sweep, and the reference matrix evaluator."""
+oracle, expansion and class sweep, and the reference matrix evaluator."""
 
 import re
 
+from movingsearch import oracle
 from movingsearch.adaptive import StrategyNode
 from movingsearch.errors import BudgetExceededError
 from movingsearch.kernel import Arena, mask_of
@@ -315,6 +316,36 @@ def reference_min_accuracy(arena, graph, n_budget=None):
         if v is not None and (n_budget is None or v <= n_budget):
             return s
     return arena.n
+
+
+# -- reference expansion -----------------------------------------------------------
+# The former body of ``oracle._Search.pairs``, kept as the reference that its
+# dominance pruning is checked against: every split of the state is filed.
+
+
+def reference_pairs(self, d):
+    """d's distinct splits as pairs of branches, the larger first, in
+    increasing order of it, none dropped; a drop-in for ``_Search.pairs``."""
+    out = self.table.get(d)
+    if out is not None:
+        return out
+    n, full, first_open = self.arena.n, self.arena.full, self.floor + 1 << self.arena.n
+    get, new = self._branch.get, self._new_branch
+    found = set()
+    for e1, m1, e0, m0 in self.arena.splits(d, self.test_class):
+        if self.expand:
+            b1, b0 = get(m1) or new(m1), get(m0) or new(m0)
+        else:  # the part itself is announced
+            b1, b0 = e1.bit_count() << n, e0.bit_count() << n
+            b1 = b1 | (get(m1) or new(m1)) & full if b1 >= first_open else 0
+            b0 = b0 | (get(m0) or new(m0)) & full if b0 >= first_open else 0
+        b1, b0 = b1 if b1 >= first_open else 0, b0 if b0 >= first_open else 0
+        found.add((b1, b0) if b1 >= b0 else (b0, b1))
+    out = self.table[d] = sorted(found)
+    self.edges += len(out)
+    if self.edges > oracle.MAX_EDGES:
+        raise BudgetExceededError(f"oracle edge cap {oracle.MAX_EDGES} exceeded")
+    return out
 
 
 # -- reference class sweep ---------------------------------------------------------

@@ -197,13 +197,39 @@ def test_simulate_illegal_walk_is_usage_error(capsys):
     assert "speed 1" in err and "Traceback" not in err
 
 
-def test_simulate_below_the_strategys_accuracy_is_a_verification_failure(capsys):
-    # the sliding strategy reaches 3k+span = 4 whatever --s asks for
-    code, _ = run_cli("simulate", "--N", "12", "--k", "1", "--kind", "sliding", "--span", "1",
-                      "--s", "2", "--seed", "3")
+def test_simulate_below_the_strategys_accuracy_is_a_verification_failure(tmp_path, capsys):
+    # the 12-vertex matrix decodes to 4 positions, wider than --s asks
+    target = str(tmp_path / "m.txt")
+    assert run_cli("matrix", "--N", "12", "--k", "1", "--out", target)[0] == 0
+    code, _ = run_cli("simulate", "--N", "12", "--k", "1", "--matrix-file", target, "--s", "2", "--seed", "3")
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("verification failed: decoded set has") and "Traceback" not in err
+    assert err.startswith("verification failed: decoded set has 4 > 2") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, reached",
+    [
+        (["simulate", "--N", "12", "--k", "1", "--kind", "sliding", "--span", "1", "--s", "2", "--seed", "3"],
+         4),
+        (["simulate", "--N", "12", "--k", "2", "--span", "2", "--s", "9"], 8),
+        (["strategy", "--N", "12", "--k", "1", "--kind", "shifting", "--s", "4"], 4),
+        (["adversary", "--mode", "window", "--N", "12", "--k", "1", "--kind", "sliding", "--s", "4"], 4),
+    ],
+)
+def test_s_with_a_shifting_or_sliding_kind_is_usage_error(argv, reached, capsys):
+    # these strategies reach their own accuracy, 3k+span, whatever --s asks
+    code, _ = run_cli(*argv)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --s does not apply"), err
+    assert err[0].endswith(f"it reaches accuracy {reached}"), err
+
+
+def test_margin_adversary_reads_s_as_its_own_target():
+    code, text = run_cli("adversary", "--mode", "margin", "--N", "12", "--k", "1", "--kind", "shifting",
+                         "--s", "4", "--n", "3")
+    assert code == 0 and text.endswith("final |D_3| = 5\n")
 
 
 def test_python_dash_m_runs_the_cli():
@@ -433,3 +459,42 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(fuzz_dir, argv):
         os.chdir(cwd)
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+
+
+def test_strategy_file_as_matrix_file_is_usage_error(tmp_path, capsys):
+    target = str(tmp_path / "tree.txt")
+    assert run_cli("strategy", "--N", "12", "--k", "1", "--s", "4", "--out", target)[0] == 0
+    capsys.readouterr()
+    code, _ = run_cli("simulate", "--N", "12", "--k", "1", "--matrix-file", target)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: matrix line 1: expected a row of '0'/'1' characters as wide as the first, "
+        "got 'node 0 test=1-6 on0=1 on'\n"
+    )
+
+
+# near-matrices, text with a few stray characters, then anything
+MATRIX_TEXT = hs.one_of(
+    hs.lists(hs.text("01", min_size=1, max_size=9), max_size=4).map("\n".join),
+    hs.text("01 \n\t\r2x-", max_size=30),
+    hs.text(max_size=12),
+)
+BIT_TEXT = hs.one_of(hs.text("01", max_size=6), hs.text("01 x-", max_size=6), hs.text(max_size=6))
+
+
+@given(MATRIX_TEXT, BIT_TEXT)
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_matrix_and_bit_text_keep_the_exit_code_contract(fuzz_dir, text, bits):
+    target = fuzz_dir / "fuzzed-matrix.txt"
+    target.write_text(text, encoding="utf-8")  # the CLI reads it as ASCII: anything else is exit 2
+    for argv in (
+        ["codec", "--N", "8", "--k", "1", "--matrix-file", str(target), f"--bits={bits}"],
+        ["codec", "--N", "8", "--k", "1", f"--bits={bits}"],
+        ["simulate", "--N", "8", "--k", "1", "--matrix-file", str(target), "--seed", "1"],
+        ["adversary", "--mode", "counter", "--N", "8", "--k", "1", "--matrix-file", str(target)],
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv, out=io.StringIO())
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv

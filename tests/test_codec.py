@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from movingsearch.adaptive import cycle_strategy, min_tests, path_strategy
 from movingsearch.codec import (
@@ -10,7 +12,7 @@ from movingsearch.codec import (
     text_to_bits,
 )
 from movingsearch.nonadaptive import expanding_accuracy_matrix
-from movingsearch.spaces import PositionSet, cycle, final_expand, full_set, is_valid_walk, path, update
+from movingsearch.spaces import PositionSet, cycle, final_expand, full_set, is_valid_walk, path, split, update
 
 P = PositionSet.parse
 
@@ -143,8 +145,9 @@ def test_decoded_is_the_final_expansion_after_every_step(flag):
             for pos in random_walk(sp, 8, seed):
                 if session.done:
                     break
-                session.encode_step(pos)
-                assert session.decoded == final_expand(sp, session._pre)
+                prev, test = session.decoder_state, session.next_test()
+                bit = session.encode_step(pos)
+                assert session.decoded == final_expand(sp, split(sp, prev, test, bit))
 
 
 def test_bit_budget_matches_min_tests():
@@ -186,6 +189,17 @@ def test_bit_text_round_trip():
     assert text_to_bits("0110") == (0, 1, 1, 0)
     with pytest.raises(ValueError):
         text_to_bits("10x")
+
+
+@given(hs.one_of(hs.text("01 \t\n", max_size=12), hs.text("01x2-", max_size=6), hs.text(max_size=8)))
+@settings(max_examples=200, deadline=None)
+def test_bit_text_fuzz(text):
+    body = text.strip()
+    if set(body) <= {"0", "1"}:
+        assert bits_to_text(text_to_bits(text)) == body
+    else:
+        with pytest.raises(ValueError, match="only '0' and '1'"):
+            text_to_bits(text)
 
 
 def test_restricted_model_session():

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from helpers import reference_evaluate_matrix
 from movingsearch.errors import RegimeError
@@ -62,6 +64,43 @@ def test_matrix_text_round_trip():
     m = expanding_accuracy_matrix(11)
     assert TestMatrix.parse(m.to_text()) == m
     assert m.row_test(0) == P("7-11")
+
+
+# near-matrices (rows of 0/1, now and then ragged), then text with a few
+# stray characters, then anything
+MATRIX_TEXT = hs.one_of(
+    hs.lists(hs.text("01", min_size=1, max_size=6), max_size=4).map("\n".join),
+    hs.text("01 \n\t\r2x-", max_size=30),
+    hs.text(max_size=12),
+)
+
+
+@given(MATRIX_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_matrix_parse_names_the_first_bad_line(text):
+    lines = [line.strip() for line in text.splitlines()]
+    rows = [line for line in lines if line]
+    bad = next(
+        (i for i, line in enumerate(lines, 1) if line and (line.strip("01") or len(line) != len(rows[0]))),
+        None,
+    )
+    try:
+        m = TestMatrix.parse(text)
+    except ValueError as exc:
+        if bad is not None:
+            assert str(exc).startswith(f"matrix line {bad}: expected a row of "), (text, exc)
+            assert "'0'/'1' characters" in str(exc)
+        else:
+            assert not rows and "positive dimensions" in str(exc)
+    else:
+        assert bad is None and m.to_text() == "".join(row + "\n" for row in rows)
+        assert TestMatrix.parse(m.to_text()) == m
+
+
+def test_matrix_parse_rejects_other_digits():
+    # int() reads these, the text form does not
+    with pytest.raises(ValueError, match="matrix line 2: expected a row of '0'/'1' .* got '0\u0661'"):
+        TestMatrix.parse("01\n0\u0661\n")
 
 
 def test_matrix_validation():

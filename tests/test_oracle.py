@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -9,6 +10,7 @@ from helpers import (
     reference_build_graph,
     reference_min_accuracy,
     reference_min_tests,
+    reference_pairs,
 )
 from movingsearch import oracle
 from movingsearch.adaptive import cycle_capacity, path_capacity, path_min_accuracy
@@ -115,6 +117,86 @@ def test_graph_never_expands_decided_states(sp, s):
                 )
     assert len(search.table) < len(reference_build_graph(arena, "intervals"))
     assert (gv.states, gv.edges) == (len(search.table), sum(map(len, search.table.values())))
+
+
+def test_dominated_splits_have_a_harder_child_or_a_kept_better_split():
+    """Every split the expansion drops leads to a child at least as hard as
+    its state, or a kept one-cut split has moved parts inside its moved
+    parts, side by side or crosswise (raw masks, no canonical forms)."""
+    rng = random.Random(18)
+    drops = {"superset": 0, "dominated": 0}
+    for _ in range(400):
+        make, k, flag = rng.choice([path, cycle]), rng.randint(1, 3), rng.random() < 0.5
+        test_class = rng.choice(["intervals", "all_subsets"])
+        n_vertices = rng.randint(2, 16 if test_class == "intervals" else 9)
+        arena = Arena(make(n_vertices, k, moves_after_last_test=flag))
+        s, sized = rng.randint(1, n_vertices - 1), rng.random() < 0.25
+        search = oracle._Search(arena, test_class, s, sized=sized)
+        for _ in range(10):
+            d = rng.randrange(1, arena.full + 1)
+            # the largest accuracy the table serves d at while d is open
+            top = d.bit_count() - 1 if sized else s
+            if d.bit_count() <= top:
+                continue
+            splits = list(arena.splits(d, test_class))
+            kept = [sp for sp in splits if not oracle._dominated(d, *sp, search.lim, search.ends)]
+            one_cut = [(m1, m0) for e1, m1, e0, m0 in kept if e0 < e1]
+            for e1, m1, e0, m0 in splits:
+                if (e1, m1, e0, m0) in kept:
+                    continue
+                where = f"{arena.space} s={s} sized={sized} {test_class} d={d:b} e1={e1:b}"
+                if any(not d & ~m and (m if flag else e).bit_count() > top for e, m in ((e1, m1), (e0, m0))):
+                    drops["superset"] += 1
+                    continue
+                assert any(
+                    not a & ~m1 and not b & ~m0 or not a & ~m0 and not b & ~m1 for a, b in one_cut
+                ), where
+                drops["dominated"] += 1
+    assert min(drops.values()) > 100, drops  # neither kind of drop is vacuous
+
+
+@pytest.mark.parametrize("test_class, n_max", [("intervals", 13), ("all_subsets", 8)])
+@pytest.mark.parametrize("make", [path, cycle])
+def test_pruned_expansion_matches_the_full_one(make, test_class, n_max, monkeypatch):
+    """Dropping dominated splits changes no status, test count, extracted
+    depth or accuracy floor, against the expansion that files every split."""
+
+    def answers(sp):
+        out = []
+        for s in range(1, sp.num_vertices + 1):
+            for budget in (None, 2):
+                gv = exact_min_tests(sp, s, test_class=test_class, budget=budget)
+                depth = extract_strategy(gv).depth() if gv.status == "solved" else None
+                out.append((s, budget, gv.status, gv.min_tests, depth, gv.edges))
+        return out, exact_min_accuracy(sp, test_class=test_class)
+
+    kept = filed = 0
+    for k in (1, 2, 3):
+        for flag in (True, False):
+            for n_vertices in range(1, n_max + 1):
+                sp = make(n_vertices, k, moves_after_last_test=flag)
+                with monkeypatch.context() as m:
+                    m.setattr(oracle._Search, "pairs", reference_pairs)
+                    want, want_floor = answers(sp)
+                got, got_floor = answers(sp)
+                where = f"{sp.topology.value} N={n_vertices} k={k} flag={flag}"
+                assert [a[:5] for a in got] == [a[:5] for a in want], where
+                assert got_floor == want_floor, where
+                kept += sum(a[5] for a in got)
+                filed += sum(a[5] for a in want)
+    assert kept < filed
+
+
+@pytest.mark.parametrize(
+    "sp, s, budget, want",
+    [
+        (path(15, 1), 4, None, ("solved", 6, 212, 4837)),  # 288 states, 9,559 edges unpruned
+        (path(25, 2), 8, 4, ("budget_exceeded", None, 718, 48613)),  # 1,158 and 110,466
+    ],
+)
+def test_dominance_pruning_keeps_its_counts(sp, s, budget, want):
+    gv = exact_min_tests(sp, s, budget=budget)
+    assert (gv.status, gv.min_tests, gv.states, gv.edges) == want
 
 
 def _symmetries(sp):
@@ -287,7 +369,7 @@ def test_record_shape():
         "min_tests": 1,
         "status": "solved",
         "states": 1,
-        "edges": 4,
+        "edges": 2,
     }
 
 
