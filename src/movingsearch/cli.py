@@ -410,6 +410,10 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # argparse reads "--opt=--" as an empty list; only --check takes a list, of names
+        for name, value in vars(args).items():
+            if isinstance(value, list) and (not value or [] in value):
+                raise SystemExit2(f"--{name.replace('_', '-')} needs a value, got '--'")
         return args.fn(args, out)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)

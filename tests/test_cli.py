@@ -9,7 +9,7 @@ import time
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from helpers import assert_every_walk_succeeds, assert_leaf_soundness
@@ -461,6 +461,16 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(fuzz_dir, argv):
     assert "Traceback" not in err.getvalue(), argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["codec", "--N", "8", "--k", "1", "--bits=--"],
+    ["simulate", "--N", "8", "--k", "1", "--matrix-file=--"],
+    ["verify", "--check=--"],
+])
+def test_bare_double_dash_value_is_usage_error(argv, capsys):
+    assert run_cli(*argv)[0] == 2
+    assert "needs a value, got '--'" in capsys.readouterr().err
+
+
 def test_strategy_file_as_matrix_file_is_usage_error(tmp_path, capsys):
     target = str(tmp_path / "tree.txt")
     assert run_cli("strategy", "--N", "12", "--k", "1", "--s", "4", "--out", target)[0] == 0
@@ -483,6 +493,7 @@ BIT_TEXT = hs.one_of(hs.text("01", max_size=6), hs.text("01 x-", max_size=6), hs
 
 
 @given(MATRIX_TEXT, BIT_TEXT)
+@example("", "--")  # argparse reads "--bits=--" as an empty list
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_matrix_and_bit_text_keep_the_exit_code_contract(fuzz_dir, text, bits):
     target = fuzz_dir / "fuzzed-matrix.txt"
