@@ -86,9 +86,12 @@ def _make_space(args):
     return maker(args.N, args.k, moves_after_last_test=moves)
 
 
-def _load_matrix(path_: str) -> TestMatrix:
+def _load_matrix(path_: str, n: int) -> TestMatrix:
     with open(path_, encoding="ascii") as fh:
-        return TestMatrix.parse(fh.read())
+        matrix = TestMatrix.parse(fh.read())
+    if matrix.cols != n:
+        raise SystemExit2(f"matrix has {matrix.cols} columns but the arena has {n} vertices")
+    return matrix
 
 
 def _build_strategy(args) -> adaptive.AdaptiveStrategy:
@@ -187,7 +190,7 @@ def cmd_matrix(args, out) -> int:
 
 def cmd_simulate(args, out) -> int:
     space = _make_space(args)
-    source = _load_matrix(args.matrix_file) if args.matrix_file else _build_strategy(args)
+    source = _load_matrix(args.matrix_file, args.N) if args.matrix_file else _build_strategy(args)
     kwargs = {}
     if args.walk:
         kwargs["walk"] = _parse_walk(args.walk)
@@ -209,7 +212,7 @@ def cmd_adversary(args, out) -> int:
     space = _make_space(args)
     victim = None
     if args.matrix_file:
-        victim = _load_matrix(args.matrix_file)
+        victim = _load_matrix(args.matrix_file, args.N)
     if args.mode == "greedy":
         if victim is None and args.n is not None:
             forced = adversary.greedy_forced_size(space, args.n, args.test_class)
@@ -268,7 +271,7 @@ def cmd_oracle(args, out) -> int:
 
 def cmd_codec(args, out) -> int:
     space = path(args.N, args.k)
-    source = _load_matrix(args.matrix_file) if args.matrix_file else nonadaptive.general_k_matrix(args.N, args.k)
+    source = _load_matrix(args.matrix_file, args.N) if args.matrix_file else nonadaptive.general_k_matrix(args.N, args.k)
     if args.bits is not None:
         decoded = codec.decode(space, source, codec.text_to_bits(args.bits))
         out.write(f"decoded={decoded}\n")

@@ -10,10 +10,9 @@ set of positions consistent with the answers so far evolves as
     answer 0:  D_i = reach(D_{i-1} - T_i)
 
 where ``reach`` is the ``speed``-step reachability operator.  ``update``
-applies a round in one pass over ``D_{i-1}`` and ``T_i``, with the checks
-of ``split`` followed by ``neighborhood``, and remembers its last 256
-rounds: a strategy tree's leaves are replayed from the root, so the rounds
-of a shared prefix repeat.
+applies a round as ``split`` followed by ``neighborhood``, with their checks,
+and remembers its last 256 rounds: a strategy tree's leaves are replayed
+from the root, so the rounds of a shared prefix repeat.
 
 Everything in this module is an immutable value or a pure function, so
 unrestricted concurrent use is safe; the round memo is internal and
@@ -92,9 +91,9 @@ class PositionSet:
     The constructor accepts intervals in any order and normalizes them.
     The internal ``_of`` wraps a tuple that is already canonical without
     looking at it; only operations whose output is canonical by
-    construction (intersection, difference, clipping, reach) or checked
-    canonical on the way (``parse`` of canonical text) use it, which keeps
-    each of them linear in the number of intervals.
+    construction (intersection, difference, reach) or checked canonical on
+    the way (``parse`` of one interval) use it, which keeps each of them
+    linear in the number of intervals.
     """
 
     __slots__ = ("_ivs",)
@@ -140,17 +139,14 @@ class PositionSet:
 
     @classmethod
     def parse(cls, text: str) -> "PositionSet":
-        """Read the text form back.  Canonical text (what ``str`` writes for
-        labels >= 0) takes a fast path: fragments ``D`` or ``D-D`` of decimal
-        digits, checked in the same pass to run forwards and to start two
-        past the previous end, go to ``_of`` as they are.  Other text is read
-        again: a fragment is a range ``N-M`` if the precompiled ``_RANGE``
-        matches it, else one label that ``int`` accepts (``+5``, ``1_0``),
-        else ValueError, and the constructor sorts and merges."""
+        """Read the text form back.  One interval of decimal digits, ``D`` or
+        ``D-D`` running forwards, goes to ``_of`` as it is.  Any other text
+        is read fragment by fragment: a range ``N-M`` if the precompiled
+        ``_RANGE`` matches it, else one label that ``int`` accepts (``+5``,
+        ``1_0``), else ValueError, and the constructor sorts and merges."""
         text = text.strip()
         if text in ("", "-"):
             return cls.empty()
-        ivs, end = [], -2  # labels read here are >= 0, so any first interval fits
         try:
             if "," not in text:  # one interval, the commonest text
                 lo, dash, hi = text.partition("-")
@@ -159,18 +155,6 @@ class PositionSet:
                     hi = int(hi) if dash else lo
                     if lo <= hi:
                         return cls._of(((lo, hi),))
-            for part in text.split(","):
-                lo, dash, hi = part.partition("-")
-                if not lo.isdecimal() or (dash and not hi.isdecimal()):
-                    break
-                lo = int(lo)
-                hi = int(hi) if dash else lo
-                if hi < lo or lo <= end + 1:
-                    break
-                ivs.append((lo, hi))
-                end = hi
-            else:
-                return cls._of(tuple(ivs))
         except ValueError:  # an over-long label: the reading below reports it as before
             pass
         ivs = []
@@ -249,36 +233,34 @@ class PositionSet:
 
     def intersection(self, other: "PositionSet") -> "PositionSet":
         out = []
-        a, b = self._ivs, other._ivs
-        i = j = 0
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo <= hi:
-                out.append((lo, hi))
-            if a[i][1] < b[j][1]:
-                i += 1
-            else:
+        b = other._ivs
+        j, nb = 0, len(b)
+        for lo, hi in self._ivs:
+            while j < nb and b[j][1] < lo:
                 j += 1
+            jj = j
+            while jj < nb and b[jj][0] <= hi:
+                blo, bhi = b[jj]
+                out.append((lo if lo > blo else blo, hi if hi < bhi else bhi))
+                jj += 1
         return PositionSet._of(tuple(out))
 
     def difference(self, other: "PositionSet") -> "PositionSet":
         out = []
-        j = 0
         b = other._ivs
+        j, nb = 0, len(b)
         for lo, hi in self._ivs:
-            cur = lo
-            while j < len(b) and b[j][1] < cur:
+            while j < nb and b[j][1] < lo:
                 j += 1
             jj = j
-            while jj < len(b) and b[jj][0] <= hi:
+            while jj < nb and b[jj][0] <= hi:
                 blo, bhi = b[jj]
-                if cur < blo:
-                    out.append((cur, blo - 1))
-                cur = max(cur, bhi + 1)
+                if lo < blo:
+                    out.append((lo, blo - 1))
+                lo = bhi + 1
                 jj += 1
-            if cur <= hi:
-                out.append((cur, hi))
+            if lo <= hi:
+                out.append((lo, hi))
         return PositionSet._of(tuple(out))
 
     __or__ = union
@@ -288,9 +270,6 @@ class PositionSet:
     def issubset(self, other: "PositionSet") -> bool:
         return not self.difference(other)
 
-    def isdisjoint(self, other: "PositionSet") -> bool:
-        return not self.intersection(other)
-
     # -- geometry helpers ----------------------------------------------------
 
     def widened(self, amount: int) -> "PositionSet":
@@ -298,15 +277,6 @@ class PositionSet:
         if amount < 0:
             raise ValueError("amount must be >= 0")
         return PositionSet._of(_grow(self._ivs, amount))
-
-    def clipped(self, lo: int, hi: int) -> "PositionSet":
-        """Restriction to [lo, hi]."""
-        out = []
-        for a, b in self._ivs:
-            a, b = max(a, lo), min(b, hi)
-            if a <= b:
-                out.append((a, b))
-        return PositionSet._of(tuple(out))
 
 
 def _grow(ivs: Sequence[tuple[int, int]], amount: int) -> tuple[tuple[int, int], ...]:
@@ -397,14 +367,11 @@ def split(space: SearchSpace, d_prev: PositionSet, t: PositionSet, answer: int) 
 
 def update(space: SearchSpace, d_prev: PositionSet, t: PositionSet, answer: int) -> PositionSet:
     """One test/answer round applied to the candidate set: ``neighborhood``
-    of ``split`` in one pass.  ``d_prev`` is walked against ``t`` once, each
-    piece of the split widened by the speed and merged into the last run as
-    it is found, and ``_fold`` cuts (path) or wraps (cycle) the overhangs.
-
-    The checks and messages are those of the two-step form.  On answer 0
-    ``d_prev`` must lie in 1..N, which is the check of ``d_prev - t``: ``t``
-    lies in 1..N, so every out-of-range part of ``d_prev`` stays in the
-    difference.  On answer 1 the pieces lie in ``t``; ``d_prev`` is unchecked.
+    of ``split``, with the checks and messages of the two steps.  On answer
+    0 ``d_prev`` must lie in 1..N, which is the check of ``d_prev - t``:
+    ``t`` lies in 1..N, so every out-of-range part of ``d_prev`` stays in
+    the difference.  On answer 1 the split lies in ``t``; ``d_prev`` is
+    unchecked.
 
     The round is memoized on plain values (``_round``); the end-of-game flag
     plays no part in it.
@@ -431,7 +398,10 @@ def _round(
 ) -> PositionSet:
     """``update`` on the arena's size, speed and topology and the interval
     tuples of ``d_prev`` and ``t``.  The checks read nothing else, so a key
-    found in the memo has passed them; a round that raises is not kept."""
+    found in the memo has passed them; a round that raises is not kept.
+    A round on one interval each computes its at most two pieces directly;
+    any other is the split, widened by ``_grow`` and cut or wrapped by
+    ``_fold``."""
     _check_members(n, b, "test set")
     if answer not in (0, 1):
         raise ValueError("answer must be 0 or 1")
@@ -449,31 +419,8 @@ def _round(
         left = ((lo - k, (hi if hi < blo else blo - 1) + k),) if lo < blo else ()
         right = (((lo if lo > bhi else bhi + 1) - k, hi + k),) if bhi < hi else ()
         return _fold(n, cyclic, left + right)
-    out: list[tuple[int, int]] = []
-    j, nb = 0, len(b)
-    for lo, hi in a:
-        while j < nb and b[j][1] < lo:
-            j += 1
-        jj = j
-        while lo <= hi:  # lo..hi: the part of this interval past the tests seen
-            if jj < nb and b[jj][0] <= hi:
-                blo, bhi = b[jj]
-                jj += 1
-            else:  # no test interval left here: pretend one starts at hi + 1
-                blo = bhi = hi + 1
-            if answer:
-                plo, phi = (lo if lo > blo else blo), (hi if hi < bhi else bhi)
-            else:
-                plo, phi = lo, blo - 1
-            lo = bhi + 1
-            if plo <= phi:
-                plo -= k
-                phi += k
-                if out and plo <= out[-1][1] + 1:
-                    out[-1] = (out[-1][0], phi)
-                else:
-                    out.append((plo, phi))
-    return _fold(n, cyclic, out) if out else PositionSet._of(())
+    part = PositionSet._of(a) & PositionSet._of(b) if answer else PositionSet._of(a) - PositionSet._of(b)
+    return _fold(n, cyclic, _grow(part._ivs, k)) if part else part
 
 
 def final_expand(space: SearchSpace, d: PositionSet) -> PositionSet:

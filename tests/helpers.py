@@ -135,9 +135,9 @@ def class_test_masks(space, test_class):
 
 
 # -- reference interval algebra ------------------------------------------------
-# The two-step round and the int-first text parser that spaces.update and
-# PositionSet.parse replaced, kept as the references that the one-pass round
-# and the precompiled parser are checked against.
+# The two-step round, composed of the public steps, and the int-first text
+# parser: the references that the memoized round, with its one-interval
+# branch, and the precompiled parser are checked against.
 
 
 def reference_update(space, d_prev, t, answer):

@@ -483,6 +483,20 @@ def test_strategy_file_as_matrix_file_is_usage_error(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--N", "6", "--k", "1", "--seed", "1"],
+    ["codec", "--N", "6", "--k", "1", "--bits", "01"],
+    ["adversary", "--mode", "greedy", "--N", "6", "--k", "1"],
+    ["simulate", "--N", "3", "--k", "1", "--seed", "1"],
+])
+def test_matrix_of_the_wrong_width_is_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "m.txt"
+    target.write_text("0011\n0110\n", encoding="ascii")
+    assert run_cli(*argv, "--matrix-file", str(target))[0] == 2
+    n = argv[argv.index("--N") + 1]
+    assert capsys.readouterr().err == f"error: matrix has 4 columns but the arena has {n} vertices\n"
+
+
 # near-matrices, text with a few stray characters, then anything
 MATRIX_TEXT = hs.one_of(
     hs.lists(hs.text("01", min_size=1, max_size=9), max_size=4).map("\n".join),

@@ -9,9 +9,10 @@ its own package name, builds the workload's instance grid from
 for both sides, and runs every instance on each side in turn, the side
 that goes first alternating from one instance to the next.  Each
 instance's time is the best of ``--repeats`` runs on that side; an
-instance that raises is timed up to its exception and counted.  A repeat
-finds the round memo as the run before it left it, on both sides alike,
-so the ratio favours neither side but understates misses.  Prints
+instance that raises is timed up to its exception and counted.  Each run
+starts with the side's round memo (``spaces._round``) cleared, where the
+side has one: in a perfbench pass other instances run in between, so a
+run there finds none of the rounds it computed before either.  Prints
 each side's total and the ratio change/parent.  Both sides share the
 interpreter, the heap and the machine's state at each moment, so slow
 drift of the host cancels out; a run in separate processes, as perfbench
@@ -47,10 +48,12 @@ def load_library(checkout: str, name: str) -> SimpleNamespace:
     return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in LIBRARY_MODULES})
 
 
-def best_time(inst, repeats: int) -> tuple[float, bool]:
-    """Best of ``repeats`` runs of one instance, and whether it raised."""
+def best_time(inst, repeats: int, clear_memo) -> tuple[float, bool]:
+    """Best of ``repeats`` runs of one instance, each after ``clear_memo()``,
+    and whether it raised."""
     best, failed = float("inf"), False
     for _ in range(repeats):
+        clear_memo()
         gc.collect()
         t0 = time.perf_counter()
         try:
@@ -79,10 +82,11 @@ def main(argv=None) -> int:
         parser.error(f"--workload must be one of {', '.join(sorted(workloads.GRIDS))}")
     sides = [load_library(path, f"movingsearch_ab{i}") for i, path in enumerate((args.parent, args.change))]
     grids = [workloads.GRIDS[args.workload](ms, random.Random(args.seed)) for ms in sides]
+    clears = [getattr(getattr(ms.spaces, "_round", None), "cache_clear", lambda: None) for ms in sides]
     totals, failed = [0.0, 0.0], [0, 0]
     for i, pair in enumerate(zip(*grids)):
         for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-            seconds, raised = best_time(pair[side], args.repeats)
+            seconds, raised = best_time(pair[side], args.repeats, clears[side])
             totals[side] += seconds
             failed[side] += raised
     for label, total, fails in zip(("parent", "change"), totals, failed):
