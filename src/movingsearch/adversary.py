@@ -10,6 +10,12 @@ target walk (every transcript here can be certified by
 * a margin adversary for paths that tracks a subset kept clear of the
   boundaries, forcing accuracy s+1 at one vertex above the n-test capacity.
 
+Each is an answer rule over one play loop.  A test source is a decision
+tree: ``source_root`` gives a strategy's own root, and turns a test matrix,
+or a plain list of tests, into a chain of nodes whose two answers meet at
+the next test (a non-adaptive strategy is an adaptive one that ignores the
+answers).  The codec steps the same nodes.
+
 ``greedy_forced_size`` and ``margin_forced_size`` close the quantifier over
 strategies: they minimize the forced final set size over every adaptive
 strategy of a given test class, so a lower bound on their value refutes the
@@ -96,48 +102,42 @@ if TYPE_CHECKING:
     TestSource = Union[AdaptiveStrategy, TestMatrix, Sequence[PositionSet]]
 
 
-class SourceCursor:
-    """Uniform driver over a strategy tree, a matrix, or a plain test list."""
+def source_root(source: TestSource) -> StrategyNode:
+    """The root of a test source as a decision tree: a strategy's own root,
+    or a matrix's rows (a list's tests) as a chain of nodes whose two
+    answers lead to the same next test, ending in an empty leaf."""
+    if isinstance(source, AdaptiveStrategy):
+        return source.root
+    node = StrategyNode()
+    for test in reversed(list(source.tests() if isinstance(source, TestMatrix) else source)):
+        node = StrategyNode(test, node, node)
+    return node
 
-    def __init__(self, source: TestSource):
-        self._node: Optional[StrategyNode] = None
-        if isinstance(source, AdaptiveStrategy):
-            self._node = source.root
-            self._fixed = None
-        elif isinstance(source, TestMatrix):
-            self._fixed = list(source.tests())
-        else:
-            self._fixed = list(source)
-        self._i = 0
 
-    def next_test(self) -> Optional[PositionSet]:
-        if self._node is not None:
-            return self._node.test  # None at a leaf
-        return self._fixed[self._i] if self._i < len(self._fixed) else None
-
-    def feed(self, answer: int):
-        if self._node is not None:
-            self._node = self._node.on1 if answer else self._node.on0
-        else:
-            self._i += 1
+def _play(space: SearchSpace, source: TestSource, rule, tracked=None, rounds=None) -> Transcript:
+    """Walk the source's tree from the full candidate set, for at most
+    ``rounds`` rounds.  ``rule(test, candidates, tracked)`` returns the
+    answer, the next candidate set and the next tracked set; a tracked set
+    must stay inside the candidates."""
+    node, d, out = source_root(source), full_set(space), []
+    while node.test is not None and len(out) != rounds:
+        answer, d, tracked = rule(node.test, d, tracked)
+        if tracked is not None and not tracked.issubset(d):
+            raise AssertionError(f"round {len(out) + 1}: tracked set {tracked} escaped candidates {d}")
+        out.append(TranscriptRound(len(out) + 1, node.test, answer, d, tracked))
+        node = node.on1 if answer else node.on0
+    return Transcript(space, tuple(out))
 
 
 def greedy_adversary(space: SearchSpace, source: TestSource) -> Transcript:
     """Answer each test toward the larger candidate set (ties answer 0).
     The rule is online: the first r rounds of a play are ``rounds[:r]``."""
-    cursor = SourceCursor(source)
-    d = full_set(space)
-    out = []
-    i = 0
-    while (test := cursor.next_test()) is not None:
-        i += 1
-        d1 = update(space, d, test, 1)
-        d0 = update(space, d, test, 0)
-        answer = 1 if len(d1) > len(d0) else 0
-        d = d1 if answer else d0
-        cursor.feed(answer)
-        out.append(TranscriptRound(i, test, answer, d))
-    return Transcript(space, tuple(out))
+
+    def rule(test, d, _):
+        d1, d0 = update(space, d, test, 1), update(space, d, test, 0)
+        return (1, d1, None) if len(d1) > len(d0) else (0, d0, None)
+
+    return _play(space, source, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -198,23 +198,12 @@ def window_adversary(space: SearchSpace, source: TestSource) -> Transcript:
     n, k = space.num_vertices, space.speed
     if n < 4 * k + 1:
         raise ValueError(f"need N >= 4k+1 = {4 * k + 1}")
-    cursor = SourceCursor(source)
-    d = full_set(space)
-    window = PositionSet.interval(1, 3 * k + 1)
-    out = []
-    i = 0
-    while True:
-        test = cursor.next_test()
-        if test is None:
-            break
-        i += 1
+
+    def rule(test, d, window):
         answer, window = window_step(space, window, test)
-        d = update(space, d, test, answer)
-        if not window.issubset(d):
-            raise WindowInvariantError(f"round {i}: window {window} escaped candidates {d}")
-        out.append(TranscriptRound(i, test, answer, d, tracked=window))
-        cursor.feed(answer)
-    return Transcript(space, tuple(out))
+        return answer, update(space, d, test, answer), window
+
+    return _play(space, source, rule, PositionSet.interval(1, 3 * k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -245,24 +234,13 @@ def margin_adversary(space: SearchSpace, source: TestSource, n: int, s: int) -> 
     """
     if space.topology is not Topology.PATH:
         raise ValueError("the margin adversary works on paths")
-    cursor = SourceCursor(source)
-    a = margin_start(space, n, s)
-    d = full_set(space)
-    out = []
-    for i in range(1, n + 1):
-        test = cursor.next_test()
-        if test is None:
-            break
-        kept1 = update(space, a, test, 1)
-        kept0 = update(space, a, test, 0)
+
+    def rule(test, d, tracked):
+        kept1, kept0 = update(space, tracked, test, 1), update(space, tracked, test, 0)
         answer = 0 if len(kept1) < len(kept0) else 1
-        a = kept1 if answer else kept0
-        d = update(space, d, test, answer)
-        if not a.issubset(d):
-            raise AssertionError("tracked set escaped the candidate set")
-        out.append(TranscriptRound(i, test, answer, d, tracked=a))
-        cursor.feed(answer)
-    return Transcript(space, tuple(out))
+        return answer, update(space, d, test, answer), kept1 if answer else kept0
+
+    return _play(space, source, rule, margin_start(space, n, s), n)
 
 
 # ---------------------------------------------------------------------------

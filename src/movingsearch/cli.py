@@ -94,24 +94,43 @@ def _load_matrix(path_: str, n: int) -> TestMatrix:
     return matrix
 
 
+def _reject(args, where: str, *options: str):
+    """Exit 2 naming the first of ``options`` given: the path chosen does not read it."""
+    for option in options:
+        if getattr(args, option[2:].replace("-", "_")) not in (None, "auto"):
+            raise SystemExit2(f"{option} does not apply to {where}")
+
+
 def _build_strategy(args) -> adaptive.AdaptiveStrategy:
-    kind = getattr(args, "kind", "auto")
     if args.topology == "cycle":
+        _reject(args, "cycle strategies: they always halve arcs", "--kind", "--span")
         if args.s is None:
             raise SystemExit2("cycle strategies need --s")
         return adaptive.cycle_strategy(args.N, args.s, args.k)
+    kind = args.kind
     if kind == "auto":
         kind = "sliding" if args.span is not None else "split" if args.s is not None else "shifting"
+    if kind != "sliding":
+        _reject(args, f"the {kind} strategy", "--span")
     if kind == "split":
         if args.s is None:
             raise SystemExit2("this strategy kind needs --s")
         return adaptive.path_strategy(args.N, args.s, args.k)
-    span = args.span if kind == "sliding" and args.span is not None else 1
+    span = args.span if args.span is not None else 1
     if args.s is not None and getattr(args, "mode", None) != "margin":  # margin's --s is its own target
         raise SystemExit2(f"--s does not apply to the {kind} strategy: it reaches accuracy {3 * args.k + span}")
     if kind == "shifting":
         return adaptive.path_shifting_strategy(args.N, args.k)
     return adaptive.path_sliding_window_strategy(args.N, args.k, span)
+
+
+def _source(args):
+    """The tests that ``simulate`` and the adversary transcripts play: the
+    ``--matrix-file`` matrix, else the strategy the kind options build."""
+    if args.matrix_file:
+        _reject(args, "a --matrix-file source", "--kind", "--span")
+        return _load_matrix(args.matrix_file, args.N)
+    return _build_strategy(args)
 
 
 class SystemExit2(Exception):
@@ -190,7 +209,7 @@ def cmd_matrix(args, out) -> int:
 
 def cmd_simulate(args, out) -> int:
     space = _make_space(args)
-    source = _load_matrix(args.matrix_file, args.N) if args.matrix_file else _build_strategy(args)
+    source = _source(args)
     kwargs = {}
     if args.walk:
         kwargs["walk"] = _parse_walk(args.walk)
@@ -210,54 +229,45 @@ def cmd_simulate(args, out) -> int:
 
 def cmd_adversary(args, out) -> int:
     space = _make_space(args)
-    victim = None
-    if args.matrix_file:
-        victim = _load_matrix(args.matrix_file, args.N)
-    if args.mode == "greedy":
-        if victim is None and args.n is not None:
-            forced = adversary.greedy_forced_size(space, args.n, args.test_class)
-            verdict = (
-                f"every {args.test_class} strategy with {args.n} tests ends with "
-                f"|D_{args.n}| >= {forced}"
-            )
-            if args.s is not None and forced > args.s:
-                verdict += f": accuracy {args.s} refuted"
-            out.write(verdict + "\n")
-            return 0
-        tr = adversary.greedy_adversary(space, victim if victim is not None else _build_strategy(args))
-    elif args.mode == "window":
-        tr = adversary.window_adversary(space, victim if victim is not None else _build_strategy(args))
-    elif args.mode == "margin":
-        if args.s is None or args.n is None:
-            raise SystemExit2("margin mode needs --s and --n")
-        if victim is None and not _has_strategy_params(args):
-            forced = adversary.margin_forced_size(space, args.n, args.s, args.test_class)
-            verdict = f"every {args.test_class} strategy with {args.n} tests ends with |D_{args.n}| >= {forced}"
-            if forced > args.s:
-                verdict += f": accuracy {args.s} refuted"
-            out.write(verdict + "\n")
-            return 0
-        tr = adversary.margin_adversary(
-            space, victim if victim is not None else _build_strategy(args), args.n, args.s
-        )
-    else:  # counter
-        if victim is None:
+    if args.mode == "counter":
+        _reject(args, "counter mode", "--kind", "--span", "--s", "--n", "--test-class")
+        if not args.matrix_file:
             raise SystemExit2("counter mode needs --matrix-file")
-        cert = adversary.matrix_counter(space, victim)
+        cert = adversary.matrix_counter(space, _load_matrix(args.matrix_file, args.N))
         out.write(f"forced_accuracy={cert.forced_accuracy}\n")
         out.write("answers=" + codec.bits_to_text(cert.answers) + "\n")
         for walk in cert.walks:
             out.write("walk=" + ",".join(str(p) for p in walk) + "\n")
         out.write(f"final={cert.final_candidates}\n")
         return 0
+    if args.mode == "margin" and (args.s is None or args.n is None):
+        raise SystemExit2("margin mode needs --s and --n")
+    named = args.matrix_file or args.kind != "auto" or args.span is not None
+    if args.mode != "window" and args.n is not None and not named:  # sweep the whole class
+        test_class = args.test_class or "intervals"
+        if args.mode == "greedy":
+            forced = adversary.greedy_forced_size(space, args.n, test_class)
+        else:
+            forced = adversary.margin_forced_size(space, args.n, args.s, test_class)
+        verdict = f"every {test_class} strategy with {args.n} tests ends with |D_{args.n}| >= {forced}"
+        if args.s is not None and forced > args.s:
+            verdict += f": accuracy {args.s} refuted"
+        out.write(verdict + "\n")
+        return 0
+    # the margin transcript reads --n and --s as its budget and target
+    unread = () if args.mode == "margin" else ("--n", "--s") if args.matrix_file else ("--n",)
+    _reject(args, f"the {args.mode} transcript", "--test-class", *unread)
+    source = _source(args)
+    if args.mode == "greedy":
+        tr = adversary.greedy_adversary(space, source)
+    elif args.mode == "window":
+        tr = adversary.window_adversary(space, source)
+    else:
+        tr = adversary.margin_adversary(space, source, args.n, args.s)
     out.write(tr.serialize())
     final = tr.final_candidates
     out.write(f"final |D_{len(tr.rounds)}| = {len(final)}\n")
     return 0
-
-
-def _has_strategy_params(args) -> bool:
-    return getattr(args, "kind", "auto") != "auto" or getattr(args, "span", None) is not None
 
 
 def cmd_oracle(args, out) -> int:
@@ -378,7 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, s=True, n=True)
     _add_strategy_params(p)
     p.add_argument("--matrix-file", default=None)
-    p.add_argument("--test-class", choices=["intervals", "all_subsets"], default="intervals")
+    p.add_argument("--test-class", choices=["intervals", "all_subsets"], default=None,
+                   help="class sweeps only (default intervals)")
     p.set_defaults(fn=cmd_adversary)
 
     p = sub.add_parser("oracle", help="exact minimax ground truth at desk scale")
@@ -424,8 +435,8 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
     except BudgetExceededError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except MemoryError:
-        print("resource cap exceeded: out of memory", file=sys.stderr)
+    except (MemoryError, RecursionError) as exc:
+        print(f"resource cap exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except (RegimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,9 @@ the object's current position gives to the next test of a search strategy;
 a receiver replaying the same strategy ends up with the object's position
 pinned down to the strategy's accuracy.  The channel is noiseless and
 rate one; there is no framing and no noise model, just the encoder/decoder
-pair and a lockstep simulation harness.
+pair and a lockstep simulation harness.  Encoder and decoder step the
+nodes of ``adversary.source_root``: an adaptive strategy's tree, or a test
+matrix (or list of tests) as a chain whose two answers meet at the next test.
 
 Bit streams serialize as strings of '0'/'1' characters.
 """
@@ -17,8 +19,7 @@ import random
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .adaptive import AdaptiveStrategy
-from .adversary import SourceCursor, Transcript, TranscriptRound, greedy_adversary
-from .nonadaptive import TestMatrix
+from .adversary import Transcript, TranscriptRound, greedy_adversary, source_root
 from .spaces import (
     PositionSet,
     SearchSpace,
@@ -32,9 +33,7 @@ from .spaces import (
 )
 
 if TYPE_CHECKING:
-    from typing import Union
-
-    Strategy = Union[AdaptiveStrategy, TestMatrix]
+    from .adversary import TestSource
 
 
 class CodecSession:
@@ -46,9 +45,9 @@ class CodecSession:
     tests.
     """
 
-    def __init__(self, space: SearchSpace, strategy: Strategy):
+    def __init__(self, space: SearchSpace, strategy: TestSource):
         self.space = space
-        self._cursor = SourceCursor(strategy)
+        self._node = source_root(strategy)
         self.bits: list[int] = []
         self._last_position: Optional[int] = None
         self._pre = full_set(space)  # the test-time set, kept with the flag off only
@@ -67,13 +66,13 @@ class CodecSession:
 
     @property
     def done(self) -> bool:
-        return self._cursor.next_test() is None
+        return self._node.test is None
 
     def next_test(self) -> Optional[PositionSet]:
-        return self._cursor.next_test()
+        return self._node.test
 
     def encode_step(self, position: int) -> int:
-        test = self._cursor.next_test()
+        test = self._node.test
         if test is None:
             raise ValueError("strategy exhausted: no further test to answer")
         if not 1 <= position <= self.space.num_vertices:
@@ -93,27 +92,27 @@ class CodecSession:
             raise AssertionError("decoder state emptied on an honest position")
         self._last_position = position
         self.bits.append(bit)
-        self._cursor.feed(bit)
+        self._node = self._node.on1 if bit else self._node.on0
         return bit
 
 
-def decode(space: SearchSpace, strategy: Strategy, bits: Sequence[int]) -> PositionSet:
+def decode(space: SearchSpace, strategy: TestSource, bits: Sequence[int]) -> PositionSet:
     """Receiver side: the announced position set after the given bits.
 
     Raises ``ValueError`` on a bit sequence no object walk can produce
     (a protocol violation upstream).
     """
-    cursor = SourceCursor(strategy)
+    node = source_root(strategy)
     post = full_set(space)
     test = None
     for i, bit in enumerate(bits):
-        test = cursor.next_test()
+        test = node.test
         if test is None:
             raise ValueError(f"bit {i} has no matching test: strategy exhausted")
         prev, post = post, update(space, post, test, bit)
         if not post:
             raise ValueError(f"inconsistent bit stream at position {i}")
-        cursor.feed(bit)
+        node = node.on1 if bit else node.on0
     if test is None or space.moves_after_last_test:
         return post
     return split(space, prev, test, bit)  # the last round's test-time set
@@ -137,7 +136,7 @@ def random_walk(space: SearchSpace, length: int, seed: int) -> tuple[int, ...]:
 
 def simulate_session(
     space: SearchSpace,
-    strategy: Strategy,
+    strategy: TestSource,
     walk: Optional[Sequence[int]] = None,
     *,
     seed: Optional[int] = None,

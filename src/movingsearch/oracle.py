@@ -34,11 +34,12 @@ through states that need more than b tests: a root won in v > b tests has a
 best line whose states need v-1, v-2, ... tests, so the trap meets one that
 needs exactly b, or closes and shows that no strategy exists (the level
 argument of retrograde labelling).  ``exact_min_accuracy``, with any number
-of tests, goes up in s on one table that keeps the announced sizes; a
-growing trap drops only won states, so it carries over from s to s+1, and
-the first s at which it loses the root is the answer.  ``extract_strategy``
-walks raw sets, taking the first split whose open children win with one
-test fewer, and ``exact_best_matrix`` bounds its branches with the engine.
+of tests, goes up in s on one table that keeps the announced sizes; the
+proven bounds and won states carry over from s to s+1, each s grows a trap
+of its own, and the first s at which the trap loses the root is the
+answer.  ``extract_strategy`` walks raw sets, taking the first split whose
+open children win with one test fewer, and ``exact_best_matrix`` bounds its
+branches with the engine.
 """
 
 from __future__ import annotations
@@ -97,16 +98,16 @@ class _Search:
         self._branch: dict[int, int] = {}  # moved part -> its branch above the floor
         self.hi: dict[int, int] = {0: 0}
         self.won: set[int] = set()
-        # the trap: its members, the pairs (state, index) watching each one,
-        # and by announced size the pairs to look at once that branch closes
-        self.alive, self.watchers, self.recheck = set(), {}, {}
         self.at(s)
 
     def at(self, s: int) -> None:
-        """Answer at accuracy ``s``.  Only ``exact_min_accuracy`` calls it
-        again, raising ``s`` on a ``sized`` table; a larger accuracy never
-        needs more tests, so ``hi``, ``won`` and the trap carry over."""
+        """Answer at accuracy ``s``, with an empty trap.  Only
+        ``exact_min_accuracy`` calls it again, raising ``s`` on a ``sized``
+        table; a larger accuracy never needs more tests, so ``hi`` and
+        ``won`` carry over."""
         self.s, self.first_open = s, s + 1 << self.arena.n
+        # the trap: its members and the pairs (state, index) watching each one
+        self.alive, self.watchers = set(), {}
         self.lo: dict[int, int] = {}
         # need[x]: the fewest tests a state of x members can need, from a
         # largest part of ceil(x/2) members that gains one when it moves
@@ -184,15 +185,16 @@ class _Search:
         """Whether a closed trap holds ``root``.  Each split of a member
         watches an open child in the trap, else a state not known to be won,
         which joins (smallest first), else its state drops out, won; it
-        picks again when that child drops out or its branch closes.  States
+        picks again when that child drops out.  States
         that ``b`` tests fewer win are won, and one that needs exactly
-        ``b >= 1`` empties the trap.  The trap carries over between calls."""
+        ``b >= 1`` empties the trap.  The trap carries over between calls at
+        one accuracy."""
         start = perf_counter()
         n, full, first_open = self.arena.n, self.arena.full, self.first_open
         alive, won, hi, table = self.alive, self.won, self.hi, self.table
-        watchers, recheck = self.watchers, self.recheck
+        watchers = self.watchers
         joined: list[tuple] = []  # heap of (size, member) still to watch
-        redo = recheck.pop(self.s, [])
+        redo: list[tuple] = []  # pairs whose watched child dropped out
         if not alive:
             alive.add(root)
             joined.append((0, root))
@@ -230,7 +232,6 @@ class _Search:
                     redo += watchers.pop(d, ())
                     break
                 watchers.setdefault(w & full, []).append((d, i))
-                recheck.setdefault(w >> n, []).append((d, i))
         self.trap_seconds += perf_counter() - start
         return root in alive
 

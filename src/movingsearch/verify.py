@@ -365,10 +365,7 @@ def check_soundness_suite(t: _Tally):
                 if walk is not None:
                     t.ok(is_valid_walk(sp, walk) and walk[-1] in d, "reconstructed walk broken")
                 if d:
-                    got = codec.decode(sp, nonadaptive.TestMatrix(
-                        tuple(tuple(1 if v in test else 0 for v in range(1, n_vertices + 1)) for test in tests)
-                    ), answers)
-                    t.ok(set(got) == set(d), "decode disagrees with the search chain")
+                    t.ok(set(codec.decode(sp, tests, answers)) == set(d), "decode disagrees with the search chain")
         # adversary transcripts stay realizable round by round
         s_target = adaptive.path_min_accuracy(n_vertices, k) if topo == "path" else adaptive.cycle_min_accuracy(n_vertices, k)
         if topo == "path" and n_vertices >= 4 * k + 1:

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import enumerate_interval_tests, reference_forced_size
 from movingsearch.adaptive import (
+    AdaptiveStrategy,
     cycle_capacity,
     cycle_strategy,
     path_capacity,
@@ -24,9 +25,11 @@ from movingsearch.adversary import (
     margin_forced_size,
     margin_start,
     matrix_counter,
+    source_root,
     window_adversary,
     window_step,
 )
+from movingsearch.codec import decode
 from movingsearch.errors import BudgetExceededError
 from movingsearch.kernel import MAX_SUBSET_N, TEST_CLASSES, Arena, mask_of
 from movingsearch.nonadaptive import TestMatrix, evaluate_matrix, expanding_accuracy_matrix
@@ -523,3 +526,34 @@ def test_transcript_serialization():
     assert text.splitlines()[0] == "round=0 test=- answer=- D=1-8"
     for i, r in enumerate(tr.rounds, start=1):
         assert f"round={i} " in text
+
+
+# -- test sources -----------------------------------------------------------------------
+
+
+def decoded_or_error(space, source, bits):
+    try:
+        return str(decode(space, source, bits))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("moves", [True, False])
+@pytest.mark.parametrize("n_vertices", [9, 10, 11, 12])
+def test_a_matrix_its_tests_and_its_chain_play_alike(n_vertices, moves):
+    # a matrix is the decision tree whose two answers meet at the next row;
+    # its rows are intervals, the tests the window rule answers
+    rng = random.Random(n_vertices)
+    for k in (1, 2):
+        space = path(n_vertices, k, moves_after_last_test=moves)
+        for rows in (2, 3, 4):
+            runs = [sorted(rng.sample(range(n_vertices + 1), 2)) for _ in range(rows)]
+            matrix = TestMatrix(tuple(tuple(int(lo < v <= hi) for v in range(1, n_vertices + 1)) for lo, hi in runs))
+            chain = AdaptiveStrategy(space, source_root(matrix), n_vertices)
+            sources = (matrix, list(matrix.tests()), chain)
+            for play in (greedy_adversary, window_adversary):
+                first, *rest = (play(space, source) for source in sources)
+                assert first.tests() == list(matrix.tests()) and all(tr == first for tr in rest)
+            for length in range(rows + 2):  # one bit past the last row too
+                for bits in itertools.product((0, 1), repeat=length):
+                    assert len({decoded_or_error(space, source, bits) for source in sources}) == 1

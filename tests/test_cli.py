@@ -226,6 +226,35 @@ def test_s_with_a_shifting_or_sliding_kind_is_usage_error(argv, reached, capsys)
     assert err[0].endswith(f"it reaches accuracy {reached}"), err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["strategy", "--N", "20", "--k", "2", "--kind", "shifting", "--span", "2"], "--span"),
+        (["strategy", "--N", "20", "--k", "2", "--kind", "split", "--s", "9", "--span", "2"], "--span"),
+        (["strategy", "--topology", "cycle", "--N", "20", "--k", "1", "--s", "5", "--kind", "shifting",
+          "--span", "3"], "--kind"),
+        (["adversary", "--mode", "window", "--N", "9", "--k", "1", "--test-class", "all_subsets"], "--test-class"),
+        (["adversary", "--mode", "greedy", "--N", "12", "--k", "1", "--n", "2", "--kind", "split", "--s", "5"],
+         "--n"),
+        (["adversary", "--mode", "greedy", "--N", "12", "--k", "1", "--n", "2", "--matrix-file", "m.txt"], "--n"),
+        (["adversary", "--mode", "counter", "--N", "16", "--k", "1", "--s", "4", "--matrix-file", "m.txt"], "--s"),
+        (["simulate", "--N", "12", "--k", "1", "--kind", "split", "--matrix-file", "m.txt"], "--kind"),
+    ],
+)
+def test_options_the_chosen_path_does_not_read_are_usage_errors(argv, option, capsys):
+    # named before any file is read, so m.txt need not exist
+    code, text = run_cli(*argv)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err.startswith(f"error: {option} does not apply to ")
+
+
+def test_strategy_too_deep_to_build_is_a_resource_cap(capsys):
+    code, text = run_cli("strategy", "--N", "2001", "--k", "1")
+    assert code == 3 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("resource cap exceeded: maximum recursion depth exceeded") and err.count("\n") == 1
+
+
 def test_margin_adversary_reads_s_as_its_own_target():
     code, text = run_cli("adversary", "--mode", "margin", "--N", "12", "--k", "1", "--kind", "shifting",
                          "--s", "4", "--n", "3")
