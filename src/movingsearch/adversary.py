@@ -157,7 +157,9 @@ def window_step(space: SearchSpace, window: PositionSet, test: PositionSet) -> t
     The answer comes from a five-case rule on how the test meets the block
     and how far the block sits from the path's ends; the new block is the
     leftmost wide-enough run in the reachability expansion of the kept
-    part.  Raises ``WindowInvariantError`` if no such run exists.
+    part.  The rule answers a test that meets the block in at most one run,
+    as every interval test does; a test that meets it in two runs can leave
+    no such run.  Raises ``WindowInvariantError`` if no such run exists.
     """
     n, k = space.num_vertices, space.speed
     width = 3 * k + 1
@@ -190,8 +192,9 @@ def window_step(space: SearchSpace, window: PositionSet, test: PositionSet) -> t
 def window_adversary(space: SearchSpace, source: TestSource) -> Transcript:
     """Maintain a block of 3k+1 consecutive candidates forever.
 
-    Refutes accuracy 3k on any path with at least 4k+1 vertices: the block
-    witnesses |D_i| >= 3k+1 after every round.
+    Refutes accuracy 3k for interval tests on any path with at least 4k+1
+    vertices: the block witnesses |D_i| >= 3k+1 after every round (see
+    ``window_step`` for the tests it answers).
     """
     if space.topology is not Topology.PATH:
         raise ValueError("the window adversary works on paths")

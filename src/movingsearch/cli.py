@@ -261,6 +261,13 @@ def cmd_adversary(args, out) -> int:
     if args.mode == "greedy":
         tr = adversary.greedy_adversary(space, source)
     elif args.mode == "window":
+        if isinstance(source, TestMatrix):
+            for i in range(source.rows):
+                test = source.row_test(i)
+                if len(test.intervals) > 1:
+                    raise SystemExit2(
+                        f"the window adversary answers interval tests only: row {i + 1} tests {test}"
+                    )
         tr = adversary.window_adversary(space, source)
     else:
         tr = adversary.margin_adversary(space, source, args.n, args.s)
@@ -376,9 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, s=True)
     _add_strategy_params(p)
     p.add_argument("--matrix-file", default=None)
-    p.add_argument("--walk", default=None, help="comma-separated positions")
-    p.add_argument("--adversarial", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
+    walk_source = p.add_mutually_exclusive_group()  # one source of target walks
+    walk_source.add_argument("--walk", default=None, help="comma-separated positions")
+    walk_source.add_argument("--adversarial", action="store_true")
+    walk_source.add_argument("--seed", type=int, default=None)
     p.add_argument("--restricted", action="store_true",
                    help="the target does not move after the last test")
     p.set_defaults(fn=cmd_simulate)
@@ -405,8 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("codec", help="encode a walk to bits / decode bits to a set")
     _add_common(p, topology=False)
-    p.add_argument("--walk", default=None)
-    p.add_argument("--bits", default=None)
+    direction = p.add_mutually_exclusive_group()  # encode a walk or decode bits
+    direction.add_argument("--walk", default=None)
+    direction.add_argument("--bits", default=None)
     p.add_argument("--matrix-file", default=None)
     p.set_defaults(fn=cmd_codec)
 

@@ -6,8 +6,12 @@ stands for vertex v.  ``Arena`` holds the mask arithmetic for one space:
 speed-step reachability as a shift-or (path) or rotate-or (cycle), cached
 per arena, the canonical form of a mask under the arena's symmetries, and
 ``splits``, which walks a state's own members for the distinct ways a test
-of either class cuts it, both parts moved.  ``mask_of`` and ``ps_of``
-convert to and from ``PositionSet``, which stays the public and text type.
+of either class cuts it, both parts moved.  Its optional dominance limits
+``lim`` (drop a split with a side of over ``lim`` members whose move
+covers the state) and ``ends`` (drop an interval test's middle run that
+meets these vertices) bound its loops; the defaults prune nothing, for the
+class sweeps and strategy extraction.  ``mask_of`` and ``ps_of`` convert
+to and from ``PositionSet``, which stays the public and text type.
 The engines read the end-of-game rule from the space's
 ``moves_after_last_test`` alone.
 """
@@ -22,6 +26,12 @@ TEST_CLASSES = ("intervals", "all_subsets")
 # the largest arena whose all-subsets splits the engines enumerate: a state
 # of N members has 2^(N-1) of them, which ``splits`` materialises
 MAX_SUBSET_N = 22
+# each byte with its bits in reverse order, for ``Arena.reflect``: the
+# bytes with bit i set are those without it, plus bit 7-i
+_REV = [0]
+for _i in range(8):
+    _REV += [r | 0x80 >> _i for r in _REV]
+_REV = bytes(_REV)
 
 
 def mask_of(ps: PositionSet) -> int:
@@ -32,18 +42,17 @@ def mask_of(ps: PositionSet) -> int:
 
 
 def ps_of(mask: int) -> PositionSet:
+    """The set of a mask's members, a run of set bits at a time: adding the
+    lowest set bit clears its run and carries into the bit above it."""
     ivs = []
-    j = 0
+    base = 0  # the vertex below bit 0 of what is left of the mask
     while mask:
-        if mask & 1:
-            lo = j
-            while mask & 1:
-                mask >>= 1
-                j += 1
-            ivs.append((lo + 1, j))
-        else:
-            mask >>= 1
-            j += 1
+        low = mask & -mask
+        t = mask + low
+        hi = (t & -t).bit_length() - 1  # the carry's bit: the run ends at vertex hi
+        ivs.append((base + low.bit_length(), base + hi))
+        mask = t >> hi + 1
+        base += hi + 1
     return PositionSet._of(tuple(ivs))
 
 
@@ -55,6 +64,9 @@ class Arena:
         self.n = space.num_vertices
         self.k = space.speed
         self.full = (1 << self.n) - 1
+        self._path = space.topology is Topology.PATH
+        self._bytes = (self.n + 7) // 8
+        self._pad = 8 * self._bytes - self.n  # the bits above N in the last byte
         self._reach_cache: dict[int, int] = {}
         self._step: Optional[list[int]] = None  # one-vertex moves, on first use
 
@@ -68,7 +80,7 @@ class Arena:
         """``reach`` without the cache, for callers that keep their own."""
         n, full = self.n, self.full
         out = mask
-        if self.space.topology is Topology.PATH:
+        if self._path:
             for _ in range(self.k):
                 out |= (out << 1) | (out >> 1)
                 out &= full
@@ -79,16 +91,18 @@ class Arena:
         return out
 
     def reflect(self, mask: int) -> int:
-        """The mask mirrored end to end: vertex v goes to N+1-v."""
-        return int(format(mask, f"0{self.n}b")[::-1], 2)
+        """The mask mirrored end to end: vertex v goes to N+1-v.  Its bytes,
+        each reversed, are read the other way round."""
+        return int.from_bytes(mask.to_bytes(self._bytes, "little").translate(_REV), "big") >> self._pad
 
     def canon(self, mask: int) -> int:
         """The smallest image of the mask under the arena's symmetries:
         reflection on a path, the 2N rotations and reflections on a cycle.
         Both map intervals to intervals (arcs to arcs) and commute with
         ``reach``, so every image has the same game value."""
-        if self.space.topology is Topology.PATH:
-            return min(mask, self.reflect(mask))
+        if self._path:
+            r = self.reflect(mask)
+            return r if r < mask else mask
         n = self.n
         bits = format(mask, f"0{n}b")
         if "0" not in bits or "1" not in bits:
@@ -106,12 +120,18 @@ class Arena:
                 i = twice.find(zeros, i + 1)
         return int(best, 2)
 
-    def splits(self, d: int, test_class: str) -> Iterator[tuple[int, int, int, int]]:
+    def splits(
+        self, d: int, test_class: str, lim: Optional[int] = None, ends: int = 0
+    ) -> Iterator[tuple[int, int, int, int]]:
         """Every split of ``d`` by a test of the class, once up to swapping
         the answers, as ``(e1, moved e1, e0, moved e0)``.  ``e1`` misses d's
         lowest member: it runs over the runs of d's other members (an
         interval, or an arc on a cycle, meets d in a run of members), or over
-        every nonempty submask of them.  Moved parts are ORs of vertex moves."""
+        every nonempty submask of them.  Moved parts are ORs of vertex moves.
+        The runs from member i stop at its first member in ``ends`` (a
+        middle run has ``e0`` on both sides) and jump to the suffix run, and
+        stop for good once a run's move covers ``d`` with over ``lim``
+        members, as every longer run from i does too."""
         if test_class not in TEST_CLASSES:
             raise ValueError(f"unknown test class {test_class!r}")
         table = self._step
@@ -120,18 +140,34 @@ class Arena:
         members = [v for v in range(self.n) if d >> v & 1]
         bits, moved = [1 << v for v in members], [table[v] for v in members]
         m = len(members)
+        if lim is None:
+            lim = m  # no part has more members than d
         if test_class == "intervals":
+            last = m - 1
             suffix = [0] * (m + 1)  # suffix[j]: the move of members j..m-1
-            for j in range(m - 1, 0, -1):
+            for j in range(last, 0, -1):
                 suffix[j] = suffix[j + 1] | moved[j]
-            prefix = 0  # the move of members 0..i-1
+            stop = [last] * m  # the middle runs from member i end before stop[i]
+            if ends:
+                for j in range(last - 1, 0, -1):
+                    stop[j] = j if bits[j] & ends else stop[j + 1]
+            low = prefix = 0  # members 0..i-1 and their move
             for i in range(1, m):
+                low |= bits[i - 1]
                 prefix |= moved[i - 1]
                 e1 = m1 = 0
-                for j in range(i, m):
+                for j in range(i, stop[i]):  # the middle runs i..j
                     e1 |= bits[j]
                     m1 |= moved[j]
-                    yield e1, m1, d ^ e1, prefix | suffix[j + 1]
+                    if j - i >= lim and not d & ~m1:
+                        break
+                    m0 = prefix | suffix[j + 1]
+                    if last - j + i > lim and not d & ~m0:
+                        continue
+                    yield e1, m1, d ^ e1, m0
+                else:  # the suffix run i..m-1
+                    if not (m - i > lim and not d & ~suffix[i] or i > lim and not d & ~prefix):
+                        yield d ^ low, suffix[i], low, prefix
         elif m:
             # parts[i] is the submask of the other members picked by the
             # bits of i, so parts[last - i] is its complement among them
@@ -140,4 +176,10 @@ class Arena:
                 parts += [p | b for p in parts]
                 parts_moved += [p | mb for p in parts_moved]
             moved_rest = [moved[0] | p for p in reversed(parts_moved[:-1])]
-            yield from zip(parts[1:], parts_moved[1:], [d ^ p for p in parts[1:]], moved_rest)
+            if lim >= m:
+                yield from zip(parts[1:], parts_moved[1:], [d ^ p for p in parts[1:]], moved_rest)
+                return
+            for e1, m1, m0 in zip(parts[1:], parts_moved[1:], moved_rest):
+                e0 = d ^ e1
+                if (d & ~m1 or e1.bit_count() <= lim) and (d & ~m0 or e0.bit_count() <= lim):
+                    yield e1, m1, e0, m0

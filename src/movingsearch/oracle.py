@@ -8,11 +8,13 @@ One engine, ``_Search``, answers every query by a depth-first proof search
 over ``win(d, n)``: do n tests bring state d to accuracy s?  It keeps each
 expanded state's distinct splits from ``Arena.splits``, larger announced
 set first, and proven bounds per state.  A subset of a state is never
-harder to win, so ``_dominated`` drops splits no optimal line needs (a
-dominance relation after T. Ibaraki, J. ACM 24(2), 1977): one with an open
-side whose move covers the state, and, on a path with interval tests and
-the flag on, a middle run within k+1 vertices of an end, which the test
-stretched to that end dominates.  A state is refuted by its size alone (a
+harder to win, so no optimal line needs two kinds of split (a dominance
+relation after T. Ibaraki, J. ACM 24(2), 1977): one with an open side
+whose move covers the state, and, on a path with interval tests and the
+flag on, a middle run within k+1 vertices of an end, which the test
+stretched to that end dominates.  The search hands ``Arena.splits`` the
+two limits that say which (``lim`` and ``ends``), and the enumeration
+never produces those splits.  A state is refuted by its size alone (a
 test leaves a part with half of its members, and a proper part of a
 connected arena gains one when it moves).  Before recursing it skips
 splits with a child ruled out by its lower bound and takes one whose
@@ -61,14 +63,6 @@ INF = float("inf")
 # the largest N of the measured ladder (60 s, 3 GB): path(80,1) s=5 and
 # cycle(22,1) s=5 over all subsets, whose states have 2^21 splits each
 _CAPS = {"intervals": 80, "all_subsets": MAX_SUBSET_N}
-
-
-def _dominated(d: int, e1: int, m1: int, e0: int, m0: int, lim: int, ends: int) -> bool:
-    """Whether no optimal line needs the split (e1, moved m1, e0, moved m0) of
-    ``d``: a side of over ``lim`` members whose move covers ``d``, or a middle
-    run ``e1`` (``e0`` on both sides) meeting ``ends`` (vertices 1..k+1, N-k..N)."""
-    return (not d & ~m1 and e1.bit_count() > lim or not d & ~m0 and e0.bit_count() > lim
-            or e0 > e1 and e1 & ends)
 
 
 class _Search:
@@ -133,11 +127,9 @@ class _Search:
         if out is not None:
             return out
         n, full, first_open = self.arena.n, self.arena.full, self.floor + 1 << self.arena.n
-        expand, get, new, lim, ends = self.expand, self._branch.get, self._new_branch, self.lim, self.ends
+        expand, get, new = self.expand, self._branch.get, self._new_branch
         found = set()
-        for e1, m1, e0, m0 in self.arena.splits(d, self.test_class):
-            if _dominated(d, e1, m1, e0, m0, lim, ends):
-                continue
+        for e1, m1, e0, m0 in self.arena.splits(d, self.test_class, self.lim, self.ends):
             if expand:
                 b1, b0 = get(m1) or new(m1), get(m0) or new(m0)
             else:  # the part itself is announced
@@ -163,11 +155,12 @@ class _Search:
         if need > n:
             lo[d] = need
             return False
-        full, first_open, m = self.arena.full, self.first_open, n - 1
+        full, first_open, m, sized = self.arena.full, self.first_open, n - 1, not self.floor
         live = []
         for b1, b0 in self.pairs(d):
-            x = b1 & full if b1 >= first_open else 0
-            y = b0 & full if b0 >= first_open else 0
+            x, y = b1 & full, b0 & full  # a branch below a fixed floor is 0 or open
+            if sized:  # a sized table keeps branches that are closed at s
+                x, y = x if b1 >= first_open else 0, y if b0 >= first_open else 0
             if x == d or y == d or lo.get(x, 0) > m or lo.get(y, 0) > m:
                 continue
             if hi.get(x, INF) <= m and hi.get(y, INF) <= m:

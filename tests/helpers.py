@@ -1,6 +1,7 @@
 """Shared verification helpers for strategy trees, the reference interval
-algebra, the reference strategy parser, the reference test enumerator,
-oracle, expansion and class sweep, and the reference matrix evaluator."""
+algebra, the reference strategy parser, the reference test enumerator and
+mask reader, oracle, expansion with its dominance rule and class sweep,
+and the reference matrix evaluator."""
 
 import re
 
@@ -132,6 +133,24 @@ def class_test_masks(space, test_class):
     if test_class == "intervals":
         return [mask_of(t) for t in enumerate_interval_tests(space)]
     return list(range(1, (1 << space.num_vertices) - 1))
+
+
+def reference_ps_of(mask):
+    """The intervals of a mask's members, read one bit at a time: the former
+    ``kernel.ps_of``, kept as the reference for its run-at-a-time loop."""
+    ivs = []
+    j = 0
+    while mask:
+        if mask & 1:
+            lo = j
+            while mask & 1:
+                mask >>= 1
+                j += 1
+            ivs.append((lo + 1, j))
+        else:
+            mask >>= 1
+            j += 1
+    return tuple(ivs)
 
 
 # -- reference interval algebra ------------------------------------------------
@@ -321,11 +340,13 @@ def reference_min_accuracy(arena, graph, n_budget=None):
 # -- reference expansion -----------------------------------------------------------
 # The former body of ``oracle._Search.pairs``, kept as the reference that its
 # dominance pruning is checked against: every split of the state is filed.
+# ``reference_dominated`` is the pruning rule as one predicate per split.
 
 
-def reference_pairs(self, d):
+def reference_pairs(self, d, pruned=False):
     """d's distinct splits as pairs of branches, the larger first, in
-    increasing order of it, none dropped; a drop-in for ``_Search.pairs``."""
+    increasing order of it, none dropped (with ``pruned``, those that
+    ``reference_dominated`` drops); a drop-in for ``_Search.pairs``."""
     out = self.table.get(d)
     if out is not None:
         return out
@@ -333,6 +354,8 @@ def reference_pairs(self, d):
     get, new = self._branch.get, self._new_branch
     found = set()
     for e1, m1, e0, m0 in self.arena.splits(d, self.test_class):
+        if pruned and reference_dominated(d, e1, m1, e0, m0, self.lim, self.ends):
+            continue
         if self.expand:
             b1, b0 = get(m1) or new(m1), get(m0) or new(m0)
         else:  # the part itself is announced
@@ -346,6 +369,15 @@ def reference_pairs(self, d):
     if self.edges > oracle.MAX_EDGES:
         raise BudgetExceededError(f"oracle edge cap {oracle.MAX_EDGES} exceeded")
     return out
+
+
+def reference_dominated(d, e1, m1, e0, m0, lim, ends):
+    """Whether no optimal line needs the split (e1, moved m1, e0, moved m0) of
+    ``d``: a side of over ``lim`` members whose move covers ``d``, or a middle
+    run ``e1`` (``e0`` on both sides) meeting ``ends`` (vertices 1..k+1, N-k..N).
+    The predicate ``Arena.splits`` applies as loop bounds, split by split."""
+    return (not d & ~m1 and e1.bit_count() > lim or not d & ~m0 and e0.bit_count() > lim
+            or e0 > e1 and e1 & ends)
 
 
 # -- reference class sweep ---------------------------------------------------------

@@ -16,3 +16,6 @@ def test_ab_inprocess_compares_a_checkout_with_itself():
     assert lines[0].startswith("parent: ") and lines[0].endswith("(0 raised)")
     assert lines[1].startswith("change: ") and lines[1].endswith("(0 raised)")
     assert lines[2].startswith("ratio change/parent: ") and float(lines[2].split(": ")[1]) > 0
+    # the parent's second copy against its first: the tool's own bias
+    assert lines[3].startswith("ratio parent/parent: ") and float(lines[3].split(": ")[1]) > 0
+    assert len(lines) == 4

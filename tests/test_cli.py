@@ -118,6 +118,17 @@ def test_adversary_window_transcript():
     assert "tracked=" in text
 
 
+def test_window_adversary_on_a_scattered_row_is_usage_error(tmp_path, capsys):
+    # the row meets the first block in two runs, which the window rule does not answer
+    target = tmp_path / "m.txt"
+    target.write_text("0110000000\n1000111001\n", encoding="ascii")
+    code, text = run_cli("adversary", "--mode", "window", "--N", "10", "--k", "2", "--matrix-file", str(target))
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (
+        "error: the window adversary answers interval tests only: row 2 tests 1,5-7,10\n"
+    )
+
+
 def test_adversary_counter_mode(tmp_path):
     mfile = tmp_path / "m.txt"
     run_cli("matrix", "--N", "16", "--k", "1", "--out", str(mfile))
@@ -167,6 +178,9 @@ def test_oracle_restricted_strategy_is_sound():
         ("adversary", "--mode", "greedy", "--N", "8", "--k", "1", "--n", "2", "--restricted"),
         ("verify", "--scale", "tiny"),
         ("table", "--k", "1", "--s-star", "--N", "5"),
+        # one walk source, and one direction of the codec
+        ("simulate", "--N", "10", "--k", "1", "--walk", "5,5,5,5,5", "--seed", "3", "--adversarial"),
+        ("codec", "--N", "16", "--k", "1", "--walk", "3,3,3", "--bits", "000"),
     ],
 )
 def test_missing_or_removed_options_are_usage_errors(capsys, argv):

@@ -8,6 +8,7 @@ from helpers import (
     assert_leaf_soundness,
     reference_best_matrix,
     reference_build_graph,
+    reference_dominated,
     reference_min_accuracy,
     reference_min_tests,
     reference_pairs,
@@ -139,7 +140,7 @@ def test_dominated_splits_have_a_harder_child_or_a_kept_better_split():
             if d.bit_count() <= top:
                 continue
             splits = list(arena.splits(d, test_class))
-            kept = [sp for sp in splits if not oracle._dominated(d, *sp, search.lim, search.ends)]
+            kept = list(arena.splits(d, test_class, search.lim, search.ends))
             one_cut = [(m1, m0) for e1, m1, e0, m0 in kept if e0 < e1]
             for e1, m1, e0, m0 in splits:
                 if (e1, m1, e0, m0) in kept:
@@ -153,6 +154,32 @@ def test_dominated_splits_have_a_harder_child_or_a_kept_better_split():
                 ), where
                 drops["dominated"] += 1
     assert min(drops.values()) > 100, drops  # neither kind of drop is vacuous
+
+
+def test_pruned_enumeration_keeps_what_the_reference_predicate_keeps():
+    """``Arena.splits`` with the search's limits yields, in order, the full
+    enumeration's splits that ``reference_dominated`` keeps, and
+    ``_Search.pairs`` files exactly their distinct branch pairs."""
+    rng = random.Random(21)
+    states = dropped = 0
+    for _ in range(200):
+        make, k, flag = rng.choice([path, cycle]), rng.randint(1, 3), rng.random() < 0.5
+        test_class = rng.choice(["intervals", "all_subsets"])
+        n_vertices = rng.randint(2, 16 if test_class == "intervals" else 9)
+        arena = Arena(make(n_vertices, k, moves_after_last_test=flag))
+        s, sized = rng.randint(1, n_vertices - 1), rng.random() < 0.25
+        search = oracle._Search(arena, test_class, s, sized=sized)
+        reference = oracle._Search(arena, test_class, s, sized=sized)
+        for _ in range(10):
+            d = rng.randrange(1, arena.full + 1)
+            where = f"{arena.space} s={s} sized={sized} {test_class} d={d:b}"
+            splits = list(arena.splits(d, test_class))
+            kept = [sp for sp in splits if not reference_dominated(d, *sp, search.lim, search.ends)]
+            dropped += len(splits) - len(kept)
+            assert list(arena.splits(d, test_class, search.lim, search.ends)) == kept, where
+            assert search.pairs(d) == reference_pairs(reference, d, pruned=True), where
+            states += 1
+    assert states == 2000 and dropped > 1000, dropped
 
 
 @pytest.mark.parametrize("test_class, n_max", [("intervals", 13), ("all_subsets", 8)])
@@ -224,6 +251,16 @@ def test_canon_is_constant_on_orbits_and_commutes_with_reach(make):
                 assert {arena.canon(x) for x in orbit} == {c}, where
                 moved = arena.canon(arena.reach(m))
                 assert {arena.canon(arena.reach(x)) for x in orbit} == {moved}, where
+
+
+@pytest.mark.parametrize("make", [path, cycle])
+def test_reflect_reverses_the_bit_string(make):
+    rng = random.Random(12)
+    for n_vertices in range(1, 81):
+        arena = Arena(make(n_vertices, 1))
+        masks = range(1 << n_vertices) if n_vertices <= 12 else [rng.getrandbits(n_vertices) for _ in range(200)]
+        for m in masks:
+            assert arena.reflect(m) == int(format(m, f"0{n_vertices}b")[::-1], 2), f"N={n_vertices} mask={m:b}"
 
 
 @pytest.mark.parametrize("make", [path, cycle])

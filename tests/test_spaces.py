@@ -10,10 +10,11 @@ from helpers import (
     class_test_masks,
     enumerate_interval_tests,
     reference_parse_position_set,
+    reference_ps_of,
     reference_update,
 )
 from movingsearch.adaptive import cycle_capacity, cycle_strategy
-from movingsearch.kernel import Arena
+from movingsearch.kernel import Arena, mask_of, ps_of
 from movingsearch.oracle import exact_min_tests
 from movingsearch.spaces import (
     _ROUND_MEMO_SIZE,
@@ -540,6 +541,18 @@ def test_splits_match_every_test_of_the_class(make, test_class, n_max):
                 for e1, m1, e0, m0 in got:
                     assert not e1 & d & -d, where
                     assert (m1, m0) == (arena.move(e1), arena.move(e0)), where
+
+
+def test_ps_of_reads_runs_as_the_per_bit_loop_does():
+    rng = random.Random(10001)
+    masks = list(range(1 << 12)) + [(1 << n) - 1 for n in (1, 63, 64, 65, 10001)]
+    masks += [rng.getrandbits(rng.randint(1, 10001)) for _ in range(100)]
+    # long runs and long gaps, as candidate sets have
+    masks += [sum(((1 << rng.randint(1, 900)) - 1) << rng.randrange(9000) for _ in range(4)) for _ in range(100)]
+    for m in masks:
+        got = ps_of(m)
+        assert got.intervals == reference_ps_of(m), f"mask={m:b}"
+        assert mask_of(got) == m
 
 
 def test_interval_test_enumeration():

@@ -4,19 +4,21 @@
         --workload construct-replay --seed 7 --repeats 5
 
 Loads ``src/movingsearch`` of each checkout into this one process under
-its own package name, builds the workload's instance grid from
-``perfbench/workloads.py`` of this checkout (read only) with the same seed
-for both sides, and runs every instance on each side in turn, the side
-that goes first alternating from one instance to the next.  Each
-instance's time is the best of ``--repeats`` runs on that side; an
-instance that raises is timed up to its exception and counted.  Each run
-starts with the side's round memo (``spaces._round``) cleared, where the
-side has one: in a perfbench pass other instances run in between, so a
-run there finds none of the rounds it computed before either.  Prints
-each side's total and the ratio change/parent.  Both sides share the
-interpreter, the heap and the machine's state at each moment, so slow
-drift of the host cancels out; a run in separate processes, as perfbench
-makes, is still the end-to-end measure.
+its own package name, and the parent's a second time under a third,
+builds the workload's instance grid from ``perfbench/workloads.py`` of
+this checkout (read only) with the same seed for every side, and runs
+every instance on each side in turn, the side that goes first rotating
+from one instance to the next.  Each instance's time is the best of
+``--repeats`` runs on that side; an instance that raises is timed up to
+its exception and counted.  Each run starts with the side's round memo
+(``spaces._round``) cleared, where the side has one: in a perfbench pass
+other instances run in between, so a run there finds none of the rounds
+it computed before either.  Prints the parent's and the change's totals,
+the ratio change/parent, and the ratio of the parent's second copy to
+its first: the tool's own bias, which a change ratio must clear to mean
+anything.  All sides share the interpreter, the heap and the machine's
+state at each moment, so slow drift of the host cancels out; a run in
+separate processes, as perfbench makes, is still the end-to-end measure.
 """
 
 from __future__ import annotations
@@ -80,18 +82,20 @@ def main(argv=None) -> int:
 
     if args.workload not in workloads.GRIDS:
         parser.error(f"--workload must be one of {', '.join(sorted(workloads.GRIDS))}")
-    sides = [load_library(path, f"movingsearch_ab{i}") for i, path in enumerate((args.parent, args.change))]
+    paths = (args.parent, args.change, args.parent)
+    sides = [load_library(path, f"movingsearch_ab{i}") for i, path in enumerate(paths)]
     grids = [workloads.GRIDS[args.workload](ms, random.Random(args.seed)) for ms in sides]
     clears = [getattr(getattr(ms.spaces, "_round", None), "cache_clear", lambda: None) for ms in sides]
-    totals, failed = [0.0, 0.0], [0, 0]
-    for i, pair in enumerate(zip(*grids)):
-        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-            seconds, raised = best_time(pair[side], args.repeats, clears[side])
+    totals, failed = [0.0] * 3, [0] * 3
+    for i, row in enumerate(zip(*grids)):
+        for side in (i % 3, (i + 1) % 3, (i + 2) % 3):
+            seconds, raised = best_time(row[side], args.repeats, clears[side])
             totals[side] += seconds
             failed[side] += raised
     for label, total, fails in zip(("parent", "change"), totals, failed):
         print(f"{label}: {total:.4f} s over {len(grids[0])} instances ({fails} raised)")
     print(f"ratio change/parent: {totals[1] / totals[0]:.4f}")
+    print(f"ratio parent/parent: {totals[2] / totals[0]:.4f}")
     return 0
 
 
