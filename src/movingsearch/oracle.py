@@ -145,7 +145,9 @@ class _Search:
         return out
 
     def win(self, d: int, n: int) -> bool:
-        """Whether ``n`` tests bring canonical state ``d`` (not yet fitting) to the accuracy."""
+        """Whether ``n`` tests bring canonical state ``d`` (not yet fitting) to
+        the accuracy.  It serves fixed-floor tables only, where every stored
+        branch is 0 or open, so a pair decodes with ``& full`` alone."""
         hi, lo = self.hi, self.lo
         if hi.get(d, INF) <= n:
             return True
@@ -155,12 +157,10 @@ class _Search:
         if need > n:
             lo[d] = need
             return False
-        full, first_open, m, sized = self.arena.full, self.first_open, n - 1, not self.floor
+        full, m = self.arena.full, n - 1
         live = []
         for b1, b0 in self.pairs(d):
-            x, y = b1 & full, b0 & full  # a branch below a fixed floor is 0 or open
-            if sized:  # a sized table keeps branches that are closed at s
-                x, y = x if b1 >= first_open else 0, y if b0 >= first_open else 0
+            x, y = b1 & full, b0 & full
             if x == d or y == d or lo.get(x, 0) > m or lo.get(y, 0) > m:
                 continue
             if hi.get(x, INF) <= m and hi.get(y, INF) <= m:

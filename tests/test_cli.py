@@ -15,6 +15,7 @@ from hypothesis import strategies as hs
 from helpers import assert_every_walk_succeeds, assert_leaf_soundness
 from movingsearch.adaptive import AdaptiveStrategy
 from movingsearch.cli import build_parser, main
+from movingsearch.nonadaptive import TestMatrix
 from movingsearch.spaces import path
 
 
@@ -125,8 +126,18 @@ def test_window_adversary_on_a_scattered_row_is_usage_error(tmp_path, capsys):
     code, text = run_cli("adversary", "--mode", "window", "--N", "10", "--k", "2", "--matrix-file", str(target))
     assert code == 2 and text == ""
     assert capsys.readouterr().err == (
-        "error: the window adversary answers interval tests only: row 2 tests 1,5-7,10\n"
+        "error: the window adversary cannot answer: no 7-wide block survives test 1,5-7,10 with window 1-7\n"
     )
+
+
+def test_window_adversary_plays_the_expanding_matrix(tmp_path):
+    # rows from the third on are not intervals, but each meets the block in one run
+    mfile = tmp_path / "m.txt"
+    run_cli("matrix", "--N", "16", "--k", "1", "--out", str(mfile))
+    assert any(len(t.intervals) > 1 for t in TestMatrix.parse(mfile.read_text()).tests())
+    code, text = run_cli("adversary", "--mode", "window", "--N", "16", "--k", "1", "--matrix-file", str(mfile))
+    assert code == 0
+    assert text.splitlines()[-1] == "final |D_6| = 4"
 
 
 def test_adversary_counter_mode(tmp_path):
