@@ -4,9 +4,10 @@ class sweep and both matrix engines.
 A candidate set on a path or cycle of N vertices is an int whose bit v-1
 stands for vertex v.  ``Arena`` holds the mask arithmetic for one space:
 speed-step reachability as a shift-or (path) or rotate-or (cycle), cached
-per arena, the canonical form of a mask under the arena's symmetries, and
-``splits``, which walks a state's own members for the distinct ways a test
-of either class cuts it, both parts moved.  Its optional dominance limits
+per arena, the canonical form of a mask under the arena's symmetries and
+of each of its runs of members (``runs``), and ``splits``, which walks a
+state's own members for the distinct ways a test of either class cuts
+it, both parts moved.  Its optional dominance limits
 ``lim`` (drop a split with a side of over ``lim`` members whose move
 covers the state) and ``ends`` (drop an interval test's middle run that
 meets these vertices) bound its loops; the defaults prune nothing, for the
@@ -119,6 +120,27 @@ class Arena:
                 best = min(best, twice[i : i + n])
                 i = twice.find(zeros, i + 1)
         return int(best, 2)
+
+    def runs(self, mask: int) -> tuple[int, ...]:
+        """The canonical forms of the mask's runs of members when it has
+        more than one, else none.  A run from bit a to bit b of a path is
+        its own canonical form unless its mirror image lies lower, when
+        a + b > N-1; an arc of L members on a cycle is the L low bits."""
+        n, out = self.n, []
+        if not self._path and mask & 1 and mask >> n - 1:  # an arc wraps: turn it off bit 0
+            z = ((mask + 1) & ~mask).bit_length() - 1
+            mask = (mask >> z | mask << n - z) & self.full
+        while mask:
+            low = mask & -mask
+            t = mask + low
+            top = t & -t  # the bit above the run
+            mask ^= top - low
+            if self._path:
+                a, b = low.bit_length() - 1, top.bit_length() - 2
+                out.append(top - low if a + b < n else (1 << b - a + 1) - 1 << n - 1 - b)
+            else:
+                out.append((top >> low.bit_length() - 1) - 1)
+        return tuple(out) if len(out) > 1 else ()
 
     def splits(
         self, d: int, test_class: str, lim: Optional[int] = None, ends: int = 0

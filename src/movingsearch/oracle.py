@@ -16,11 +16,13 @@ stretched to that end dominates.  The search hands ``Arena.splits`` the
 two limits that say which (``lim`` and ``ends``), and the enumeration
 never produces those splits.  A state is refuted by its size alone (a
 test leaves a part with half of its members, and a proper part of a
-connected arena gains one when it moves).  Before recursing it skips
-splits with a child ruled out by its lower bound and takes one whose
-children are proven by their upper bounds (the enhanced transposition
-cutoff of A. Reinefeld, T. A. Marsland, IEEE TPAMI 16(7), 1994); a split
-that leads back to its state is never a best one.
+connected arena gains one when it moves), and a state of several runs of
+members by a lower bound proven for one of its runs (``Arena.runs``), a
+subset of it.  Before recursing it skips splits with a child ruled out
+by its lower bound and takes one whose children are proven by their upper
+bounds (the enhanced transposition cutoff of A. Reinefeld, T. A.
+Marsland, IEEE TPAMI 16(7), 1994); a split that leads back to its state
+is never a best one.
 
 ``exact_min_tests`` deepens n (R. E. Korf, "Depth-first iterative-deepening:
 an optimal admissible tree search", Artificial Intelligence 27(1), 1985).
@@ -28,20 +30,22 @@ Deepening never shows that no n works: after a failed pass that expanded
 no new state, a closed-trap check in the spirit of A. Kishimoto, M. Mueller
 ("A general solution to the graph history interaction problem", AAAI 2004)
 looks for a set of states holding the root, none known to be won, in which
-every split of every member has an open child inside the set.  That proves
-the query unreachable for every n: were a member winnable, one with the
-fewest tests v would have a split whose children are closed or won in fewer
-than v tests, so outside the set.  Once a budget b runs out, the trap grows
-through states that need more than b tests: a root won in v > b tests has a
-best line whose states need v-1, v-2, ... tests, so the trap meets one that
-needs exactly b, or closes and shows that no strategy exists (the level
-argument of retrograde labelling).  ``exact_min_accuracy``, with any number
-of tests, goes up in s on one table that keeps the announced sizes; the
-proven bounds and won states carry over from s to s+1, each s grows a trap
-of its own, and the first s at which the trap loses the root is the
-answer.  ``extract_strategy`` walks raw sets, taking the first split whose
-open children win with one test fewer, and ``exact_best_matrix`` bounds its
-branches with the engine.
+every split of every member has an open child that is in the set or holds
+a member as one of its runs.  That proves the query unreachable for every
+n: were a member winnable, one with the fewest tests v would have a split
+whose children are closed or won in fewer than v tests, as is each member
+they hold, so they neither are nor hold one.  Once a budget b runs out,
+the trap grows through states that need more than b tests: a root won in
+v > b tests has a best line whose states need v-1, v-2, ... tests, so the
+trap meets one that needs exactly b, or closes and shows that no strategy
+exists (the level argument of retrograde labelling).
+``exact_min_accuracy``, with any number of tests, goes up in s on one
+table that keeps the announced sizes; the proven bounds and won states
+carry over from s to s+1, each s grows a trap of its own, and the first s
+at which the trap loses the root is the answer.  ``extract_strategy``
+walks raw sets, taking the first split whose open children win with one
+test fewer, and ``exact_best_matrix`` bounds its branches with the
+engine.
 """
 
 from __future__ import annotations
@@ -57,11 +61,12 @@ from .kernel import MAX_SUBSET_N, Arena, ps_of
 from .nonadaptive import TestMatrix, advance_row
 from .spaces import SearchSpace, Topology
 
-MAX_EDGES = 8_000_000  # cap on the oracle's stored pairs: about 1.2 GB at N = 69
+MAX_EDGES = 8_000_000  # cap on the oracle's stored pairs: 0.76 GB on path(44,1) s=3
 MAX_MATRIX_ENTRIES = 2_000_000  # cap on the matrix search's memo entries
 INF = float("inf")
-# the largest N of the measured ladder (60 s, 3 GB): path(80,1) s=5 and
-# cycle(22,1) s=5 over all subsets, whose states have 2^21 splits each
+# the largest N of the measured ladder (tools/oracle_ladder.py, 60 s, 3 GB):
+# path(80,1) s=5 in 3 s and cycle(22,1) s=5 over all subsets in 24 s, whose
+# states have 2^21 splits each
 _CAPS = {"intervals": 80, "all_subsets": MAX_SUBSET_N}
 
 
@@ -157,6 +162,10 @@ class _Search:
         if need > n:
             lo[d] = need
             return False
+        for r in self.arena.runs(d):  # a run of d's members is a subset of d
+            if lo.get(r, 0) > n:
+                lo[d] = lo[r]
+                return False
         full, m = self.arena.full, n - 1
         live = []
         for b1, b0 in self.pairs(d):
@@ -176,23 +185,31 @@ class _Search:
 
     def trap(self, root: int, b: int = 0) -> bool:
         """Whether a closed trap holds ``root``.  Each split of a member
-        watches an open child in the trap, else a state not known to be won,
-        which joins (smallest first), else its state drops out, won; it
-        picks again when that child drops out.  States
+        watches an open child in the trap, else a member that is a run of
+        an open child, else a state not known to be won, which joins
+        (smallest first), else its state drops out, won; it picks again
+        when what it watches drops out.  States
         that ``b`` tests fewer win are won, and one that needs exactly
         ``b >= 1`` empties the trap.  The trap carries over between calls at
         one accuracy."""
         start = perf_counter()
         n, full, first_open = self.arena.n, self.arena.full, self.first_open
         alive, won, hi, table = self.alive, self.won, self.hi, self.table
-        watchers = self.watchers
+        watchers, runs = self.watchers, self.arena.runs
         joined: list[tuple] = []  # heap of (size, member) still to watch
-        redo: list[tuple] = []  # pairs whose watched child dropped out
+        redo: list[tuple] = []  # pairs whose watched member dropped out
         if not alive:
             alive.add(root)
             joined.append((0, root))
 
-        def enlist(pair: tuple) -> int:
+        def cover(pair: tuple) -> int:
+            """The member a split watches when neither open child is one:
+            a run of one, else a child that joins; 0 if there is none."""
+            for w in pair:
+                if w >= first_open:
+                    for r in runs(w & full):
+                        if r in alive:
+                            return r
             for w in pair:
                 c = w & full
                 if w < first_open or c in won or c in hi:
@@ -204,7 +221,7 @@ class _Search:
                     return 0
                 alive.add(c)
                 heappush(joined, (w >> n, c))
-                return w
+                return c
             return 0
 
         while (joined or redo) and root in alive:
@@ -216,15 +233,15 @@ class _Search:
                 todo = enumerate(self.pairs(d)) if d in alive else ()
             for i, (b1, b0) in todo:
                 if b1 >= first_open and b1 & full in alive:
-                    w = b1
+                    w = b1 & full
                 elif b0 >= first_open and b0 & full in alive:
-                    w = b0
-                elif not (w := enlist((b1, b0))):
+                    w = b0 & full
+                elif not (w := cover((b1, b0))):
                     alive.discard(d)
                     won.add(d)
                     redo += watchers.pop(d, ())
                     break
-                watchers.setdefault(w & full, []).append((d, i))
+                watchers.setdefault(w, []).append((d, i))
         self.trap_seconds += perf_counter() - start
         return root in alive
 

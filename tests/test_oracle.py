@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -9,6 +10,7 @@ from helpers import (
     reference_best_matrix,
     reference_build_graph,
     reference_dominated,
+    reference_label,
     reference_min_accuracy,
     reference_min_tests,
     reference_pairs,
@@ -217,13 +219,85 @@ def test_pruned_expansion_matches_the_full_one(make, test_class, n_max, monkeypa
 @pytest.mark.parametrize(
     "sp, s, budget, want",
     [
-        (path(15, 1), 4, None, ("solved", 6, 212, 4837)),  # 288 states, 9,559 edges unpruned
-        (path(25, 2), 8, 4, ("budget_exceeded", None, 718, 48613)),  # 1,158 and 110,466
+        # 288 states, 9,559 edges unpruned; 212 and 4,837 without the run cuts
+        (path(15, 1), 4, None, ("solved", 6, 132, 2533)),
+        # 1,158 and 110,466 unpruned; 718 and 48,613 without the run cuts
+        (path(25, 2), 8, 4, ("budget_exceeded", None, 394, 22745)),
     ],
 )
 def test_dominance_pruning_keeps_its_counts(sp, s, budget, want):
     gv = exact_min_tests(sp, s, budget=budget)
     assert (gv.status, gv.min_tests, gv.states, gv.edges) == want
+
+
+@pytest.mark.parametrize("test_class, n_max", [("intervals", 13), ("all_subsets", 8)])
+@pytest.mark.parametrize("make", [path, cycle])
+def test_run_cuts_change_no_answer_and_expand_fewer_states(make, test_class, n_max, monkeypatch):
+    """Refuting a state by a bound on one of its runs, and covering a trap
+    child by a run it holds, change no status, test count, extracted depth
+    or accuracy floor against the search without them, and the search
+    expands fewer states in all."""
+
+    def answers(sp):
+        out, states = [], 0
+        for s in range(1, sp.num_vertices + 1):
+            for budget in (None, 2):
+                gv = exact_min_tests(sp, s, test_class=test_class, budget=budget)
+                depth = extract_strategy(gv).depth() if gv.status == "solved" else None
+                out.append((s, budget, gv.status, gv.min_tests, depth))
+                states += gv.states
+        return out, exact_min_accuracy(sp, test_class=test_class), states
+
+    cut = uncut = 0
+    for k in (1, 2, 3):
+        for flag in (True, False):
+            for n_vertices in range(1, n_max + 1):
+                sp = make(n_vertices, k, moves_after_last_test=flag)
+                with monkeypatch.context() as m:
+                    m.setattr(Arena, "runs", lambda self, mask: ())
+                    want, want_floor, want_states = answers(sp)
+                got, got_floor, got_states = answers(sp)
+                where = f"{sp.topology.value} N={n_vertices} k={k} flag={flag}"
+                assert got == want, where
+                assert got_floor == want_floor, where
+                cut += got_states
+                uncut += want_states
+    # over all subsets on cycles of up to 8 vertices neither cut fires
+    assert cut < uncut or (make, test_class) == (cycle, "all_subsets") and cut == uncut, (cut, uncut)
+
+
+@pytest.mark.parametrize("test_class, n_max", [("intervals", 10), ("all_subsets", 9)])
+@pytest.mark.parametrize("make", [path, cycle])
+def test_stored_bounds_bracket_the_value_iteration(make, test_class, n_max):
+    """Every ``lo`` a query stores is at most the state's value and every
+    ``hi`` at least it, unbudgeted and budgeted, where the budgeted trap
+    stores bounds too."""
+    for k in (1, 2):
+        for flag in (True, False):
+            for n_vertices in range(2, n_max + 1):
+                sp = make(n_vertices, k, moves_after_last_test=flag)
+                arena = Arena(sp)
+                graph = reference_build_graph(arena, test_class)
+                for s in range(1, n_vertices):
+                    values = reference_label(arena, graph, s, None)[0]
+                    for budget in (None, 1, 2, 3):
+                        search = exact_min_tests(sp, s, test_class=test_class, budget=budget)._search
+                        where = f"{sp} flag={flag} s={s} budget={budget}"
+                        for d, bound in search.lo.items():
+                            assert bound <= values.get(d, oracle.INF), f"{where} lo[{d:b}]"
+                        for d, bound in search.hi.items():
+                            assert d == 0 or values.get(d, oracle.INF) <= bound, f"{where} hi[{d:b}]"
+
+
+def test_run_cuts_keep_their_counts_on_rungs_now_in_reach(monkeypatch):
+    """Rungs the run cuts bring under a second: a lost cut changes the
+    counts at once instead of only slowing them down."""
+    gv = exact_min_tests(cycle(33, 1), 4)  # 13,007 states without the cuts
+    assert (gv.status, gv.states, gv.edges) == ("unreachable", 339, 29067)
+    searches, search = [], oracle._Search
+    monkeypatch.setattr(oracle, "_Search", lambda *a, **kw: searches.append(search(*a, **kw)) or searches[-1])
+    assert exact_min_accuracy(path(32, 1)) == 4
+    assert (len(searches[0].table), searches[0].edges) == (350, 30066)
 
 
 def _symmetries(sp):
@@ -251,6 +325,19 @@ def test_canon_is_constant_on_orbits_and_commutes_with_reach(make):
                 assert {arena.canon(x) for x in orbit} == {c}, where
                 moved = arena.canon(arena.reach(m))
                 assert {arena.canon(arena.reach(x)) for x in orbit} == {moved}, where
+
+
+@pytest.mark.parametrize("make", [path, cycle])
+def test_runs_are_the_canonical_forms_of_the_members_runs(make):
+    for n_vertices in range(1, 11):
+        arena = Arena(make(n_vertices, 1))
+        for m in range(1 << n_vertices):
+            bits = format(m, f"0{n_vertices}b")[::-1]  # vertex v at index v-1
+            runs = [((1 << len(r.group())) - 1) << r.start() for r in re.finditer("1+", bits)]
+            if make is cycle and len(runs) > 1 and m & 1 and m >> n_vertices - 1:
+                runs[0] |= runs.pop()  # the arc through vertices N and 1
+            want = sorted(map(arena.canon, runs)) if len(runs) > 1 else []
+            assert sorted(arena.runs(m)) == want, f"{arena.space} mask={m:b}"
 
 
 @pytest.mark.parametrize("make", [path, cycle])
