@@ -301,6 +301,57 @@ def test_sweeps_stop_at_the_split_budget(monkeypatch, test_class, first):
         margin_forced_size(path(path_capacity(1, 4, 1) + 1, 1), 1, 4, test_class)
 
 
+@pytest.mark.parametrize("test_class", TEST_CLASSES)
+@pytest.mark.parametrize("make", [path, cycle])
+def test_no_option_of_a_state_is_below_its_floor(make, test_class):
+    """The bound behind the last level's branch and bound: every option of
+    a nonempty state of m members, its move and the larger moved part of
+    each of its splits, has at least min((m+1)//2 + gain, N) members, gain
+    k on a path and 2k on a cycle.  Every mask, N <= 10, k 1-3."""
+    for n_vertices, k in itertools.product(range(1, 11), (1, 2, 3)):
+        arena = Arena(make(n_vertices, k))
+        gain = k if make is path else 2 * k
+        for d in range(1, arena.full + 1):
+            floor = min((d.bit_count() + 1) // 2 + gain, n_vertices)
+            assert arena.reach(d).bit_count() >= floor, (arena.space, d)
+            for _e1, d1, _e0, d0 in arena.splits(d, test_class):
+                assert max(d1.bit_count(), d0.bit_count()) >= floor, (arena.space, d, d1, d0)
+
+
+def test_the_last_level_stops_at_the_floor(monkeypatch):
+    """Expanded states, one ``Arena.splits`` call each, pinned on three
+    rungs: the walk over the last level stops once no state left can beat
+    the best final size.  Expanding the whole last level took 27, 38 and
+    250 states."""
+    calls, splits = [], Arena.splits
+    monkeypatch.setattr(Arena, "splits", lambda self, *args: calls.append(args[0]) or splits(self, *args))
+    for run, want in (
+        (lambda: greedy_forced_size(cycle(13, 1), 3), (6, 7)),  # was 27
+        (lambda: margin_forced_size(path(22, 2), 2, 9), (10, 20)),  # was 38
+        (lambda: greedy_forced_size(path(16, 1), 2, "all_subsets"), (6, 2)),  # was 250
+    ):
+        calls.clear()
+        assert (run(), len(calls)) == want
+
+
+def test_the_cut_agrees_with_the_reference_where_it_skips_most_of_the_last_level():
+    """Rungs where the bound leaves most of the last level unexpanded; the
+    comments give the states expanded with the whole last level and now."""
+    cases = [
+        (cycle(13, 1), None, 3, "intervals", 0),  # 27 -> 7
+        (cycle(16, 1), None, 3, "intervals", 0),  # 56 -> 9
+        (path(17, 1), None, 3, "intervals", 0),  # 625 -> 52
+        (path(22, 2), 9, 2, "intervals", 1),  # 38 -> 20
+        (path(12, 1), None, 2, "all_subsets", 0),  # 47 -> 2
+        (cycle(12, 1), None, 2, "all_subsets", 0),  # 9 -> 2
+    ]
+    for space, s, rounds, test_class, ties in cases:
+        arena = Arena(space)
+        start = arena.full if s is None else mask_of(margin_start(space, rounds, s))
+        want = reference_forced_size(arena, start, rounds, test_class, ties)
+        assert _forced_size(arena, start, rounds, test_class, ties) == want, (space, s, rounds, test_class)
+
+
 # The greedy and margin adversaries answer deterministically, so the best a
 # strategy can force against one is the best over fixed test sequences.
 

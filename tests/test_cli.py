@@ -16,6 +16,7 @@ from helpers import assert_every_walk_succeeds, assert_leaf_soundness
 from movingsearch.adaptive import AdaptiveStrategy
 from movingsearch.cli import build_parser, main
 from movingsearch.nonadaptive import TestMatrix
+from movingsearch.oracle import exact_min_tests
 from movingsearch.spaces import path
 
 
@@ -109,6 +110,17 @@ def test_adversary_margin_sweep_report():
     assert code == 0
     assert "|D_2| >= 5" in text
     assert "accuracy 4 refuted" in text
+
+
+def test_adversary_sweep_answers_below_the_split_cap():
+    # expanding the whole last level of this sweep passed MAX_SPLITS and
+    # exited 3; the budgeted oracle agrees that 2 tests do not reach 6
+    code, text = run_cli(
+        "adversary", "--mode", "greedy", "--N", "19", "--k", "1", "--n", "2",
+        "--test-class", "all_subsets", "--s", "6",
+    )
+    assert (code, text) == (0, "every all_subsets strategy with 2 tests ends with |D_2| >= 7: accuracy 6 refuted\n")
+    assert exact_min_tests(path(19, 1), 6, "all_subsets", budget=2).status == "budget_exceeded"
 
 
 def test_adversary_window_transcript():

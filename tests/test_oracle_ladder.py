@@ -26,3 +26,14 @@ def test_oracle_ladder_rejects_an_unknown_rung():
         capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 2 and "unknown rung 'path(29,1) s=6'" in run.stderr
+
+
+def test_oracle_ladder_runs_a_sweep_rung_in_a_child():
+    run = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "oracle_ladder.py"), "margin path(29,2) s=9 n=3"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    rec = json.loads(run.stdout)
+    assert (rec["rung"], rec["status"], rec["tests"]) == ("margin path(29,2) s=9 n=3", "solved", 10)
+    assert rec["states"] is None and rec["edges"] is None and rec["seconds"] > 0

@@ -8,9 +8,16 @@ address-space limit (``resource.setrlimit(RLIMIT_AS)``, 3 GB) and a
 wall-clock limit (60 s, an alarm in the child, and a kill shortly after
 it from this process).  Prints one JSON line per rung, in order: its name,
 ``status`` (the query's status, or ``edge_cap``, ``size_cap`` for N over
-the engine's cap, ``time_cap``, ``memory_cap`` or ``crashed``), ``tests`` (the fewest tests, or for an accuracy rung the
-least accuracy), the ``states`` and ``edges`` the engine kept, ``seconds``
-and the child's peak RSS in MB.  These lines are the README's ladder table.
+the engine's cap, ``time_cap``, ``memory_cap`` or ``crashed``), ``tests``
+(the fewest tests, or for an accuracy rung the least accuracy), the
+``states`` and ``edges`` the engine kept, ``seconds`` and the child's peak
+RSS in MB.  These lines are the README's ladder table.
+
+The sweep rungs (``greedy cycle(37,1) n=4``, ``margin path(29,1) s=5
+n=4``) ask the greedy or margin class sweep for the final size n tests
+force, one vertex above the capacity, under the same limits: ``tests`` is
+that size, ``status`` is ``solved`` or ``split_cap`` (past
+``adversary.MAX_SPLITS``), and ``states`` and ``edges`` stay empty.
 """
 
 from __future__ import annotations
@@ -51,9 +58,24 @@ RUNGS = [
     ("cycle", 22, 1, 5, "all_subsets", None),
     ("path", 18, 1, 4, "all_subsets", None),
 ]
+# (sweep, topology, N, k, accuracy for the margin start or None, tests)
+SWEEPS = [
+    ("greedy", "cycle", 37, 1, None, 4),
+    ("greedy", "cycle", 37, 1, None, 5),
+    ("greedy", "cycle", 69, 1, None, 5),
+    ("margin", "path", 15, 1, 4, 5),
+    ("margin", "path", 29, 1, 5, 4),
+    ("margin", "path", 47, 1, 5, 5),
+    ("margin", "path", 25, 2, 8, 4),
+    ("margin", "path", 29, 2, 9, 3),
+    ("margin", "path", 41, 2, 9, 4),
+]
 
 
 def name(rung: tuple) -> str:
+    if rung in SWEEPS:
+        sweep, topology, n, k, s, rounds = rung
+        return " ".join([sweep, f"{topology}({n},{k})"] + ([f"s={s}"] if s else []) + [f"n={rounds}"])
     topology, n, k, s, test_class, budget = rung
     words = [f"{topology}({n},{k})", f"s={s}" if s else "accuracy"]
     if budget is not None:
@@ -75,10 +97,14 @@ def run_rung(rung: tuple, conn) -> None:
     """The child: set the limits, answer the rung, send its record."""
     resource.setrlimit(resource.RLIMIT_AS, (LIMIT_BYTES, LIMIT_BYTES))
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    from movingsearch import oracle, spaces
+    from movingsearch import adversary, oracle, spaces
     from movingsearch.errors import BudgetExceededError
 
-    topology, n, k, s, test_class, budget = rung
+    sweep = rung in SWEEPS
+    if sweep:
+        kind, topology, n, k, s, rounds = rung
+    else:
+        topology, n, k, s, test_class, budget = rung
     space = getattr(spaces, topology)(n, k)
     engines, search = [], oracle._Search
     # keep the engine an accuracy query builds, for its counts
@@ -88,13 +114,20 @@ def run_rung(rung: tuple, conn) -> None:
     signal.alarm(LIMIT_SECONDS)
     start = time.perf_counter()
     try:
-        if s is None:
+        if sweep:
+            forced = (
+                adversary.greedy_forced_size(space, rounds)
+                if kind == "greedy"
+                else adversary.margin_forced_size(space, rounds, s)
+            )
+            rec["status"], rec["tests"] = "solved", forced
+        elif s is None:
             rec["status"], rec["tests"] = "solved", oracle.exact_min_accuracy(space, test_class)
         else:
             gv = oracle.exact_min_tests(space, s, test_class, budget)
             rec["status"], rec["tests"] = gv.status, gv.min_tests
-    except BudgetExceededError:  # the edge cap, or N over the cap the engine checks first
-        rec["status"] = "edge_cap" if engines else "size_cap"
+    except BudgetExceededError:  # the split or edge cap, or N over the cap the engine checks first
+        rec["status"] = "split_cap" if sweep else "edge_cap" if engines else "size_cap"
     except _TimeCap:
         rec["status"] = "time_cap"
     except MemoryError:
@@ -113,7 +146,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rungs", nargs="*", help="rung names as printed (default: every rung)")
     args = parser.parse_args(argv)
-    by_name = {name(r): r for r in RUNGS}
+    by_name = {name(r): r for r in RUNGS + SWEEPS}
     unknown = [r for r in args.rungs if r not in by_name]
     if unknown:
         parser.error(f"unknown rung {unknown[0]!r}; rungs: {', '.join(by_name)}")
