@@ -421,11 +421,20 @@ def _forced_size(arena: Arena, start: int, rounds: int, test_class: str, ties: i
     return best
 
 
+def _sweep_arena(space: SearchSpace) -> Arena:
+    if not space.moves_after_last_test:
+        raise ValueError("class sweeps need moves_after_last_test=True: the final size they count is a moved part")
+    return Arena(space)
+
+
 def greedy_forced_size(space: SearchSpace, rounds: int, test_class: str = "intervals") -> int:
     """Smallest final candidate-set size any strategy of the class can reach
     against the greedy adversary.  A value of v certifies that accuracy
-    v-1 is out of reach for every such strategy with that many tests."""
-    arena = Arena(space)
+    v-1 is out of reach for every such strategy with that many tests.
+
+    The target moves after the last test too: the final size is a moved
+    part, so a space with ``moves_after_last_test`` off raises ``ValueError``."""
+    arena = _sweep_arena(space)
     return _forced_size(arena, arena.full, rounds, test_class, ties=0)
 
 
@@ -437,6 +446,9 @@ def margin_forced_size(
 ) -> int:
     """Minimum over strategies of the margin adversary's final tracked-set
     size; at one vertex above capacity this is at least s+1, refuting the
-    entire class."""
-    start = mask_of(margin_start(space, rounds, s))
-    return _forced_size(Arena(space), start, rounds, test_class, ties=1)
+    entire class.
+
+    The target moves after the last test too: the final size is a moved
+    part, so a space with ``moves_after_last_test`` off raises ``ValueError``."""
+    arena = _sweep_arena(space)
+    return _forced_size(arena, mask_of(margin_start(space, rounds, s)), rounds, test_class, ties=1)

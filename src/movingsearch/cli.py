@@ -1,10 +1,15 @@
 """Command-line surface: tables, strategies, matrices, simulations, verification.
 
 Every command is a thin wrapper over library calls; no domain result is
-computed here.  Machine output is json-lines (one object per line, stable
-key order) with a csv projection; the human format makes no stability
-promises.  Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 resource cap exceeded.
+computed here.  Each leaf of the command tree (``table capacity``,
+``adversary margin split``, ``sweep greedy``, ...) declares exactly the
+options its handler reads, so argparse rejects any other as a usage error.
+``strategy``, ``simulate`` and the adversary transcripts take their test
+source as the last word of the command: one of ``SOURCES``, which fixes the
+options the source reads, its topology and what it builds.  Machine output
+is json-lines (one object per line, stable key order) with a csv
+projection; the human format makes no stability promises.  Exit codes: 0
+success, 1 verification failure, 2 usage error, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -23,6 +28,10 @@ from .spaces import cycle, path
 
 OUTDIR_ENV = "MOVINGSEARCH_OUTDIR"
 MAX_RANGE = 100_000  # the most values one ``lo..hi`` range may list
+
+
+class SystemExit2(Exception):
+    """Usage error that should exit with code 2."""
 
 
 def _parse_range(text: str) -> list[int]:
@@ -94,47 +103,15 @@ def _load_matrix(path_: str, n: int) -> TestMatrix:
     return matrix
 
 
-def _reject(args, where: str, *options: str):
-    """Exit 2 naming the first of ``options`` given: the path chosen does not read it."""
-    for option in options:
-        if getattr(args, option[2:].replace("-", "_")) not in (None, "auto"):
-            raise SystemExit2(f"{option} does not apply to {where}")
-
-
-def _build_strategy(args) -> adaptive.AdaptiveStrategy:
-    if args.topology == "cycle":
-        _reject(args, "cycle strategies: they always halve arcs", "--kind", "--span")
-        if args.s is None:
-            raise SystemExit2("cycle strategies need --s")
-        return adaptive.cycle_strategy(args.N, args.s, args.k)
-    kind = args.kind
-    if kind == "auto":
-        kind = "sliding" if args.span is not None else "split" if args.s is not None else "shifting"
-    if kind != "sliding":
-        _reject(args, f"the {kind} strategy", "--span")
-    if kind == "split":
-        if args.s is None:
-            raise SystemExit2("this strategy kind needs --s")
-        return adaptive.path_strategy(args.N, args.s, args.k)
-    span = args.span if args.span is not None else 1
-    if args.s is not None and getattr(args, "mode", None) != "margin":  # margin's --s is its own target
-        raise SystemExit2(f"--s does not apply to the {kind} strategy: it reaches accuracy {3 * args.k + span}")
-    if kind == "shifting":
-        return adaptive.path_shifting_strategy(args.N, args.k)
-    return adaptive.path_sliding_window_strategy(args.N, args.k, span)
-
-
-def _source(args):
-    """The tests that ``simulate`` and the adversary transcripts play: the
-    ``--matrix-file`` matrix, else the strategy the kind options build."""
-    if args.matrix_file:
-        _reject(args, "a --matrix-file source", "--kind", "--span")
-        return _load_matrix(args.matrix_file, args.N)
-    return _build_strategy(args)
-
-
-class SystemExit2(Exception):
-    """Usage error that should exit with code 2."""
+# test source -> (its topology, None where --topology picks it; the options
+# it reads besides --N and --k; what it builds from the parsed arguments)
+SOURCES = {
+    "split": ("path", ("--s",), lambda a: adaptive.path_strategy(a.N, a.s, a.k)),
+    "shifting": ("path", (), lambda a: adaptive.path_shifting_strategy(a.N, a.k)),
+    "sliding": ("path", ("--span",), lambda a: adaptive.path_sliding_window_strategy(a.N, a.k, a.span)),
+    "cycle": ("cycle", ("--s",), lambda a: adaptive.cycle_strategy(a.N, a.s, a.k)),
+    "matrix": (None, ("--topology", "--matrix-file"), lambda a: _load_matrix(a.matrix_file, a.N)),
+}
 
 
 # -- commands -----------------------------------------------------------------
@@ -142,48 +119,31 @@ class SystemExit2(Exception):
 
 def cmd_table(args, out) -> int:
     rows = []
-    if args.N is not None:
-        if args.s is not None or args.n is not None:
-            raise SystemExit2(
-                "--N asks for accuracy floors, --s with --n for capacities: give one or the other"
-            )
-        if args.nonadaptive and args.topology == "cycle":
-            raise SystemExit2("the non-adaptive accuracy floor is known for paths only")
-        for n_vertices in _parse_range(args.N):
-            if args.nonadaptive:
-                value = nonadaptive.nonadaptive_min_accuracy(n_vertices, args.k)
-                tag = "nonadaptive-min-accuracy"
-            elif args.topology == "cycle":
-                value = adaptive.cycle_min_accuracy(n_vertices, args.k)
-                tag = "cycle-min-accuracy"
-            else:
-                value = adaptive.path_min_accuracy(n_vertices, args.k)
-                tag = "path-min-accuracy"
-            rows.append(
-                {"topology": args.topology, "n": None, "s": value, "k": args.k,
-                 "N": n_vertices, "source": tag}
-            )
-    else:
-        if args.nonadaptive:
-            raise SystemExit2("non-adaptive capacity tables are not implemented; accuracy floors need --N")
-        if args.s is None or args.n is None:
-            raise SystemExit2("capacity tables need --s and --n, accuracy floors --N")
+    if args.table == "capacity":
         fn = adaptive.cycle_capacity if args.topology == "cycle" else adaptive.path_capacity
-        tag = f"{args.topology}-capacity"
         for n in _parse_range(args.n):
             row = {"topology": args.topology, "n": n, "s": args.s, "k": args.k,
-                   "N": None, "source": tag}
+                   "N": None, "source": f"{args.topology}-capacity"}
             try:
                 row["N"] = fn(n, args.s, args.k)
             except RegimeError as exc:
                 row["source"] = f"regime-error: {exc}"
             rows.append(row)
+    else:
+        floor = "nonadaptive" if args.table == "nonadaptive" else args.topology
+        fn = {"nonadaptive": nonadaptive.nonadaptive_min_accuracy, "path": adaptive.path_min_accuracy,
+              "cycle": adaptive.cycle_min_accuracy}[floor]
+        for n_vertices in _parse_range(args.N):
+            rows.append(
+                {"topology": args.topology, "n": None, "s": fn(n_vertices, args.k), "k": args.k,
+                 "N": n_vertices, "source": f"{floor}-min-accuracy"}
+            )
     _emit(rows, args.format, out)
     return 0
 
 
 def cmd_strategy(args, out) -> int:
-    strategy = _build_strategy(args)
+    strategy = args.build(args)
     text = strategy.serialize()
     target = _resolve_out(args.out)
     if target:
@@ -209,16 +169,17 @@ def cmd_matrix(args, out) -> int:
 
 def cmd_simulate(args, out) -> int:
     space = _make_space(args)
-    source = _source(args)
-    kwargs = {}
+    source = args.build(args)
     if args.walk:
-        kwargs["walk"] = _parse_walk(args.walk)
+        kwargs = {"walk": _parse_walk(args.walk)}
     elif args.adversarial:
-        kwargs["adversarial"] = True
+        kwargs = {"adversarial": True}
     else:
-        kwargs["seed"] = args.seed if args.seed is not None else 0
+        kwargs = {"seed": args.seed}
+    # a shifting or sliding strategy reaches its own accuracy, 3k+span: it takes no --s
+    accuracy = getattr(args, "s", None)
     try:
-        tr = codec.simulate_session(space, source, accuracy=args.s, **kwargs)
+        tr = codec.simulate_session(space, source, accuracy=accuracy, **kwargs)
     except AssertionError as exc:  # the decoded set misses the object or is wider than --s
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
@@ -229,38 +190,10 @@ def cmd_simulate(args, out) -> int:
 
 def cmd_adversary(args, out) -> int:
     space = _make_space(args)
-    if args.mode == "counter":
-        _reject(args, "counter mode", "--kind", "--span", "--s", "--n", "--test-class")
-        if not args.matrix_file:
-            raise SystemExit2("counter mode needs --matrix-file")
-        cert = adversary.matrix_counter(space, _load_matrix(args.matrix_file, args.N))
-        out.write(f"forced_accuracy={cert.forced_accuracy}\n")
-        out.write("answers=" + codec.bits_to_text(cert.answers) + "\n")
-        for walk in cert.walks:
-            out.write("walk=" + ",".join(str(p) for p in walk) + "\n")
-        out.write(f"final={cert.final_candidates}\n")
-        return 0
-    if args.mode == "margin" and (args.s is None or args.n is None):
-        raise SystemExit2("margin mode needs --s and --n")
-    named = args.matrix_file or args.kind != "auto" or args.span is not None
-    if args.mode != "window" and args.n is not None and not named:  # sweep the whole class
-        test_class = args.test_class or "intervals"
-        if args.mode == "greedy":
-            forced = adversary.greedy_forced_size(space, args.n, test_class)
-        else:
-            forced = adversary.margin_forced_size(space, args.n, args.s, test_class)
-        verdict = f"every {test_class} strategy with {args.n} tests ends with |D_{args.n}| >= {forced}"
-        if args.s is not None and forced > args.s:
-            verdict += f": accuracy {args.s} refuted"
-        out.write(verdict + "\n")
-        return 0
-    # the margin transcript reads --n and --s as its budget and target
-    unread = () if args.mode == "margin" else ("--n", "--s") if args.matrix_file else ("--n",)
-    _reject(args, f"the {args.mode} transcript", "--test-class", *unread)
-    source = _source(args)
-    if args.mode == "greedy":
+    source = args.build(args)
+    if args.rule == "greedy":
         tr = adversary.greedy_adversary(space, source)
-    elif args.mode == "window":
+    elif args.rule == "window":
         try:
             tr = adversary.window_adversary(space, source)
         except WindowInvariantError as exc:  # a test meeting the block in two runs
@@ -270,6 +203,30 @@ def cmd_adversary(args, out) -> int:
     out.write(tr.serialize())
     final = tr.final_candidates
     out.write(f"final |D_{len(tr.rounds)}| = {len(final)}\n")
+    return 0
+
+
+def cmd_counter(args, out) -> int:
+    space = _make_space(args)
+    cert = adversary.matrix_counter(space, _load_matrix(args.matrix_file, args.N))
+    out.write(f"forced_accuracy={cert.forced_accuracy}\n")
+    out.write("answers=" + codec.bits_to_text(cert.answers) + "\n")
+    for walk in cert.walks:
+        out.write("walk=" + ",".join(str(p) for p in walk) + "\n")
+    out.write(f"final={cert.final_candidates}\n")
+    return 0
+
+
+def cmd_sweep(args, out) -> int:
+    space = _make_space(args)
+    if args.rule == "greedy":
+        forced = adversary.greedy_forced_size(space, args.n, args.test_class)
+    else:
+        forced = adversary.margin_forced_size(space, args.n, args.s, args.test_class)
+    verdict = f"every {args.test_class} strategy with {args.n} tests ends with |D_{args.n}| >= {forced}"
+    if args.s is not None and forced > args.s:
+        verdict += f": accuracy {args.s} refuted"
+    out.write(verdict + "\n")
     return 0
 
 
@@ -289,8 +246,6 @@ def cmd_codec(args, out) -> int:
         decoded = codec.decode(space, source, codec.text_to_bits(args.bits))
         out.write(f"decoded={decoded}\n")
         return 0
-    if args.walk is None:
-        raise SystemExit2("codec needs --walk to encode or --bits to decode")
     walk = _parse_walk(args.walk)
     session = codec.CodecSession(space, source)
     for pos in walk[:-1] if len(walk) > 1 else walk:
@@ -327,22 +282,49 @@ def cmd_verify(args, out) -> int:
 
 # -- parser ----------------------------------------------------------------------
 
+# the options that more than one leaf reads, as each of them declares it
+OPTIONS = {
+    "--topology": dict(choices=["path", "cycle"], default="path"),
+    "--N": dict(type=int, required=True, help="number of vertices"),
+    "--k": dict(type=int, required=True, help="target speed"),
+    "--s": dict(type=int, required=True, help="accuracy target"),
+    "--n": dict(type=int, required=True, help="test budget"),
+    "--span": dict(type=int, default=1, help="window slide per miss"),
+    "--matrix-file": dict(required=True),
+    "--test-class": dict(choices=["intervals", "all_subsets"], default="intervals"),
+    "--restricted": dict(action="store_true", help="the target does not move after the last test"),
+    "--out": dict(default=None, help="write here instead of stdout"),
+    "--format": dict(choices=["human", "json-lines", "csv"], default="human"),
+}
 
-def _add_common(p, topology=True, s=False, n=False):
-    if topology:
-        p.add_argument("--topology", choices=["path", "cycle"], default="path")
-    p.add_argument("--N", type=int, required=True, help="number of vertices")
-    p.add_argument("--k", type=int, required=True, help="target speed")
-    if s:
-        p.add_argument("--s", type=int, default=None, help="accuracy target")
-    if n:
-        p.add_argument("--n", type=int, default=None, help="test budget")
+
+def _branch(sub, name: str, help: str, dest: str):
+    """Command ``name`` under ``sub``, whose next word names one of its subcommands."""
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    return p.add_subparsers(dest=dest, required=True)
 
 
-def _add_strategy_params(p):
-    p.add_argument("--kind", choices=["auto", "split", "shifting", "sliding"], default="auto",
-                   help="path construction to use (cycle arenas always halve arcs)")
-    p.add_argument("--span", type=int, default=None, help="window slide per miss (sliding kind)")
+def _leaf(sub, name: str, fn, *options: str, help: Optional[str] = None, **defaults):
+    """Command ``name`` under ``sub``: it reads ``options`` as ``OPTIONS``
+    declares them, runs ``fn`` and finds ``defaults`` in its arguments."""
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    for option in options:
+        p.add_argument(option, **OPTIONS[option])
+    p.set_defaults(fn=fn, **defaults)
+    return p
+
+
+def _kind_leaves(sub, name: str, help: str, fn, *options: str, kinds=tuple(SOURCES)) -> dict:
+    """Command ``name`` under ``sub`` with a leaf per test source in ``kinds``,
+    each reading the source's own options and ``options``."""
+    branch = _branch(sub, name, help, dest="source")
+    leaves = {}
+    for kind in kinds:
+        topology, reads, build = SOURCES[kind]
+        fixed = {"topology": topology} if topology else {}
+        leaves[kind] = _leaf(branch, kind, fn, "--N", "--k", *reads, *(o for o in options if o not in reads),
+                             build=build, **fixed)
+    return leaves
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,76 +332,63 @@ def build_parser() -> argparse.ArgumentParser:
         prog="movingsearch",
         description="Worst-case search for a target moving up to k steps per round "
         "on path and cycle graphs.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("table", help="capacity and accuracy tables")
-    p.add_argument("--topology", choices=["path", "cycle"], default="path")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--n", type=str, default=None, help="test budget or range, e.g. 0..6")
-    p.add_argument("--N", type=str, default=None,
-                   help="vertex count or range, e.g. 1..13: tabulate the best accuracy instead of capacities")
-    p.add_argument("--nonadaptive", action="store_true", help="with --N: the non-adaptive accuracy floor")
-    p.add_argument("--format", choices=["human", "json-lines", "csv"], default="human")
-    p.set_defaults(fn=cmd_table)
+    tables = _branch(sub, "table", "capacity and accuracy tables", dest="table")
+    p = _leaf(tables, "capacity", cmd_table, "--topology", "--k", "--s", "--format",
+              help="the most vertices on which n tests reach accuracy s")
+    p.add_argument("--n", required=True, help="test budget or range, e.g. 0..6")
+    vertices = dict(required=True, help="vertex count or range, e.g. 1..13")
+    p = _leaf(tables, "accuracy", cmd_table, "--topology", "--k", "--format",
+              help="the best adaptive accuracy per arena size")
+    p.add_argument("--N", **vertices)
+    p = _leaf(tables, "nonadaptive", cmd_table, "--k", "--format", topology="path",
+              help="the non-adaptive accuracy floor per path size")
+    p.add_argument("--N", **vertices)
 
-    p = sub.add_parser("strategy", help="construct and print a strategy tree")
-    _add_common(p, s=True)
-    _add_strategy_params(p)
-    p.add_argument("--out", default=None, help="write the tree here instead of stdout")
-    p.set_defaults(fn=cmd_strategy)
+    _kind_leaves(sub, "strategy", "construct and print a strategy tree", cmd_strategy, "--out",
+                 kinds=("split", "shifting", "sliding", "cycle"))
 
-    p = sub.add_parser("matrix", help="construct and print a non-adaptive matrix")
-    _add_common(p, topology=False)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_matrix)
+    _leaf(sub, "matrix", cmd_matrix, "--N", "--k", "--out", help="construct and print a non-adaptive matrix")
 
-    p = sub.add_parser("simulate", help="run the codec harness against a walk source")
-    _add_common(p, s=True)
-    _add_strategy_params(p)
-    p.add_argument("--matrix-file", default=None)
-    walk_source = p.add_mutually_exclusive_group()  # one source of target walks
-    walk_source.add_argument("--walk", default=None, help="comma-separated positions")
-    walk_source.add_argument("--adversarial", action="store_true")
-    walk_source.add_argument("--seed", type=int, default=None)
-    p.add_argument("--restricted", action="store_true",
-                   help="the target does not move after the last test")
-    p.set_defaults(fn=cmd_simulate)
+    leaves = _kind_leaves(sub, "simulate", "run the codec harness against a walk source", cmd_simulate,
+                          "--restricted")
+    leaves["matrix"].add_argument("--s", type=int, default=None, help="the widest decoded set that passes")
+    for p in leaves.values():
+        walks = p.add_mutually_exclusive_group()  # one source of target walks
+        walks.add_argument("--walk", default=None, help="comma-separated positions")
+        walks.add_argument("--adversarial", action="store_true")
+        walks.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("adversary", help="run a counter-strategy or a class sweep")
-    p.add_argument("--mode", choices=["greedy", "window", "margin", "counter"], required=True)
-    _add_common(p, s=True, n=True)
-    _add_strategy_params(p)
-    p.add_argument("--matrix-file", default=None)
-    p.add_argument("--test-class", choices=["intervals", "all_subsets"], default=None,
-                   help="class sweeps only (default intervals)")
-    p.set_defaults(fn=cmd_adversary)
+    rules = _branch(sub, "adversary", "play an adversary against one test source", dest="rule")
+    _kind_leaves(rules, "greedy", "keep the larger moved part", cmd_adversary)
+    on_paths = ("split", "shifting", "sliding", "matrix")  # the window and margin rules need a path
+    _kind_leaves(rules, "window", "keep a 3k+1 block", cmd_adversary, kinds=on_paths)
+    _kind_leaves(rules, "margin", "keep a boundary-free tracked set", cmd_adversary, "--n", "--s", kinds=on_paths)
+    _leaf(rules, "counter", cmd_counter, "--topology", "--N", "--k", "--matrix-file",
+          help="certify the accuracy a matrix is held to")
 
-    p = sub.add_parser("oracle", help="exact minimax ground truth at desk scale")
-    _add_common(p)
-    p.add_argument("--s", type=int, required=True, help="accuracy target")
-    p.add_argument("--test-class", choices=["intervals", "all_subsets"], default="intervals")
+    rules = _branch(sub, "sweep", "bound every strategy of a test class against an adversary", dest="rule")
+    p = _leaf(rules, "greedy", cmd_sweep, "--topology", "--N", "--k", "--n", "--test-class")
+    p.add_argument("--s", type=int, default=None, help="accuracy to refute")
+    _leaf(rules, "margin", cmd_sweep, "--topology", "--N", "--k", "--n", "--s", "--test-class")
+
+    p = _leaf(sub, "oracle", cmd_oracle, "--topology", "--N", "--k", "--s", "--test-class", "--restricted",
+              "--format", format="json-lines", help="exact minimax ground truth at desk scale")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--restricted", action="store_true",
-                   help="the target does not move after the last test")
     p.add_argument("--emit-strategy", action="store_true")
-    p.add_argument("--format", choices=["human", "json-lines", "csv"], default="json-lines")
-    p.set_defaults(fn=cmd_oracle)
 
-    p = sub.add_parser("codec", help="encode a walk to bits / decode bits to a set")
-    _add_common(p, topology=False)
-    direction = p.add_mutually_exclusive_group()  # encode a walk or decode bits
+    p = _leaf(sub, "codec", cmd_codec, "--N", "--k", help="encode a walk to bits / decode bits to a set")
+    direction = p.add_mutually_exclusive_group(required=True)  # encode a walk or decode bits
     direction.add_argument("--walk", default=None)
     direction.add_argument("--bits", default=None)
     p.add_argument("--matrix-file", default=None)
-    p.set_defaults(fn=cmd_codec)
 
-    p = sub.add_parser("verify", help="run the acceptance checks")
+    p = _leaf(sub, "verify", cmd_verify, "--format", help="run the acceptance checks")
     p.add_argument("--check", action="append", default=None,
                    help="run only this check (repeatable)")
-    p.add_argument("--format", choices=["human", "json-lines", "csv"], default="human")
-    p.set_defaults(fn=cmd_verify)
 
     return parser
 

@@ -33,6 +33,7 @@ from movingsearch.codec import decode
 from movingsearch.errors import BudgetExceededError
 from movingsearch.kernel import MAX_SUBSET_N, TEST_CLASSES, Arena, mask_of
 from movingsearch.nonadaptive import TestMatrix, evaluate_matrix, expanding_accuracy_matrix
+from movingsearch.oracle import exact_min_tests
 from movingsearch.spaces import (
     PositionSet,
     Topology,
@@ -281,6 +282,18 @@ def test_all_subsets_sweeps_are_capped():
             greedy_forced_size(space, 1, test_class="all_subsets")
     with pytest.raises(BudgetExceededError, match="capped at N <= 22"):
         margin_forced_size(path(n_vertices, 1), 1, 4, test_class="all_subsets")
+
+
+def test_sweeps_reject_a_target_frozen_after_the_last_test():
+    # the sweeps count a moved part, 5 here, which would read as "accuracy 4
+    # refuted with 1 test", yet the oracle reaches 4 with 1 test on this space
+    space = path(8, 1, moves_after_last_test=False)
+    assert exact_min_tests(space, 4).min_tests == 1
+    with pytest.raises(ValueError, match="moves_after_last_test"):
+        greedy_forced_size(space, 1)
+    with pytest.raises(ValueError, match="moves_after_last_test"):
+        margin_forced_size(path(9, 1, moves_after_last_test=False), 2, 4)
+    assert greedy_forced_size(path(8, 1), 1) == margin_forced_size(path(9, 1), 2, 4) == 5
 
 
 @pytest.mark.parametrize("test_class, first", [("all_subsets", 2**7 - 1), ("intervals", 8 * 7 // 2)])

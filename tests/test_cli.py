@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -26,9 +27,17 @@ def run_cli(*argv):
     return code, out.getvalue()
 
 
+def usage_error(capsys, *argv) -> str:
+    """The stderr of an argv that argparse rejects with exit 2, before any command runs."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
 def test_table_path_capacity_row():
     code, text = run_cli(
-        "table", "--topology", "path", "--k", "1", "--s", "4", "--n", "0..6",
+        "table", "capacity", "--topology", "path", "--k", "1", "--s", "4", "--n", "0..6",
         "--format", "json-lines",
     )
     assert code == 0
@@ -38,7 +47,7 @@ def test_table_path_capacity_row():
 
 def test_table_cycle_capacity_row():
     code, text = run_cli(
-        "table", "--topology", "cycle", "--k", "1", "--s", "5", "--n", "0..3",
+        "table", "capacity", "--topology", "cycle", "--k", "1", "--s", "5", "--n", "0..3",
         "--format", "json-lines",
     )
     assert code == 0
@@ -47,7 +56,7 @@ def test_table_cycle_capacity_row():
 
 def test_table_accuracy_column():
     code, text = run_cli(
-        "table", "--topology", "path", "--k", "2", "--N", "1..13",
+        "table", "accuracy", "--topology", "path", "--k", "2", "--N", "1..13",
         "--format", "json-lines",
     )
     assert code == 0
@@ -58,7 +67,7 @@ def test_table_accuracy_column():
 
 def test_table_regime_violation_per_cell():
     code, text = run_cli(
-        "table", "--topology", "cycle", "--k", "2", "--s", "7", "--n", "0..2",
+        "table", "capacity", "--topology", "cycle", "--k", "2", "--s", "7", "--n", "0..2",
         "--format", "json-lines",
     )
     assert code == 0
@@ -86,8 +95,7 @@ def test_codec_round_trip():
 def test_strategy_round_trip(tmp_path):
     target = tmp_path / "tree.txt"
     code, text = run_cli(
-        "strategy", "--topology", "cycle", "--N", "12", "--k", "1", "--s", "5",
-        "--out", str(target),
+        "strategy", "cycle", "--N", "12", "--k", "1", "--s", "5", "--out", str(target),
     )
     assert code == 0
     assert "depth 3" in text
@@ -104,8 +112,7 @@ def test_outdir_env_resolution(tmp_path, monkeypatch):
 
 def test_adversary_margin_sweep_report():
     code, text = run_cli(
-        "adversary", "--mode", "margin", "--topology", "path",
-        "--N", "9", "--k", "1", "--s", "4", "--n", "2",
+        "sweep", "margin", "--topology", "path", "--N", "9", "--k", "1", "--s", "4", "--n", "2",
     )
     assert code == 0
     assert "|D_2| >= 5" in text
@@ -116,8 +123,7 @@ def test_adversary_sweep_answers_below_the_split_cap():
     # expanding the whole last level of this sweep passed MAX_SPLITS and
     # exited 3; the budgeted oracle agrees that 2 tests do not reach 6
     code, text = run_cli(
-        "adversary", "--mode", "greedy", "--N", "19", "--k", "1", "--n", "2",
-        "--test-class", "all_subsets", "--s", "6",
+        "sweep", "greedy", "--N", "19", "--k", "1", "--n", "2", "--test-class", "all_subsets", "--s", "6",
     )
     assert (code, text) == (0, "every all_subsets strategy with 2 tests ends with |D_2| >= 7: accuracy 6 refuted\n")
     assert exact_min_tests(path(19, 1), 6, "all_subsets", budget=2).status == "budget_exceeded"
@@ -125,7 +131,7 @@ def test_adversary_sweep_answers_below_the_split_cap():
 
 def test_adversary_window_transcript():
     code, text = run_cli(
-        "adversary", "--mode", "window", "--topology", "path", "--N", "9", "--k", "1",
+        "adversary", "window", "shifting", "--N", "9", "--k", "1",
     )
     assert code == 0
     assert "tracked=" in text
@@ -135,7 +141,7 @@ def test_window_adversary_on_a_scattered_row_is_usage_error(tmp_path, capsys):
     # the row meets the first block in two runs, which the window rule does not answer
     target = tmp_path / "m.txt"
     target.write_text("0110000000\n1000111001\n", encoding="ascii")
-    code, text = run_cli("adversary", "--mode", "window", "--N", "10", "--k", "2", "--matrix-file", str(target))
+    code, text = run_cli("adversary", "window", "matrix", "--N", "10", "--k", "2", "--matrix-file", str(target))
     assert code == 2 and text == ""
     assert capsys.readouterr().err == (
         "error: the window adversary cannot answer: no 7-wide block survives test 1,5-7,10 with window 1-7\n"
@@ -147,7 +153,7 @@ def test_window_adversary_plays_the_expanding_matrix(tmp_path):
     mfile = tmp_path / "m.txt"
     run_cli("matrix", "--N", "16", "--k", "1", "--out", str(mfile))
     assert any(len(t.intervals) > 1 for t in TestMatrix.parse(mfile.read_text()).tests())
-    code, text = run_cli("adversary", "--mode", "window", "--N", "16", "--k", "1", "--matrix-file", str(mfile))
+    code, text = run_cli("adversary", "window", "matrix", "--N", "16", "--k", "1", "--matrix-file", str(mfile))
     assert code == 0
     assert text.splitlines()[-1] == "final |D_6| = 4"
 
@@ -156,7 +162,7 @@ def test_adversary_counter_mode(tmp_path):
     mfile = tmp_path / "m.txt"
     run_cli("matrix", "--N", "16", "--k", "1", "--out", str(mfile))
     code, text = run_cli(
-        "adversary", "--mode", "counter", "--topology", "path", "--N", "16", "--k", "1",
+        "adversary", "counter", "--topology", "path", "--N", "16", "--k", "1",
         "--matrix-file", str(mfile),
     )
     assert code == 0
@@ -198,7 +204,7 @@ def test_oracle_restricted_strategy_is_sound():
     [
         ("oracle", "--N", "8", "--k", "1"),  # --s is required
         ("oracle", "--N", "8", "--k", "1", "--s", "4", "--check", "before"),
-        ("adversary", "--mode", "greedy", "--N", "8", "--k", "1", "--n", "2", "--restricted"),
+        ("sweep", "greedy", "--N", "8", "--k", "1", "--n", "2", "--restricted"),
         ("verify", "--scale", "tiny"),
         ("table", "--k", "1", "--s-star", "--N", "5"),
         # one walk source, and one direction of the codec
@@ -215,10 +221,10 @@ def test_missing_or_removed_options_are_usage_errors(capsys, argv):
 
 def test_simulate_seeded_deterministic():
     code1, text1 = run_cli(
-        "simulate", "--topology", "path", "--N", "10", "--k", "1", "--s", "4", "--seed", "3",
+        "simulate", "split", "--N", "10", "--k", "1", "--s", "4", "--seed", "3",
     )
     code2, text2 = run_cli(
-        "simulate", "--topology", "path", "--N", "10", "--k", "1", "--s", "4", "--seed", "3",
+        "simulate", "split", "--N", "10", "--k", "1", "--s", "4", "--seed", "3",
     )
     assert code1 == code2 == 0
     assert text1 == text2
@@ -227,7 +233,7 @@ def test_simulate_seeded_deterministic():
 
 def test_simulate_illegal_walk_is_usage_error(capsys):
     code, _ = run_cli(
-        "simulate", "--topology", "path", "--N", "10", "--k", "1", "--s", "5", "--walk", "1,9",
+        "simulate", "split", "--N", "10", "--k", "1", "--s", "5", "--walk", "1,9",
     )
     assert code == 2
     err = capsys.readouterr().err
@@ -238,7 +244,7 @@ def test_simulate_below_the_strategys_accuracy_is_a_verification_failure(tmp_pat
     # the 12-vertex matrix decodes to 4 positions, wider than --s asks
     target = str(tmp_path / "m.txt")
     assert run_cli("matrix", "--N", "12", "--k", "1", "--out", target)[0] == 0
-    code, _ = run_cli("simulate", "--N", "12", "--k", "1", "--matrix-file", target, "--s", "2", "--seed", "3")
+    code, _ = run_cli("simulate", "matrix", "--N", "12", "--k", "1", "--matrix-file", target, "--s", "2", "--seed", "3")
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("verification failed: decoded set has 4 > 2") and "Traceback" not in err
@@ -247,54 +253,49 @@ def test_simulate_below_the_strategys_accuracy_is_a_verification_failure(tmp_pat
 @pytest.mark.parametrize(
     "argv, reached",
     [
-        (["simulate", "--N", "12", "--k", "1", "--kind", "sliding", "--span", "1", "--s", "2", "--seed", "3"],
-         4),
-        (["simulate", "--N", "12", "--k", "2", "--span", "2", "--s", "9"], 8),
-        (["strategy", "--N", "12", "--k", "1", "--kind", "shifting", "--s", "4"], 4),
-        (["adversary", "--mode", "window", "--N", "12", "--k", "1", "--kind", "sliding", "--s", "4"], 4),
+        (["simulate", "sliding", "--N", "12", "--k", "1", "--span", "1", "--s", "2", "--seed", "3"], 4),
+        (["simulate", "sliding", "--N", "12", "--k", "2", "--span", "2", "--s", "9"], 8),
+        (["strategy", "shifting", "--N", "12", "--k", "1", "--s", "4"], 4),
+        (["adversary", "window", "sliding", "--N", "12", "--k", "1", "--s", "4"], 4),
     ],
 )
 def test_s_with_a_shifting_or_sliding_kind_is_usage_error(argv, reached, capsys):
     # these strategies reach their own accuracy, 3k+span, whatever --s asks
-    code, _ = run_cli(*argv)
-    assert code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: --s does not apply"), err
-    assert err[0].endswith(f"it reaches accuracy {reached}"), err
+    at = argv.index("--s")
+    err = usage_error(capsys, *argv)
+    assert err.splitlines()[-1] == f"movingsearch: error: unrecognized arguments: --s {argv[at + 1]}"
+    args = build_parser().parse_args(argv[:at] + argv[at + 2:])
+    assert args.build(args).accuracy_target == reached
 
 
 @pytest.mark.parametrize(
     "argv, option",
     [
-        (["strategy", "--N", "20", "--k", "2", "--kind", "shifting", "--span", "2"], "--span"),
-        (["strategy", "--N", "20", "--k", "2", "--kind", "split", "--s", "9", "--span", "2"], "--span"),
-        (["strategy", "--topology", "cycle", "--N", "20", "--k", "1", "--s", "5", "--kind", "shifting",
-          "--span", "3"], "--kind"),
-        (["adversary", "--mode", "window", "--N", "9", "--k", "1", "--test-class", "all_subsets"], "--test-class"),
-        (["adversary", "--mode", "greedy", "--N", "12", "--k", "1", "--n", "2", "--kind", "split", "--s", "5"],
-         "--n"),
-        (["adversary", "--mode", "greedy", "--N", "12", "--k", "1", "--n", "2", "--matrix-file", "m.txt"], "--n"),
-        (["adversary", "--mode", "counter", "--N", "16", "--k", "1", "--s", "4", "--matrix-file", "m.txt"], "--s"),
-        (["simulate", "--N", "12", "--k", "1", "--kind", "split", "--matrix-file", "m.txt"], "--kind"),
+        (["strategy", "shifting", "--N", "20", "--k", "2", "--span", "2"], "--span"),
+        (["strategy", "split", "--N", "20", "--k", "2", "--s", "9", "--span", "2"], "--span"),
+        (["strategy", "cycle", "--N", "20", "--k", "1", "--s", "5", "--kind", "shifting", "--span", "3"], "--kind"),
+        (["adversary", "window", "shifting", "--N", "9", "--k", "1", "--test-class", "all_subsets"], "--test-class"),
+        (["adversary", "greedy", "split", "--N", "12", "--k", "1", "--n", "2", "--s", "5"], "--n"),
+        (["adversary", "greedy", "matrix", "--N", "12", "--k", "1", "--n", "2", "--matrix-file", "m.txt"], "--n"),
+        (["adversary", "counter", "--N", "16", "--k", "1", "--s", "4", "--matrix-file", "m.txt"], "--s"),
+        (["simulate", "matrix", "--N", "12", "--k", "1", "--kind", "split", "--matrix-file", "m.txt"], "--kind"),
     ],
 )
 def test_options_the_chosen_path_does_not_read_are_usage_errors(argv, option, capsys):
     # named before any file is read, so m.txt need not exist
-    code, text = run_cli(*argv)
-    assert code == 2 and text == ""
-    assert capsys.readouterr().err.startswith(f"error: {option} does not apply to ")
+    err = usage_error(capsys, *argv).splitlines()[-1]
+    assert err.startswith("movingsearch: error: unrecognized arguments: ") and option in err.split(), err
 
 
 def test_strategy_too_deep_to_build_is_a_resource_cap(capsys):
-    code, text = run_cli("strategy", "--N", "2001", "--k", "1")
+    code, text = run_cli("strategy", "shifting", "--N", "2001", "--k", "1")
     assert code == 3 and text == ""
     err = capsys.readouterr().err
     assert err.startswith("resource cap exceeded: maximum recursion depth exceeded") and err.count("\n") == 1
 
 
 def test_margin_adversary_reads_s_as_its_own_target():
-    code, text = run_cli("adversary", "--mode", "margin", "--N", "12", "--k", "1", "--kind", "shifting",
-                         "--s", "4", "--n", "3")
+    code, text = run_cli("adversary", "margin", "shifting", "--N", "12", "--k", "1", "--s", "4", "--n", "3")
     assert code == 0 and text.endswith("final |D_3| = 5\n")
 
 
@@ -323,27 +324,25 @@ def test_verify_unknown_check_is_usage_error():
     assert code == 2
 
 
-def test_usage_error_exit_code():
-    code, _ = run_cli("strategy", "--topology", "cycle", "--N", "12", "--k", "1")
-    assert code == 2  # cycle strategies need --s
+def test_usage_error_exit_code(capsys):
+    err = usage_error(capsys, "strategy", "cycle", "--N", "12", "--k", "1")
+    assert "required: --s" in err  # cycle strategies need --s
 
 
 def test_accuracy_table_without_vertex_range_is_usage_error(capsys):
-    code, _ = run_cli("table", "--k", "1")
-    assert code == 2
-    err = capsys.readouterr().err
+    err = usage_error(capsys, "table", "accuracy", "--k", "1")
     assert "--N" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--mode", "greedy", "--N", "5", "--k", "1", "--n", "-1"),
-        ("--mode", "margin", "--N", "30", "--k", "1", "--s", "4", "--n", "-1"),
+        ("greedy", "--N", "5", "--k", "1", "--n", "-1"),
+        ("margin", "--N", "30", "--k", "1", "--s", "4", "--n", "-1"),
     ],
 )
 def test_sweep_negative_test_budget_is_usage_error(capsys, argv):
-    code, _ = run_cli("adversary", *argv)
+    code, _ = run_cli("sweep", *argv)
     assert code == 2
     err = capsys.readouterr().err
     assert "test budget must be >= 0" in err and "Traceback" not in err
@@ -351,7 +350,7 @@ def test_sweep_negative_test_budget_is_usage_error(capsys, argv):
 
 def test_sweep_deep_test_budget_answers(capsys):
     code, text = run_cli(
-        "adversary", "--mode", "greedy", "--topology", "path", "--N", "5", "--k", "1", "--n", "2000",
+        "sweep", "greedy", "--topology", "path", "--N", "5", "--k", "1", "--n", "2000",
     )
     assert code == 0 and text.strip().endswith("|D_2000| >= 4")
     assert "Traceback" not in capsys.readouterr().err
@@ -359,7 +358,7 @@ def test_sweep_deep_test_budget_answers(capsys):
 
 def test_all_subsets_sweep_cap_exit_code(capsys):
     code, text = run_cli(
-        "adversary", "--mode", "greedy", "--topology", "cycle", "--N", "23", "--k", "1", "--n", "1",
+        "sweep", "greedy", "--topology", "cycle", "--N", "23", "--k", "1", "--n", "1",
         "--test-class", "all_subsets",
     )
     assert code == 3 and text == ""
@@ -369,22 +368,22 @@ def test_all_subsets_sweep_cap_exit_code(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("--N", "5..3"), "runs backwards"),
-        (("--N", "1..1000000000000"), "lists more than 100000 values"),
-        (("--s", "5", "--n", "6..0"), "runs backwards"),
-        (("--s", "5", "--n", "0..100000"), "lists more than 100000 values"),
+        (("accuracy", "--N", "5..3"), "runs backwards"),
+        (("accuracy", "--N", "1..1000000000000"), "lists more than 100000 values"),
+        (("capacity", "--s", "5", "--n", "6..0"), "runs backwards"),
+        (("capacity", "--s", "5", "--n", "0..100000"), "lists more than 100000 values"),
     ],
 )
 def test_table_rejects_reversed_and_huge_ranges(capsys, argv, message):
     # checked before any value is listed, so nothing is allocated
-    code, text = run_cli("table", "--k", "1", *argv)
+    code, text = run_cli("table", *argv, "--k", "1")
     assert code == 2 and text == ""
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
 
 
 def test_table_range_at_the_length_limit_runs():
-    code, text = run_cli("table", "--N", "1..100000", "--k", "1", "--format", "csv")
+    code, text = run_cli("table", "accuracy", "--N", "1..100000", "--k", "1", "--format", "csv")
     assert code == 0 and len(text.splitlines()) == 100_001
 
 
@@ -393,45 +392,41 @@ def test_out_of_memory_is_a_resource_cap(capsys, monkeypatch):
         raise MemoryError
 
     monkeypatch.setattr("movingsearch.adaptive.path_capacity", exhausted)
-    code, text = run_cli("table", "--s", "5", "--k", "1", "--n", "1000000000000")
+    code, text = run_cli("table", "capacity", "--s", "5", "--k", "1", "--n", "1000000000000")
     assert code == 3 and text == ""
     err = capsys.readouterr().err
     assert err == "resource cap exceeded: out of memory\n"
 
 
 def test_nonadaptive_accuracy_table_on_cycles_is_usage_error(capsys):
-    code, text = run_cli(
-        "table", "--nonadaptive", "--topology", "cycle", "--N", "5..9", "--k", "1",
-    )
-    assert code == 2 and text == ""
-    err = capsys.readouterr().err
-    assert "paths only" in err and "Traceback" not in err
+    # the non-adaptive floor is known for paths only
+    err = usage_error(capsys, "table", "nonadaptive", "--topology", "cycle", "--N", "5..9", "--k", "1")
+    assert err.splitlines()[-1] == "movingsearch: error: unrecognized arguments: --topology cycle"
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--s", "4", "--n", "0..2", "--N", "5"),
-        ("--N", "5..6", "--s", "4", "--n", "2"),
-        ("--N", "5", "--n", "2"),
+        ("capacity", "--s", "4", "--n", "0..2", "--N", "5"),
+        ("accuracy", "--N", "5..6", "--s", "4", "--n", "2"),
+        ("accuracy", "--N", "5", "--n", "2"),
     ],
 )
 def test_table_with_floor_and_capacity_inputs_is_usage_error(capsys, argv):
     # --N asks for accuracy floors, --s with --n for capacities: no input is ignored
-    code, text = run_cli("table", "--k", "1", *argv)
-    assert code == 2 and text == ""
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    err = usage_error(capsys, "table", *argv, "--k", "1")
+    reads = ("--N",) if argv[0] == "accuracy" else ("--s", "--n")
+    unread = [f"{o} {v}" for o, v in zip(argv[1::2], argv[2::2]) if o not in reads]
+    assert err.splitlines()[-1] == "movingsearch: error: unrecognized arguments: " + " ".join(unread)
 
 
 @pytest.mark.parametrize("topology", ["path", "cycle"])
 def test_nonadaptive_capacity_table_is_usage_error(capsys, topology):
-    code, text = run_cli(
-        "table", "--nonadaptive", "--topology", topology, "--k", "1", "--s", "5", "--n", "0..2",
+    # no leaf tabulates non-adaptive capacities
+    err = usage_error(
+        capsys, "table", "capacity", "--nonadaptive", "--topology", topology, "--k", "1", "--s", "5", "--n", "0..2",
     )
-    assert code == 2 and text == ""
-    err = capsys.readouterr().err
-    assert "not implemented" in err and "Traceback" not in err
+    assert err.splitlines()[-1] == "movingsearch: error: unrecognized arguments: --nonadaptive"
 
 
 def test_budget_exit_code():
@@ -463,15 +458,30 @@ def test_oracle_negative_budget_is_usage_error(capsys):
 
 # -- fuzzed argv ------------------------------------------------------------------
 
-def cli_options():
-    """Subcommand name -> {long option: the values it takes}: its choices,
-    [] for a flag, None for anything else."""
-    parser = build_parser()
-    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+def cli_parsers(parser, words=()):
+    """(command words, parser) for ``parser`` and every parser below it."""
+    yield words, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from cli_parsers(sub, words + (name,))
+
+
+def cli_leaves():
+    """Command words -> parser, for every parser that takes no further command word."""
     return {
-        name: {a.option_strings[-1]: (list(a.choices) if a.choices else [] if a.nargs == 0 else None)
-               for a in p._actions if a.option_strings and a.option_strings[-1] != "--help"}
-        for name, p in subs.items()
+        words: p for words, p in cli_parsers(build_parser())
+        if not any(isinstance(a, argparse._SubParsersAction) for a in p._actions)
+    }
+
+
+def cli_options():
+    """Leaf command words -> {long option: the values it takes}: its
+    choices, [] for a flag, None for anything else."""
+    return {
+        words: {a.option_strings[-1]: (list(a.choices) if a.choices else [] if a.nargs == 0 else None)
+                for a in p._actions if a.option_strings and a.option_strings[-1] != "--help"}
+        for words, p in cli_leaves().items()
     }
 
 
@@ -490,11 +500,11 @@ def fuzz_dir(tmp_path_factory):
 
 @hs.composite
 def cli_argv(draw):
-    """A subcommand with most of its options, each with a value it takes;
+    """A leaf command with most of its options, each with a value it takes;
     now and then a junk token in place of an option or a value."""
-    command = draw(hs.sampled_from(sorted(CLI_OPTIONS)))
-    options = CLI_OPTIONS[command]
-    argv = [command]
+    words = draw(hs.sampled_from(sorted(CLI_OPTIONS)))
+    options = CLI_OPTIONS[words]
+    argv = list(words)
     for option in draw(hs.permutations(sorted(options))):
         if draw(hs.integers(0, 3)) == 0:
             continue
@@ -504,7 +514,7 @@ def cli_argv(draw):
             argv.append(draw(hs.sampled_from(CLI_CHECKS if option == "--check" else takes or CLI_NUMBERS)))
         if draw(hs.integers(0, 9)) == 0:
             argv.append(draw(hs.sampled_from(CLI_JUNK)))
-    if command == "verify" and "--check" not in argv:
+    if words == ("verify",) and "--check" not in argv:
         argv += ["--check", "eq1"]  # all nine checks take half a second; test_verify_* run them
     return argv
 
@@ -527,9 +537,94 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(fuzz_dir, argv):
     assert "Traceback" not in err.getvalue(), argv
 
 
+# -- the command tree ------------------------------------------------------------
+
+# one argv per leaf that exits 0 and reaches every option the leaf declares;
+# m.txt is the 10-vertex matrix
+SOURCE_ARGV = {
+    "split": "--N 10 --k 1 --s 4",
+    "shifting": "--N 10 --k 1",
+    "sliding": "--N 10 --k 1 --span 1",
+    "cycle": "--N 12 --k 1 --s 5",
+    "matrix": "--topology path --N 10 --k 1 --matrix-file m.txt",
+}
+LEAF_ARGV = {
+    ("table", "capacity"): "--topology cycle --k 1 --s 5 --n 0..2 --format csv",
+    ("table", "accuracy"): "--topology cycle --k 1 --N 3..5 --format csv",
+    ("table", "nonadaptive"): "--k 1 --N 3..5 --format csv",
+    **{("strategy", kind): f"{SOURCE_ARGV[kind]} --out tree.txt" for kind in ("split", "shifting", "sliding", "cycle")},
+    ("matrix",): "--N 10 --k 1 --out m.txt",
+    **{("simulate", kind): f"{argv} --seed 3 --restricted" for kind, argv in SOURCE_ARGV.items() if kind != "matrix"},
+    ("simulate", "matrix"): f"{SOURCE_ARGV['matrix']} --s 4 --seed 3 --restricted",
+    **{("adversary", "greedy", kind): argv for kind, argv in SOURCE_ARGV.items()},
+    **{("adversary", "window", kind): argv for kind, argv in SOURCE_ARGV.items() if kind != "cycle"},
+    **{("adversary", "margin", kind): f"{argv} --n 1" + ("" if "--s" in argv.split() else " --s 4")
+       for kind, argv in SOURCE_ARGV.items() if kind != "cycle"},
+    ("adversary", "counter"): SOURCE_ARGV["matrix"],
+    ("sweep", "greedy"): "--topology cycle --N 8 --k 1 --n 1 --s 5 --test-class all_subsets",
+    ("sweep", "margin"): "--topology path --N 9 --k 1 --n 2 --s 4 --test-class intervals",
+    ("oracle",): "--topology path --N 8 --k 1 --s 4 --test-class intervals --restricted --format csv "
+                 "--budget 3 --emit-strategy",
+    ("codec",): "--N 10 --k 1 --walk 3,3,3 --matrix-file m.txt",
+    ("verify",): "--check eq1 --format csv",
+}
+
+
+class Reads:
+    """Parsed arguments that note each name a handler reads."""
+
+    def __init__(self, args):
+        self.args, self.read = args, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.args, name)
+
+
+def test_every_leaf_reads_every_option_it_declares(tmp_path, monkeypatch):
+    # argparse rejects whatever a leaf does not declare; this checks the other
+    # side, that each declared option reaches the handler on the leaf's argv
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MOVINGSEARCH_OUTDIR", raising=False)
+    assert run_cli("matrix", *LEAF_ARGV[("matrix",)].split())[0] == 0
+    leaves = cli_leaves()
+    assert sorted(leaves) == sorted(LEAF_ARGV)
+    for words, p in leaves.items():
+        declared = {a.dest for a in p._actions if a.option_strings and a.dest != "help"}
+        args = Reads(build_parser().parse_args([*words, *LEAF_ARGV[words].split()]))
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert args.fn(args, io.StringIO()) == 0, words
+        assert declared <= args.read, (words, declared - args.read)
+
+
+def test_no_parser_takes_an_abbreviated_option(capsys):
+    assert all(p.allow_abbrev is False for _, p in cli_parsers(build_parser()))
+    # read as --span, this would print a span-2 tree
+    err = usage_error(capsys, "strategy", "sliding", "--N", "12", "--k", "2", "--s", "2")
+    assert err.splitlines()[-1] == "movingsearch: error: unrecognized arguments: --s 2"
+
+
+def readme_tour():
+    """The argv of every ``movingsearch`` line in the README's CLI tour."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        tour = fh.read().split("## CLI tour", 1)[1].split("```", 2)[1]
+    return [shlex.split(line, comments=True)[1:] for line in tour.splitlines() if line.startswith("movingsearch ")]
+
+
+def test_readme_cli_tour_runs(tmp_path, monkeypatch):
+    # the tour writes tree.txt and m.txt, and reads m.txt back
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MOVINGSEARCH_OUTDIR", raising=False)
+    tour = readme_tour()
+    assert len(tour) == 18
+    for argv in tour:
+        assert run_cli(*argv)[0] == 0, argv
+
+
 @pytest.mark.parametrize("argv", [
     ["codec", "--N", "8", "--k", "1", "--bits=--"],
-    ["simulate", "--N", "8", "--k", "1", "--matrix-file=--"],
+    ["simulate", "matrix", "--N", "8", "--k", "1", "--matrix-file=--"],
     ["verify", "--check=--"],
 ])
 def test_bare_double_dash_value_is_usage_error(argv, capsys):
@@ -539,9 +634,9 @@ def test_bare_double_dash_value_is_usage_error(argv, capsys):
 
 def test_strategy_file_as_matrix_file_is_usage_error(tmp_path, capsys):
     target = str(tmp_path / "tree.txt")
-    assert run_cli("strategy", "--N", "12", "--k", "1", "--s", "4", "--out", target)[0] == 0
+    assert run_cli("strategy", "split", "--N", "12", "--k", "1", "--s", "4", "--out", target)[0] == 0
     capsys.readouterr()
-    code, _ = run_cli("simulate", "--N", "12", "--k", "1", "--matrix-file", target)
+    code, _ = run_cli("simulate", "matrix", "--N", "12", "--k", "1", "--matrix-file", target)
     assert code == 2
     assert capsys.readouterr().err == (
         "error: matrix line 1: expected a row of '0'/'1' characters as wide as the first, "
@@ -550,10 +645,10 @@ def test_strategy_file_as_matrix_file_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--N", "6", "--k", "1", "--seed", "1"],
+    ["simulate", "matrix", "--N", "6", "--k", "1", "--seed", "1"],
     ["codec", "--N", "6", "--k", "1", "--bits", "01"],
-    ["adversary", "--mode", "greedy", "--N", "6", "--k", "1"],
-    ["simulate", "--N", "3", "--k", "1", "--seed", "1"],
+    ["adversary", "greedy", "matrix", "--N", "6", "--k", "1"],
+    ["simulate", "matrix", "--N", "3", "--k", "1", "--seed", "1"],
 ])
 def test_matrix_of_the_wrong_width_is_usage_error(tmp_path, capsys, argv):
     target = tmp_path / "m.txt"
@@ -581,8 +676,8 @@ def test_fuzzed_matrix_and_bit_text_keep_the_exit_code_contract(fuzz_dir, text, 
     for argv in (
         ["codec", "--N", "8", "--k", "1", "--matrix-file", str(target), f"--bits={bits}"],
         ["codec", "--N", "8", "--k", "1", f"--bits={bits}"],
-        ["simulate", "--N", "8", "--k", "1", "--matrix-file", str(target), "--seed", "1"],
-        ["adversary", "--mode", "counter", "--N", "8", "--k", "1", "--matrix-file", str(target)],
+        ["simulate", "matrix", "--N", "8", "--k", "1", "--matrix-file", str(target), "--seed", "1"],
+        ["adversary", "counter", "--N", "8", "--k", "1", "--matrix-file", str(target)],
     ):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
