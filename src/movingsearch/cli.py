@@ -175,7 +175,7 @@ def cmd_simulate(args, out) -> int:
     elif args.adversarial:
         kwargs = {"adversarial": True}
     else:
-        kwargs = {"seed": args.seed}
+        kwargs = {"seed": args.seed if args.seed is not None else 0}
     # a shifting or sliding strategy reaches its own accuracy, 3k+span: it takes no --s
     accuracy = getattr(args, "s", None)
     try:
@@ -316,11 +316,15 @@ def _leaf(sub, name: str, fn, *options: str, help: Optional[str] = None, **defau
 
 def _kind_leaves(sub, name: str, help: str, fn, *options: str, kinds=tuple(SOURCES)) -> dict:
     """Command ``name`` under ``sub`` with a leaf per test source in ``kinds``,
-    each reading the source's own options and ``options``."""
+    each reading the source's own options and ``options``.  Without a
+    ``cycle`` source the command plays on paths, and a matrix takes no
+    ``--topology``."""
     branch = _branch(sub, name, help, dest="source")
     leaves = {}
     for kind in kinds:
         topology, reads, build = SOURCES[kind]
+        if topology is None and "cycle" not in kinds:
+            topology, reads = "path", tuple(o for o in reads if o != "--topology")
         fixed = {"topology": topology} if topology else {}
         leaves[kind] = _leaf(branch, kind, fn, "--N", "--k", *reads, *(o for o in options if o not in reads),
                              build=build, **fixed)
@@ -360,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
         walks = p.add_mutually_exclusive_group()  # one source of target walks
         walks.add_argument("--walk", default=None, help="comma-separated positions")
         walks.add_argument("--adversarial", action="store_true")
-        walks.add_argument("--seed", type=int, default=0)
+        # None, not 0: argparse counts a value that is the default object (int("0") is) as not given
+        walks.add_argument("--seed", type=int, default=None)
 
     rules = _branch(sub, "adversary", "play an adversary against one test source", dest="rule")
     _kind_leaves(rules, "greedy", "keep the larger moved part", cmd_adversary)

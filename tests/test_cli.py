@@ -199,24 +199,29 @@ def test_oracle_restricted_strategy_is_sound():
     assert_every_walk_succeeds(st)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("oracle", "--N", "8", "--k", "1"),  # --s is required
-        ("oracle", "--N", "8", "--k", "1", "--s", "4", "--check", "before"),
-        ("sweep", "greedy", "--N", "8", "--k", "1", "--n", "2", "--restricted"),
-        ("verify", "--scale", "tiny"),
-        ("table", "--k", "1", "--s-star", "--N", "5"),
-        # one walk source, and one direction of the codec
-        ("simulate", "--N", "10", "--k", "1", "--walk", "5,5,5,5,5", "--seed", "3", "--adversarial"),
-        ("codec", "--N", "16", "--k", "1", "--walk", "3,3,3", "--bits", "000"),
-    ],
-)
-def test_missing_or_removed_options_are_usage_errors(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(*argv)
-    assert exc.value.code == 2
-    assert "Traceback" not in capsys.readouterr().err
+MISSING_OR_REMOVED = [
+    (("oracle", "--N", "8", "--k", "1"), "the following arguments are required: --s"),
+    (("oracle", "--N", "8", "--k", "1", "--s", "4", "--check", "before"), "unrecognized arguments: --check before"),
+    (("sweep", "greedy", "--N", "8", "--k", "1", "--n", "2", "--restricted"), "unrecognized arguments: --restricted"),
+    (("verify", "--scale", "tiny"), "unrecognized arguments: --scale tiny"),
+    (("table", "accuracy", "--k", "1", "--s-star", "--N", "5"), "unrecognized arguments: --s-star"),
+    # one walk source, and one direction of the codec
+    (("simulate", "split", "--N", "10", "--k", "1", "--s", "4", "--walk", "5,5,5,5,5", "--seed", "3",
+      "--adversarial"), "argument --seed: not allowed with argument --walk"),
+    (("codec", "--N", "16", "--k", "1", "--walk", "3,3,3", "--bits", "000"),
+     "argument --bits: not allowed with argument --walk"),
+    # a seed of 0 is a seed too
+    (("simulate", "split", "--N", "10", "--k", "1", "--s", "4", "--walk", "5,5,5", "--seed", "0"),
+     "argument --seed: not allowed with argument --walk"),
+    (("simulate", "matrix", "--N", "10", "--k", "1", "--matrix-file", "m.txt", "--seed", "0", "--adversarial"),
+     "argument --adversarial: not allowed with argument --seed"),
+]
+
+
+@pytest.mark.parametrize("argv, cause", MISSING_OR_REMOVED, ids=[f"argv{i}" for i in range(len(MISSING_OR_REMOVED))])
+def test_missing_or_removed_options_are_usage_errors(capsys, argv, cause):
+    err = usage_error(capsys, *argv)
+    assert err.splitlines()[-1].endswith(f" error: {cause}"), err
 
 
 def test_simulate_seeded_deterministic():
@@ -279,6 +284,11 @@ def test_s_with_a_shifting_or_sliding_kind_is_usage_error(argv, reached, capsys)
         (["adversary", "greedy", "matrix", "--N", "12", "--k", "1", "--n", "2", "--matrix-file", "m.txt"], "--n"),
         (["adversary", "counter", "--N", "16", "--k", "1", "--s", "4", "--matrix-file", "m.txt"], "--s"),
         (["simulate", "matrix", "--N", "12", "--k", "1", "--kind", "split", "--matrix-file", "m.txt"], "--kind"),
+        # the window and margin rules play on paths
+        (["adversary", "window", "matrix", "--topology", "cycle", "--N", "12", "--k", "1", "--matrix-file", "m.txt"],
+         "--topology"),
+        (["adversary", "margin", "matrix", "--topology", "path", "--N", "12", "--k", "1", "--n", "2", "--s", "4",
+          "--matrix-file", "m.txt"], "--topology"),
     ],
 )
 def test_options_the_chosen_path_does_not_read_are_usage_errors(argv, option, capsys):
@@ -557,9 +567,11 @@ LEAF_ARGV = {
     **{("simulate", kind): f"{argv} --seed 3 --restricted" for kind, argv in SOURCE_ARGV.items() if kind != "matrix"},
     ("simulate", "matrix"): f"{SOURCE_ARGV['matrix']} --s 4 --seed 3 --restricted",
     **{("adversary", "greedy", kind): argv for kind, argv in SOURCE_ARGV.items()},
-    **{("adversary", "window", kind): argv for kind, argv in SOURCE_ARGV.items() if kind != "cycle"},
-    **{("adversary", "margin", kind): f"{argv} --n 1" + ("" if "--s" in argv.split() else " --s 4")
+    # the window and margin rules play on paths: a matrix takes no --topology there
+    **{("adversary", "window", kind): argv.replace("--topology path ", "")
        for kind, argv in SOURCE_ARGV.items() if kind != "cycle"},
+    **{("adversary", "margin", kind): argv.replace("--topology path ", "") + " --n 1"
+       + ("" if "--s" in argv.split() else " --s 4") for kind, argv in SOURCE_ARGV.items() if kind != "cycle"},
     ("adversary", "counter"): SOURCE_ARGV["matrix"],
     ("sweep", "greedy"): "--topology cycle --N 8 --k 1 --n 1 --s 5 --test-class all_subsets",
     ("sweep", "margin"): "--topology path --N 9 --k 1 --n 2 --s 4 --test-class intervals",
