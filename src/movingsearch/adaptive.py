@@ -146,8 +146,6 @@ class AdaptiveStrategy:
         subtree.  The order of the lines does not matter.  Other text raises
         ``ValueError``, naming the line where one is at fault."""
         rows: dict[int, tuple] = {}  # id -> (line, set, children or None)
-        sets: dict[str, PositionSet] = {}  # set text -> set, as sets repeat
-        parse_set = PositionSet.parse
         for line in text.splitlines():
             line = line.strip()
             if not line:
@@ -159,11 +157,8 @@ class AdaptiveStrategy:
                     "'node <id> test=<set> on0=<id> on1=<id>'"
                 )
             leaf_id, answer, node_id, test, on0, on1 = m.groups()
-            set_text = test if answer is None else answer
             try:
-                ps = sets.get(set_text)
-                if ps is None:
-                    ps = sets[set_text] = parse_set(set_text)
+                ps = PositionSet.parse(test if answer is None else answer)
                 nid = int(leaf_id or node_id)
                 children = None if answer is not None else (int(on0), int(on1))
             except ValueError as exc:  # an interval that runs backwards, or past int's digit limit

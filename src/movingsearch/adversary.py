@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from .adaptive import AdaptiveStrategy, StrategyNode
-from .errors import BudgetExceededError, WindowInvariantError
+from .errors import BudgetExceededError, RegimeError, WindowInvariantError
 from .kernel import MAX_SUBSET_N, TEST_CLASSES, Arena, mask_of
 from .nonadaptive import TestMatrix
 from .spaces import (
@@ -187,6 +187,7 @@ def window_step(space: SearchSpace, window: PositionSet, test: PositionSet) -> t
     new_window = _leftmost_block(neighborhood(space, kept), width)
     if new_window is None:
         raise WindowInvariantError(
+            f"the window adversary cannot answer: "
             f"no {width}-wide block survives test {test} with window {window}"
         )
     return answer, new_window
@@ -217,7 +218,10 @@ def window_adversary(space: SearchSpace, source: TestSource) -> Transcript:
 
 
 def margin_start(space: SearchSpace, n: int, s: int) -> PositionSet:
-    """Initial tracked set: centered, with n*k free positions on each side."""
+    """Initial tracked set: centered, with n*k free positions on each side.
+    Its size inverts the capacity formula, which holds for s >= 4k only:
+    below that, with n >= 1, it has fewer than s+1 members or none, and the
+    margin adversary and the CLI refuse it (``check_margin_regime``)."""
     if n < 0:
         raise ValueError("test budget must be >= 0")
     k = space.speed
@@ -230,6 +234,13 @@ def margin_start(space: SearchSpace, n: int, s: int) -> PositionSet:
     return PositionSet.interval(lo, lo + size - 1)
 
 
+def check_margin_regime(k: int, s: int) -> None:
+    """Raise ``RegimeError`` below s = 4k, the regime of the capacity
+    formula that sizes the margin start."""
+    if s < 4 * k:
+        raise RegimeError(f"accuracy s={s} below the 4k={4 * k} regime of the margin adversary")
+
+
 def margin_adversary(space: SearchSpace, source: TestSource, n: int, s: int) -> Transcript:
     """Track a boundary-free subset whose size at least halves-plus-2k per round.
 
@@ -240,6 +251,7 @@ def margin_adversary(space: SearchSpace, source: TestSource, n: int, s: int) -> 
     """
     if space.topology is not Topology.PATH:
         raise ValueError("the margin adversary works on paths")
+    check_margin_regime(space.speed, s)
 
     def rule(test, d, tracked):
         kept1, kept0 = update(space, tracked, test, 1), update(space, tracked, test, 0)
@@ -329,10 +341,10 @@ def _forced_size(arena: Arena, start: int, rounds: int, test_class: str, ties: i
 
     The strategy picks a test and the answer rule its child, so the value is
     the least final size over the lines of exactly ``rounds`` moves.  The
-    sweep walks them a level at a time on canonical orbits (``Arena.canon``,
-    via a dict keyed by the moved part): level i holds the orbits i tests
-    reach, the states a memoized recursion would visit with ``rounds - i``
-    tests left.  Orbits suffice because a reflection, or on a cycle a
+    sweep walks them a level at a time on canonical orbits (``Arena.canon``
+    of each distinct moved part): level i holds the orbits i tests reach,
+    the states a memoized recursion would visit with ``rounds - i`` tests
+    left.  Orbits suffice because a reflection, or on a cycle a
     rotation, maps interval (arc) tests to interval tests and commutes with
     ``reach``; the larger-part rule reads sizes only; and on a path with
     intervals a reflection maps a middle run to a middle run and a prefix
@@ -368,7 +380,6 @@ def _forced_size(arena: Arena, start: int, rounds: int, test_class: str, ties: i
     intervals = test_class == "intervals"
     one_way = intervals and arena.space.topology is Topology.PATH
     reach, splits, canon = arena.reach, arena.splits, arena.canon
-    orbit: dict[int, int] = {}  # moved part -> its canonical form
     splits_left = MAX_SPLITS
 
     def options(d: int) -> Iterator[int]:
@@ -400,13 +411,7 @@ def _forced_size(arena: Arena, start: int, rounds: int, test_class: str, ties: i
         moved: set[int] = set()
         for d in last:
             moved.update(options(d))
-        nxt = set()
-        for c in moved:
-            o = orbit.get(c)
-            if o is None:
-                o = orbit[c] = canon(c)
-            nxt.add(o)
-        last = frozenset(nxt)
+        last = frozenset({canon(c) for c in moved})
         if last in levels:  # the levels from there on repeat
             first = levels[last]
             last = list(levels)[first + (rounds - 1 - first) % (len(levels) - first)]

@@ -22,7 +22,7 @@ import sys
 from typing import Optional
 
 from . import adaptive, adversary, codec, nonadaptive, oracle, verify
-from .errors import BudgetExceededError, RegimeError, WindowInvariantError
+from .errors import BudgetExceededError, RegimeError
 from .nonadaptive import TestMatrix
 from .spaces import cycle, path
 
@@ -194,10 +194,7 @@ def cmd_adversary(args, out) -> int:
     if args.rule == "greedy":
         tr = adversary.greedy_adversary(space, source)
     elif args.rule == "window":
-        try:
-            tr = adversary.window_adversary(space, source)
-        except WindowInvariantError as exc:  # a test meeting the block in two runs
-            raise SystemExit2(f"the window adversary cannot answer: {exc}") from None
+        tr = adversary.window_adversary(space, source)
     else:
         tr = adversary.margin_adversary(space, source, args.n, args.s)
     out.write(tr.serialize())
@@ -222,6 +219,7 @@ def cmd_sweep(args, out) -> int:
     if args.rule == "greedy":
         forced = adversary.greedy_forced_size(space, args.n, args.test_class)
     else:
+        adversary.check_margin_regime(args.k, args.s)
         forced = adversary.margin_forced_size(space, args.n, args.s, args.test_class)
     verdict = f"every {args.test_class} strategy with {args.n} tests ends with |D_{args.n}| >= {forced}"
     if args.s is not None and forced > args.s:

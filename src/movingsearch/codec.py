@@ -5,8 +5,9 @@ the object's current position gives to the next test of a search strategy;
 a receiver replaying the same strategy ends up with the object's position
 pinned down to the strategy's accuracy.  The channel is noiseless and
 rate one; there is no framing and no noise model, just the encoder/decoder
-pair and a lockstep simulation harness.  Encoder and decoder step the
-nodes of ``adversary.source_root``: an adaptive strategy's tree, or a test
+pair and a lockstep simulation harness.  The encoder runs the decoder's
+own step (``CodecSession``), so the two share one code path over the nodes
+of ``adversary.source_root``: an adaptive strategy's tree, or a test
 matrix (or list of tests) as a chain whose two answers meet at the next test.
 
 Bit streams serialize as strings of '0'/'1' characters.
@@ -37,12 +38,16 @@ if TYPE_CHECKING:
 
 
 class CodecSession:
-    """Encoder state machine; mirrors the decoder so both stay in lockstep.
+    """Encoder state machine that runs the decoder's own step, so both stay
+    in lockstep.
 
     ``encode_step`` consumes the object's current position and returns the
-    bit to transmit; the session tracks the decoder's candidate set, which
-    after i bits equals the searcher's candidate set after i answered
-    tests.
+    bit to transmit; ``decode`` feeds received bits to a fresh session.
+    Each bit updates ``decoder_state``, which after i bits equals the
+    searcher's candidate set after i answered tests, and ``decoded``, the
+    set the receiver would announce if transmission stopped now:
+    ``final_expand`` of the test-time set, so the decoder state itself if
+    the target moves after the last test, else the last test-time set.
     """
 
     def __init__(self, space: SearchSpace, strategy: TestSource):
@@ -50,19 +55,7 @@ class CodecSession:
         self._node = source_root(strategy)
         self.bits: list[int] = []
         self._last_position: Optional[int] = None
-        self._pre = full_set(space)  # the test-time set, kept with the flag off only
-        self._post = full_set(space)
-
-    @property
-    def decoder_state(self) -> PositionSet:
-        return self._post
-
-    @property
-    def decoded(self) -> PositionSet:
-        """The set the receiver would announce if transmission stopped now,
-        ``final_expand`` of the test-time set: the post-move set already held
-        if the target moves after the last test, else the test-time set."""
-        return self._post if self.space.moves_after_last_test else self._pre
+        self.decoder_state = self.decoded = full_set(space)
 
     @property
     def done(self) -> bool:
@@ -70,6 +63,17 @@ class CodecSession:
 
     def next_test(self) -> Optional[PositionSet]:
         return self._node.test
+
+    def _receive(self, bit: int) -> PositionSet:
+        """The decoder's step: answer ``bit`` to the current test.  Returns
+        the new decoder state, empty if no walk gives these bits."""
+        space, test, prev = self.space, self._node.test, self.decoder_state
+        # through the round memo, so that encoding and decoding share rounds
+        post = self.decoder_state = update(space, prev, test, bit)
+        self.decoded = post if space.moves_after_last_test else split(space, prev, test, bit)
+        self.bits.append(bit)
+        self._node = self._node.on1 if bit else self._node.on0
+        return post
 
     def encode_step(self, position: int) -> int:
         test = self._node.test
@@ -84,15 +88,9 @@ class CodecSession:
                     f"farther than speed {self.space.speed}"
                 )
         bit = 1 if position in test else 0
-        if not self.space.moves_after_last_test:  # ``decoded`` announces the test-time set
-            self._pre = split(self.space, self._post, test, bit)
-        # through the round memo, so that decoding these bits finds every round
-        self._post = update(self.space, self._post, test, bit)
-        if not self._post:
+        if not self._receive(bit):
             raise AssertionError("decoder state emptied on an honest position")
         self._last_position = position
-        self.bits.append(bit)
-        self._node = self._node.on1 if bit else self._node.on0
         return bit
 
 
@@ -102,20 +100,13 @@ def decode(space: SearchSpace, strategy: TestSource, bits: Sequence[int]) -> Pos
     Raises ``ValueError`` on a bit sequence no object walk can produce
     (a protocol violation upstream).
     """
-    node = source_root(strategy)
-    post = full_set(space)
-    test = None
+    session = CodecSession(space, strategy)
     for i, bit in enumerate(bits):
-        test = node.test
-        if test is None:
+        if session.done:
             raise ValueError(f"bit {i} has no matching test: strategy exhausted")
-        prev, post = post, update(space, post, test, bit)
-        if not post:
+        if not session._receive(bit):
             raise ValueError(f"inconsistent bit stream at position {i}")
-        node = node.on1 if bit else node.on0
-    if test is None or space.moves_after_last_test:
-        return post
-    return split(space, prev, test, bit)  # the last round's test-time set
+    return session.decoded
 
 
 def _walk_steps(space: SearchSpace, seed: int) -> Iterator[int]:
@@ -146,57 +137,56 @@ def simulate_session(
     """Run encoder and decoder in lockstep against one walk source.
 
     Exactly one source: a fixed walk, a seeded random walk, or an
-    adversarial walk extracted from the greedy adversary's transcript.  A
-    fixed walk that leaves the arena or outruns the speed raises
-    ``ValueError``; the other two sources are legal by construction.
+    adversarial walk extracted from the greedy adversary's transcript; each
+    is read as one stream of positions.  A fixed walk that is empty, leaves
+    the arena or outruns the speed raises ``ValueError``; the other two
+    sources are legal by construction.
     Transmission stops at the strategy's end or as soon as the decoded set
     fits the accuracy target; the final decoded set is checked to contain
     the object's final position before the transcript is returned.
     """
     if sum(x is not None and x is not False for x in (walk, seed, adversarial)) != 1:
         raise ValueError("provide exactly one of walk=, seed=, adversarial=")
-    if walk is not None and not is_valid_walk(space, walk):
-        raise ValueError(
-            f"walk {','.join(map(str, walk))} leaves the arena or moves "
-            f"farther than speed {space.speed} in one step"
-        )
+    if walk is not None:
+        if not walk:
+            raise ValueError("walk is empty: a fixed walk needs at least the start position")
+        if not is_valid_walk(space, walk):
+            raise ValueError(
+                f"walk {','.join(map(str, walk))} leaves the arena or moves "
+                f"farther than speed {space.speed} in one step"
+            )
     if accuracy is None and isinstance(strategy, AdaptiveStrategy):
         accuracy = strategy.accuracy_target
     if adversarial:
         tr = greedy_adversary(space, strategy)
         walk = consistent_walk_exists(space, tr.tests(), tr.answers())
         assert walk is not None, "greedy adversary produced an unrealizable transcript"
-    elif seed is not None:
-        # drawn as the session runs, one position ahead of the rounds played
-        steps = _walk_steps(space, seed)
-        walk = [next(steps)]
+    # every source as one stream of positions, a seeded walk drawn as the session runs
+    positions = _walk_steps(space, seed) if seed is not None else iter(walk)
 
     session = CodecSession(space, strategy)
-    rounds = []
-    i = 0
+    rounds, used = [], []  # used: the positions the rounds read, then the next if any
     while not session.done:
-        if accuracy is not None and i > 0 and len(session.decoded) <= accuracy:
+        if accuracy is not None and rounds and len(session.decoded) <= accuracy:
             break
-        if i >= len(walk):
-            raise ValueError(f"walk too short: {len(walk)} positions for round {i + 1}")
+        pos = next(positions, None)
+        if pos is None:
+            raise ValueError(f"walk too short: {len(used)} positions for round {len(used) + 1}")
+        used.append(pos)
         test = session.next_test()
-        bit = session.encode_step(walk[i])
-        i += 1
-        if seed is not None:
-            walk.append(next(steps))
-        rounds.append(TranscriptRound(i, test, bit, session.decoder_state))
+        bit = session.encode_step(pos)
+        rounds.append(TranscriptRound(len(rounds) + 1, test, bit, session.decoder_state))
+    after = next(positions, None)  # where the object moves after the last round
+    if after is not None:
+        used.append(after)
 
-    if space.moves_after_last_test and i < len(walk):
-        final_pos = walk[i]
-    else:
-        final_pos = walk[i - 1] if i > 0 else walk[0]
+    final_pos = used[-1] if space.moves_after_last_test else used[max(len(rounds) - 1, 0)]
     announced = session.decoded
     if final_pos not in announced:
         raise AssertionError(f"decoded set {announced} misses the object at {final_pos}")
     if accuracy is not None and len(announced) > accuracy:
         raise AssertionError(f"decoded set has {len(announced)} > {accuracy} positions")
-    used = tuple(walk[: i + 1]) if i < len(walk) else tuple(walk)
-    return Transcript(space, tuple(rounds), witness=used, announced=announced)
+    return Transcript(space, tuple(rounds), witness=tuple(used), announced=announced)
 
 
 def bits_to_text(bits: Sequence[int]) -> str:

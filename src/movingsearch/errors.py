@@ -9,10 +9,9 @@ class BudgetExceededError(RuntimeError):
     """A configured resource cap (tree nodes, oracle states, ...) was hit."""
 
 
-class WindowInvariantError(RuntimeError):
-    """The window-tracking adversary could not re-establish its invariant.
-
-    This is surfaced instead of being silently patched: it would mean the
-    five-case answer rule failed on a concrete instance, which is worth
-    knowing about.
+class WindowInvariantError(ValueError):
+    """The window adversary met a test it cannot answer: one that meets its
+    block in more than one run, so that neither answer may leave a wide
+    enough block.  The five-case rule answers every test that meets the
+    block in at most one run, interval tests included.
     """

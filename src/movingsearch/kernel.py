@@ -3,8 +3,8 @@ class sweep and both matrix engines.
 
 A candidate set on a path or cycle of N vertices is an int whose bit v-1
 stands for vertex v.  ``Arena`` holds the mask arithmetic for one space:
-speed-step reachability as a shift-or (path) or rotate-or (cycle), cached
-per arena, the canonical form of a mask under the arena's symmetries and
+speed-step reachability as a shift-or (path) or rotate-or (cycle), the
+canonical form of a mask under the arena's symmetries and
 of each of its runs of members (``runs``), and ``splits``, which walks a
 state's own members for the distinct ways a test of either class cuts
 it, both parts moved.  Its optional dominance limits
@@ -43,18 +43,7 @@ def mask_of(ps: PositionSet) -> int:
 
 
 def ps_of(mask: int) -> PositionSet:
-    """The set of a mask's members, a run of set bits at a time: adding the
-    lowest set bit clears its run and carries into the bit above it."""
-    ivs = []
-    base = 0  # the vertex below bit 0 of what is left of the mask
-    while mask:
-        low = mask & -mask
-        t = mask + low
-        hi = (t & -t).bit_length() - 1  # the carry's bit: the run ends at vertex hi
-        ivs.append((base + low.bit_length(), base + hi))
-        mask = t >> hi + 1
-        base += hi + 1
-    return PositionSet._of(tuple(ivs))
+    return PositionSet.from_members(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 class Arena:
@@ -68,17 +57,9 @@ class Arena:
         self._path = space.topology is Topology.PATH
         self._bytes = (self.n + 7) // 8
         self._pad = 8 * self._bytes - self.n  # the bits above N in the last byte
-        self._reach_cache: dict[int, int] = {}
         self._step: Optional[list[int]] = None  # one-vertex moves, on first use
 
     def reach(self, mask: int) -> int:
-        out = self._reach_cache.get(mask)
-        if out is None:
-            out = self._reach_cache[mask] = self.move(mask)
-        return out
-
-    def move(self, mask: int) -> int:
-        """``reach`` without the cache, for callers that keep their own."""
         n, full = self.n, self.full
         out = mask
         if self._path:
@@ -158,7 +139,7 @@ class Arena:
             raise ValueError(f"unknown test class {test_class!r}")
         table = self._step
         if table is None:
-            table = self._step = [self.move(1 << v) for v in range(self.n)]
+            table = self._step = [self.reach(1 << v) for v in range(self.n)]
         members = [v for v in range(self.n) if d >> v & 1]
         bits, moved = [1 << v for v in members], [table[v] for v in members]
         m = len(members)
@@ -198,9 +179,6 @@ class Arena:
                 parts += [p | b for p in parts]
                 parts_moved += [p | mb for p in parts_moved]
             moved_rest = [moved[0] | p for p in reversed(parts_moved[:-1])]
-            if lim >= m:
-                yield from zip(parts[1:], parts_moved[1:], [d ^ p for p in parts[1:]], moved_rest)
-                return
             for e1, m1, m0 in zip(parts[1:], parts_moved[1:], moved_rest):
                 e0 = d ^ e1
                 if (d & ~m1 or e1.bit_count() <= lim) and (d & ~m0 or e0.bit_count() <= lim):

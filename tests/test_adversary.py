@@ -30,7 +30,7 @@ from movingsearch.adversary import (
     window_step,
 )
 from movingsearch.codec import decode
-from movingsearch.errors import BudgetExceededError
+from movingsearch.errors import BudgetExceededError, RegimeError, WindowInvariantError
 from movingsearch.kernel import MAX_SUBSET_N, TEST_CLASSES, Arena, mask_of
 from movingsearch.nonadaptive import TestMatrix, evaluate_matrix, expanding_accuracy_matrix
 from movingsearch.oracle import exact_min_tests
@@ -410,6 +410,23 @@ def test_sweeps_reject_negative_test_budget():
         margin_forced_size(path(30, 1), -1, 4)
     with pytest.raises(ValueError, match="test budget must be >= 0"):
         margin_start(path(30, 1), -1, 4)
+
+
+def test_margin_adversary_below_its_regime_is_rejected():
+    # the start's size (2^n)(s-4k)+4k+1 inverts the capacity formula, which needs
+    # s >= 4k: here it would track one vertex
+    assert len(margin_start(path(20, 1), 2, 3)) == 1
+    with pytest.raises(RegimeError, match="4k=4"):
+        margin_adversary(path(20, 1), path_shifting_strategy(20, 1), 2, 3)
+    with pytest.raises(RegimeError, match="4k=8"):
+        margin_adversary(path(40, 2), [], 1, 7)
+    assert margin_adversary(path(20, 1), path_shifting_strategy(20, 1), 2, 4).rounds
+
+
+def test_window_error_is_a_value_error_naming_the_adversary():
+    with pytest.raises(ValueError, match="^the window adversary cannot answer: no 7-wide block") as exc:
+        window_adversary(path(10, 2), [PositionSet.parse("1,5-7,10")])
+    assert isinstance(exc.value, WindowInvariantError)
 
 
 def test_sweeps_reject_unknown_test_class():

@@ -137,6 +137,16 @@ def test_adversary_window_transcript():
     assert "tracked=" in text
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "margin", "--N", "20", "--k", "1", "--n", "3", "--s", "3"),
+    ("adversary", "margin", "shifting", "--N", "20", "--k", "1", "--n", "2", "--s", "3"),
+])
+def test_margin_below_its_regime_is_usage_error(argv, capsys):
+    code, text = run_cli(*argv)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: accuracy s=3 below the 4k=4 regime of the margin adversary\n"
+
+
 def test_window_adversary_on_a_scattered_row_is_usage_error(tmp_path, capsys):
     # the row meets the first block in two runs, which the window rule does not answer
     target = tmp_path / "m.txt"

@@ -150,6 +150,26 @@ def test_decoded_is_the_final_expansion_after_every_step(flag):
                 assert session.decoded == final_expand(sp, split(sp, prev, test, bit))
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_decode_agrees_with_the_session_after_every_step(flag):
+    """The receiver, fed the bits sent so far, announces what the sender's
+    session holds as ``decoded``, with the trailing move applied or not."""
+    sources = [
+        (path(10, 1, moves_after_last_test=flag), path_strategy(10, 4, 1)),
+        (cycle(12, 1, moves_after_last_test=flag), cycle_strategy(12, 5, 1)),
+        (path(16, 1, moves_after_last_test=flag), expanding_accuracy_matrix(16)),
+    ]
+    for sp, strategy in sources:
+        for seed in range(10):
+            session = CodecSession(sp, strategy)
+            assert decode(sp, strategy, session.bits) == session.decoded
+            for pos in random_walk(sp, 8, seed):
+                if session.done:
+                    break
+                session.encode_step(pos)
+                assert decode(sp, strategy, session.bits) == session.decoded, (sp, seed, session.bits)
+
+
 def test_bit_budget_matches_min_tests():
     st = path_strategy(10, 4, 1)
     budget = min_tests("path", 10, 4, 1).n
@@ -172,6 +192,17 @@ def test_simulate_rejects_illegal_fixed_walk():
         simulate_session(st.space, st, walk=(1, 9), accuracy=5)
     with pytest.raises(ValueError):
         simulate_session(st.space, st, walk=(0, 1), accuracy=5)
+
+
+def test_simulate_rejects_an_empty_fixed_walk():
+    # a strategy that needs no test still reads the walk's start
+    st = cycle_strategy(5, 6, 1)
+    assert st.root.test is None
+    with pytest.raises(ValueError, match="walk is empty"):
+        simulate_session(st.space, st, walk=())
+    st = path_strategy(10, 4, 1)
+    with pytest.raises(ValueError, match="walk is empty"):
+        simulate_session(st.space, st, walk=[])
 
 
 def test_strategy_exhausted_rejected():

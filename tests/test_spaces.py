@@ -540,7 +540,7 @@ def test_splits_match_every_test_of_the_class(make, test_class, n_max):
                 assert len(pairs) == len(set(pairs)) and set(pairs) == want, where
                 for e1, m1, e0, m0 in got:
                     assert not e1 & d & -d, where
-                    assert (m1, m0) == (arena.move(e1), arena.move(e0)), where
+                    assert (m1, m0) == (arena.reach(e1), arena.reach(e0)), where
 
 
 def test_ps_of_reads_runs_as_the_per_bit_loop_does():
