@@ -219,12 +219,13 @@ def window_adversary(space: SearchSpace, source: TestSource) -> Transcript:
 
 def margin_start(space: SearchSpace, n: int, s: int) -> PositionSet:
     """Initial tracked set: centered, with n*k free positions on each side.
-    Its size inverts the capacity formula, which holds for s >= 4k only:
-    below that, with n >= 1, it has fewer than s+1 members or none, and the
-    margin adversary and the CLI refuse it (``check_margin_regime``)."""
+    Its size inverts the capacity formula, which holds for s >= 4k only, so
+    below that it raises ``RegimeError``, before any check of n or N."""
+    k = space.speed
+    if s < 4 * k:
+        raise RegimeError(f"accuracy s={s} below the 4k={4 * k} regime of the margin adversary")
     if n < 0:
         raise ValueError("test budget must be >= 0")
-    k = space.speed
     size = (1 << n) * (s - 4 * k) + 4 * k + 1
     lo = n * k + 1
     if lo + size - 1 + n * k > space.num_vertices:
@@ -232,13 +233,6 @@ def margin_start(space: SearchSpace, n: int, s: int) -> PositionSet:
             f"margin adversary needs N >= {size + 2 * n * k}, got {space.num_vertices}"
         )
     return PositionSet.interval(lo, lo + size - 1)
-
-
-def check_margin_regime(k: int, s: int) -> None:
-    """Raise ``RegimeError`` below s = 4k, the regime of the capacity
-    formula that sizes the margin start."""
-    if s < 4 * k:
-        raise RegimeError(f"accuracy s={s} below the 4k={4 * k} regime of the margin adversary")
 
 
 def margin_adversary(space: SearchSpace, source: TestSource, n: int, s: int) -> Transcript:
@@ -251,7 +245,6 @@ def margin_adversary(space: SearchSpace, source: TestSource, n: int, s: int) -> 
     """
     if space.topology is not Topology.PATH:
         raise ValueError("the margin adversary works on paths")
-    check_margin_regime(space.speed, s)
 
     def rule(test, d, tracked):
         kept1, kept0 = update(space, tracked, test, 1), update(space, tracked, test, 0)

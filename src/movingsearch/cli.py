@@ -219,7 +219,6 @@ def cmd_sweep(args, out) -> int:
     if args.rule == "greedy":
         forced = adversary.greedy_forced_size(space, args.n, args.test_class)
     else:
-        adversary.check_margin_regime(args.k, args.s)
         forced = adversary.margin_forced_size(space, args.n, args.s, args.test_class)
     verdict = f"every {args.test_class} strategy with {args.n} tests ends with |D_{args.n}| >= {forced}"
     if args.s is not None and forced > args.s:

@@ -139,14 +139,16 @@ def simulate_session(
     Exactly one source: a fixed walk, a seeded random walk, or an
     adversarial walk extracted from the greedy adversary's transcript; each
     is read as one stream of positions.  A fixed walk that is empty, leaves
-    the arena or outruns the speed raises ``ValueError``; the other two
-    sources are legal by construction.
+    the arena or outruns the speed raises ``ValueError``, as does an
+    ``accuracy`` below 1; the other two sources are legal by construction.
     Transmission stops at the strategy's end or as soon as the decoded set
     fits the accuracy target; the final decoded set is checked to contain
     the object's final position before the transcript is returned.
     """
     if sum(x is not None and x is not False for x in (walk, seed, adversarial)) != 1:
         raise ValueError("provide exactly one of walk=, seed=, adversarial=")
+    if accuracy is not None and accuracy < 1:
+        raise ValueError("accuracy must be >= 1")
     if walk is not None:
         if not walk:
             raise ValueError("walk is empty: a fixed walk needs at least the start position")

@@ -7,9 +7,10 @@ compares the exact oracle against a formula that has no accompanying
 proof, disagreements are reported in ``findings`` rather than failing the
 check; everything else must match exactly.
 
-The walk-enumeration reference used here deliberately avoids the library's
-candidate-set machinery: it walks positions one step at a time with its
-own distance rule, so the two implementations can check each other.
+The walk-level reference here checks every strategy tree, the test suite's
+too, under either end-of-game rule.  It avoids the library's candidate-set
+machinery: it walks positions one step at a time with its own distance
+rule, so the two implementations can check each other.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .spaces import (
     full_set,
     is_valid_walk,
     path,
+    split,
     update,
 )
 
@@ -117,8 +119,10 @@ def endpoints_by_answers(space: SearchSpace, tests: list[PositionSet]) -> dict:
 def _strategy_succeeds_everywhere(t: _Tally, strategy: adaptive.AdaptiveStrategy, walks: bool = True):
     """Leaf soundness on every branch, plus position-level success.  One
     depth-first walk carries the candidate set down each tree edge, the
-    answer-0 side first."""
+    answer-0 side first.  With ``moves_after_last_test`` off the target
+    makes no move after the last test, so a leaf holds that test's part."""
     space = strategy.space
+    moves = space.moves_after_last_test
     stack = [(strategy.root, (), full_set(space))]
     while stack:
         node, bits, d = stack.pop()
@@ -127,8 +131,9 @@ def _strategy_succeeds_everywhere(t: _Tally, strategy: adaptive.AdaptiveStrategy
             if d:
                 t.ok(len(d) <= strategy.accuracy_target, f"leaf over target on {bits}: {len(d)}")
         else:
-            stack.append((node.on1, bits + (1,), update(space, d, node.test, 1)))
-            stack.append((node.on0, bits + (0,), update(space, d, node.test, 0)))
+            for y, child in ((1, node.on1), (0, node.on0)):
+                step = update if moves or not child.is_leaf else split
+                stack.append((child, bits + (y,), step(space, d, node.test, y)))
     if not walks:
         return
     seen = set()
@@ -141,7 +146,7 @@ def _strategy_succeeds_everywhere(t: _Tally, strategy: adaptive.AdaptiveStrategy
             t.ok(pos in node.answer, f"walk escaped a leaf at {pos}")
             return
         child = node.child(1 if pos in node.test else 0)
-        for q in _steps(space, pos):
+        for q in _steps(space, pos) if moves or not child.is_leaf else (pos,):
             go(child, q)
 
     for start in range(1, space.num_vertices + 1):

@@ -1,11 +1,12 @@
-"""Shared verification helpers for strategy trees, the reference interval
-algebra, the reference strategy parser, the reference test enumerator and
-mask reader, oracle, expansion with its dominance rule and class sweep,
-and the reference matrix evaluator."""
+"""Shared verification helpers: the strategy-tree check, which runs
+``verify``'s walk-level reference, the reference interval algebra, the
+reference strategy parser, the reference test enumerator and mask reader,
+oracle, expansion with its dominance rule and class sweep, and the
+reference matrix evaluator."""
 
 import re
 
-from movingsearch import oracle
+from movingsearch import oracle, verify
 from movingsearch.adaptive import StrategyNode
 from movingsearch.errors import BudgetExceededError
 from movingsearch.kernel import Arena, mask_of
@@ -13,7 +14,6 @@ from movingsearch.nonadaptive import TestMatrix, advance_row
 from movingsearch.spaces import (
     PositionSet,
     Topology,
-    final_expand,
     full_set,
     neighborhood,
     split,
@@ -32,53 +32,10 @@ def brute_line_reach(lo, hi, k, a):
     }
 
 
-def assert_leaf_soundness(strategy):
-    """Every leaf equals the replayed candidate chain and fits the target.
-    The last test's trailing move is applied as the arena's flag says.  One
-    depth-first walk carries the candidate set down each tree edge."""
-    space = strategy.space
-    stack = [(strategy.root, (), full_set(space))]
-    while stack:
-        node, bits, d = stack.pop()
-        if node.is_leaf:
-            assert node.answer == d, f"leaf mismatch on answers {bits}"
-            if d:
-                assert len(d) <= strategy.accuracy_target, (
-                    f"leaf too big on answers {bits}: {len(d)} > {strategy.accuracy_target}"
-                )
-            continue
-        for y in (1, 0):
-            child = node.child(y)
-            if child.is_leaf:
-                nxt = final_expand(space, split(space, d, node.test, y))
-            else:
-                nxt = update(space, d, node.test, y)
-            stack.append((child, bits + (y,), nxt))
-
-
-def assert_every_walk_succeeds(strategy):
-    """Each valid target walk ends inside the leaf its answers lead to; the
-    target makes no trailing move where the arena's flag says so."""
-    space = strategy.space
-    seen = set()
-
-    def go(node, pos):
-        key = (id(node), pos)
-        if key in seen:
-            return
-        seen.add(key)
-        if node.is_leaf:
-            assert pos in node.answer, f"position {pos} escapes leaf {node.answer}"
-            return
-        child = node.child(1 if pos in node.test else 0)
-        if child.is_leaf and not space.moves_after_last_test:
-            go(child, pos)
-            return
-        for nxt in neighborhood(space, PositionSet.from_members([pos])):
-            go(child, nxt)
-
-    for start in range(1, space.num_vertices + 1):
-        go(strategy.root, start)
+def assert_strategy_sound(strategy, walks=True):
+    """Check a strategy tree with verify's walk-level reference, under the
+    arena's end-of-game rule: every leaf and, with ``walks``, every walk."""
+    verify._strategy_succeeds_everywhere(verify._Tally(), strategy, walks)
 
 
 def branch_sizes(strategy):

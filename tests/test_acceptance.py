@@ -13,6 +13,20 @@ from movingsearch.verify import CHECKS, run_check
 
 CRITERIA = sorted(CHECKS.items(), key=lambda item: item[1][0])
 
+# (assertions, findings) per check: a refactor that silently drops checks
+# fails here; a change that adds checks updates the table
+COUNTS = {
+    "example1": (4, 0),
+    "eq1": (15, 0),
+    "cycle-capacity": (239, 0),
+    "path-capacity": (275, 0),
+    "accuracy-thresholds": (502, 0),
+    "nonadaptive-optimality": (468, 0),
+    "restricted-formulas": (22, 8),
+    "soundness-suite": (2494, 0),
+    "sliding-window": (148, 0),
+}
+
 
 @pytest.mark.parametrize("name", [name for name, _ in CRITERIA])
 def test_criterion(name):
@@ -27,7 +41,9 @@ def test_criterion(name):
     if result.error:
         print(f"  error: {result.error}")
     assert result.passed, f"criterion {result.criterion} [{name}]: {result.error}"
+    assert (result.checked, len(result.findings)) == COUNTS[name]
 
 
 def test_all_criteria_covered():
     assert sorted(crit for _, (crit, _) in CRITERIA) == list(range(1, 10))
+    assert sorted(COUNTS) == sorted(CHECKS)

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from helpers import (
-    assert_every_walk_succeeds,
-    assert_leaf_soundness,
+    assert_strategy_sound,
     branch_sizes,
     brute_line_reach,
     reference_parse_strategy,
@@ -118,7 +117,7 @@ def test_cycle_strategy_branch_profile():
     assert st.depth() == 3
     for _bits, sizes in branch_sizes(st):
         assert sizes == [8, 6, 5]
-    assert_leaf_soundness(st)
+    assert_strategy_sound(st, walks=False)
 
 
 def test_cycle_strategy_trivial_leaf():
@@ -130,8 +129,7 @@ def test_cycle_strategy_trivial_leaf():
 def test_cycle_strategy_exhaustive_walks():
     st = cycle_strategy(8, 5, 1)
     assert st.depth() == 2
-    assert_leaf_soundness(st)
-    assert_every_walk_succeeds(st)
+    assert_strategy_sound(st)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -141,10 +139,10 @@ def test_cycle_strategy_at_capacity(k, n):
         cap = cycle_capacity(n, s, k)
         st = cycle_strategy(cap, s, k)
         assert st.depth() == n
-        assert_leaf_soundness(st)
+        assert_strategy_sound(st, walks=False)
         st_over = cycle_strategy(cap + 1, s, k)
         assert st_over.depth() == n + 1
-        assert_leaf_soundness(st_over)
+        assert_strategy_sound(st_over, walks=False)
 
 
 # -- shifting / sliding-window strategies ----------------------------------------
@@ -153,18 +151,16 @@ def test_cycle_strategy_at_capacity(k, n):
 def test_shifting_strategy_small_cases():
     st = path_shifting_strategy(9, 1)
     assert all(len(leaf.answer) <= 4 for _b, leaf in st.leaves() if leaf.answer)
-    assert_leaf_soundness(st)
-    assert_every_walk_succeeds(st)
+    assert_strategy_sound(st)
 
     st5 = path_shifting_strategy(5, 1)
     assert st5.depth() == 1  # N < 4k+3 stops right after the first test
-    assert_leaf_soundness(st5)
+    assert_strategy_sound(st5, walks=False)
 
 
 def test_shifting_strategy_k2():
     st = path_shifting_strategy(13, 2)
-    assert_leaf_soundness(st)
-    assert_every_walk_succeeds(st)
+    assert_strategy_sound(st)
     assert max(len(leaf.answer) for _b, leaf in st.leaves()) <= 7
 
 
@@ -182,12 +178,11 @@ def test_shifting_rejects_small_paths():
 def test_sliding_window_instances():
     st = path_sliding_window_strategy(14, 2, 1)
     assert st.depth() <= 3 and st.accuracy_target == 7
-    assert_leaf_soundness(st)
-    assert_every_walk_succeeds(st)
+    assert_strategy_sound(st)
 
     st = path_sliding_window_strategy(12, 2, 2)
     assert st.depth() <= 1 and st.accuracy_target == 8
-    assert_leaf_soundness(st)
+    assert_strategy_sound(st, walks=False)
 
     st = path_sliding_window_strategy(8, 2, 2)  # N = 4k with l = k: no test needed
     assert st.depth() == 0
@@ -208,21 +203,19 @@ def test_path_strategy_first_test_small_case():
     assert st.root.test == P("1-3")
     for node in (st.root.on0, st.root.on1):
         assert node.is_leaf and len(node.answer) <= 4
-    assert_leaf_soundness(st)
+    assert_strategy_sound(st, walks=False)
 
 
 def test_path_strategy_eq1_instance():
     st = path_strategy(10, 4, 1)
     assert st.depth() == 3
-    assert_leaf_soundness(st)
-    assert_every_walk_succeeds(st)
+    assert_strategy_sound(st)
 
 
 def test_path_strategy_k2_instance():
     st = path_strategy(16, 8, 2)
     assert st.depth() <= 2
-    assert_leaf_soundness(st)
-    assert_every_walk_succeeds(st)
+    assert_strategy_sound(st)
 
 
 @pytest.mark.parametrize("k,s_list,n_max", [(1, (4, 5, 6), 4), (2, (8, 9), 3)])
@@ -232,12 +225,10 @@ def test_path_strategy_at_capacity(k, s_list, n_max):
             cap = path_capacity(n, s, k)
             st = path_strategy(cap, s, k)
             assert st.depth() <= n
-            assert_leaf_soundness(st)
-            if cap <= 14:
-                assert_every_walk_succeeds(st)
+            assert_strategy_sound(st, walks=cap <= 14)
             st_over = path_strategy(cap + 1, s, k)
             assert st_over.depth() <= n + 1
-            assert_leaf_soundness(st_over)
+            assert_strategy_sound(st_over, walks=False)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -271,9 +262,7 @@ def test_path_strategy_every_size_up_to_capacity(s, k):
     for n_vertices in range(1, path_capacity(4, s, k) + 1):
         st = path_strategy(n_vertices, s, k)
         assert st.depth() <= min_tests("path", n_vertices, s, k).n
-        assert_leaf_soundness(st)
-        if n_vertices <= 12:
-            assert_every_walk_succeeds(st)
+        assert_strategy_sound(st, walks=n_vertices <= 12)
 
 
 @pytest.mark.parametrize("s,k", [(5, 1), (6, 1), (9, 2)])
@@ -281,9 +270,7 @@ def test_cycle_strategy_every_size_up_to_capacity(s, k):
     for n_vertices in range(1, cycle_capacity(4, s, k) + 1):
         st = cycle_strategy(n_vertices, s, k)
         assert st.depth() == min_tests("cycle", n_vertices, s, k).n
-        assert_leaf_soundness(st)
-        if n_vertices <= 12:
-            assert_every_walk_succeeds(st)
+        assert_strategy_sound(st, walks=n_vertices <= 12)
 
 
 # -- tree plumbing -----------------------------------------------------------------
@@ -544,7 +531,7 @@ def test_builders_and_round_trips_wrap_only_canonical_tuples(canonical_of, build
     st = GUARDED_TREES[builder]()
     back = AdaptiveStrategy.parse(st.serialize(), st.space, st.accuracy_target)
     assert back.root == st.root
-    assert_leaf_soundness(back)
+    assert_strategy_sound(back, walks=False)
     for seed in range(3):
         tr = simulate_session(back.space, back, seed=seed)
         assert len(tr.announced) <= back.accuracy_target

@@ -149,7 +149,8 @@ def test_sweeps_reproduce_golden_table():
     (intervals) or N <= 8 (all subsets), margin on paths with N <= 8, and
     path(17, 2) at 3 tests, the smallest interval instance with N <= 22,
     k <= 3 and at most 4 tests whose value depends on the greedy tie rule.
-    "ValueError" marks an arena too small for the margin start set."""
+    "ValueError" marks an arena too small for the margin start set, or an
+    accuracy below the 4k regime of the margin start."""
     with open(os.path.join(os.path.dirname(__file__), "sweep_golden.json")) as fh:
         rows = json.load(fh)
     make = {"path": path, "cycle": cycle}
@@ -415,7 +416,8 @@ def test_sweeps_reject_negative_test_budget():
 def test_margin_adversary_below_its_regime_is_rejected():
     # the start's size (2^n)(s-4k)+4k+1 inverts the capacity formula, which needs
     # s >= 4k: here it would track one vertex
-    assert len(margin_start(path(20, 1), 2, 3)) == 1
+    with pytest.raises(RegimeError, match="4k=4"):
+        margin_start(path(20, 1), 2, 3)
     with pytest.raises(RegimeError, match="4k=4"):
         margin_adversary(path(20, 1), path_shifting_strategy(20, 1), 2, 3)
     with pytest.raises(RegimeError, match="4k=8"):

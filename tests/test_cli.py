@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
-from helpers import assert_every_walk_succeeds, assert_leaf_soundness
+from helpers import assert_strategy_sound
 from movingsearch.adaptive import AdaptiveStrategy
 from movingsearch.cli import build_parser, main
 from movingsearch.nonadaptive import TestMatrix
@@ -205,8 +205,7 @@ def test_oracle_restricted_strategy_is_sound():
     assert code == 0 and json.loads(record)["flag"] is False
     st = AdaptiveStrategy.parse(tree, path(8, 1, moves_after_last_test=False), 4)
     assert st.depth() == 1
-    assert_leaf_soundness(st)
-    assert_every_walk_succeeds(st)
+    assert_strategy_sound(st)
 
 
 MISSING_OR_REMOVED = [
@@ -253,6 +252,15 @@ def test_simulate_illegal_walk_is_usage_error(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "speed 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("s", ["0", "-3"])
+def test_simulate_with_an_accuracy_below_one_is_a_usage_error(tmp_path, capsys, s):
+    target = str(tmp_path / "m16.txt")
+    assert run_cli("matrix", "--N", "16", "--k", "1", "--out", target)[0] == 0
+    code, text = run_cli("simulate", "matrix", "--N", "16", "--k", "1", "--matrix-file", target, "--s", s, "--seed", "1")
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == "error: accuracy must be >= 1\n"
 
 
 def test_simulate_below_the_strategys_accuracy_is_a_verification_failure(tmp_path, capsys):

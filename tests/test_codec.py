@@ -194,6 +194,12 @@ def test_simulate_rejects_illegal_fixed_walk():
         simulate_session(st.space, st, walk=(0, 1), accuracy=5)
 
 
+@pytest.mark.parametrize("accuracy", [0, -3])
+def test_simulate_rejects_an_accuracy_below_one(accuracy):
+    with pytest.raises(ValueError, match="accuracy must be >= 1"):
+        simulate_session(path(16, 1), expanding_accuracy_matrix(16), seed=1, accuracy=accuracy)
+
+
 def test_simulate_rejects_an_empty_fixed_walk():
     # a strategy that needs no test still reads the walk's start
     st = cycle_strategy(5, 6, 1)

@@ -5,8 +5,7 @@ import time
 import pytest
 
 from helpers import (
-    assert_every_walk_succeeds,
-    assert_leaf_soundness,
+    assert_strategy_sound,
     reference_best_matrix,
     reference_build_graph,
     reference_dominated,
@@ -16,7 +15,7 @@ from helpers import (
     reference_pairs,
 )
 from movingsearch import oracle
-from movingsearch.adaptive import cycle_capacity, path_capacity, path_min_accuracy
+from movingsearch.adaptive import AdaptiveStrategy, StrategyNode, cycle_capacity, path_capacity, path_min_accuracy
 from movingsearch.errors import BudgetExceededError
 from movingsearch.kernel import Arena
 from movingsearch.nonadaptive import evaluate_matrix, expanding_accuracy_matrix
@@ -26,7 +25,7 @@ from movingsearch.oracle import (
     exact_min_tests,
     extract_strategy,
 )
-from movingsearch.spaces import cycle, path
+from movingsearch.spaces import cycle, full_set, neighborhood, path, split, update
 
 
 def test_eq1_small_instances():
@@ -388,8 +387,7 @@ def test_extracted_strategies_pass_walk_checks(make, flag):
                     continue
                 st = extract_strategy(gv)
                 assert st.depth() == gv.min_tests
-                assert_leaf_soundness(st)
-                assert_every_walk_succeeds(st)
+                assert_strategy_sound(st)
                 for test in _tests_of(st.root):
                     runs = test.intervals
                     assert len(runs) == 1 or (
@@ -400,6 +398,32 @@ def test_extracted_strategies_pass_walk_checks(make, flag):
                     ), f"{sp} s={s}: test {test} is not one interval or arc"
                 solved += 1
     assert solved > 10  # the grid is not vacuous
+
+
+def _swap_first_leaf(st):
+    """``st`` with the leaf at the end of its all-zero branch holding the set
+    of the other end-of-game rule: the moved part where the target stays
+    after the last test, the unmoved part where it moves."""
+    sp = st.space
+
+    def go(node, d):
+        if not node.on0.is_leaf:
+            return node._replace(on0=go(node.on0, update(sp, d, node.test, 0)))
+        part = split(sp, d, node.test, 0)
+        swapped = part if sp.moves_after_last_test else neighborhood(sp, part)
+        return node._replace(on0=StrategyNode(answer=swapped))
+
+    return AdaptiveStrategy(sp, go(st.root, full_set(sp)), st.accuracy_target)
+
+
+@pytest.mark.parametrize(
+    "space", [path(10, 1, moves_after_last_test=False), path(9, 1)], ids=["stays", "moves"]
+)
+def test_strategy_check_rejects_a_leaf_of_the_other_end_of_game_rule(space):
+    st = extract_strategy(exact_min_tests(space, 4))
+    assert_strategy_sound(st)
+    with pytest.raises(AssertionError, match="leaf mismatch"):
+        assert_strategy_sound(_swap_first_leaf(st))
 
 
 def _tests_of(node):
@@ -444,16 +468,14 @@ def test_extracted_strategy_replays_to_value():
     assert gv.min_tests == 3
     st = extract_strategy(gv)
     assert st.depth() == gv.min_tests
-    assert_leaf_soundness(st)
-    assert_every_walk_succeeds(st)
+    assert_strategy_sound(st)
 
 
 def test_extracted_cycle_strategy():
     gv = exact_min_tests(cycle(12, 1), 5, test_class="intervals")
     assert gv.min_tests == 3
     st = extract_strategy(gv)
-    assert_leaf_soundness(st)
-    assert_every_walk_succeeds(st)
+    assert_strategy_sound(st)
 
 
 @pytest.mark.parametrize("n_vertices", range(5, 12))
