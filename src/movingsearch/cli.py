@@ -30,17 +30,13 @@ OUTDIR_ENV = "MOVINGSEARCH_OUTDIR"
 MAX_RANGE = 100_000  # the most values one ``lo..hi`` range may list
 
 
-class SystemExit2(Exception):
-    """Usage error that should exit with code 2."""
-
-
 def _parse_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = (int(v) for v in text.split("..", 1))
         if lo > hi:
-            raise SystemExit2(f"range {text} runs backwards")
+            raise ValueError(f"range {text} runs backwards")
         if hi - lo >= MAX_RANGE:
-            raise SystemExit2(f"range {text} lists more than {MAX_RANGE} values")
+            raise ValueError(f"range {text} lists more than {MAX_RANGE} values")
         return list(range(lo, hi + 1))
     return [int(text)]
 
@@ -99,7 +95,7 @@ def _load_matrix(path_: str, n: int) -> TestMatrix:
     with open(path_, encoding="ascii") as fh:
         matrix = TestMatrix.parse(fh.read())
     if matrix.cols != n:
-        raise SystemExit2(f"matrix has {matrix.cols} columns but the arena has {n} vertices")
+        raise ValueError(f"matrix has {matrix.cols} columns but the arena has {n} vertices")
     return matrix
 
 
@@ -244,6 +240,7 @@ def cmd_codec(args, out) -> int:
         out.write(f"decoded={decoded}\n")
         return 0
     walk = _parse_walk(args.walk)
+    codec.check_walk(space, walk)
     session = codec.CodecSession(space, source)
     for pos in walk[:-1] if len(walk) > 1 else walk:
         if session.done:
@@ -259,7 +256,7 @@ def cmd_verify(args, out) -> int:
     try:
         results = verify.run_checks(names)
     except KeyError as exc:
-        raise SystemExit2(str(exc)) from None
+        raise ValueError(str(exc)) from None
     rows = [r.record() for r in results]
     if args.format == "human":
         for r in results:
@@ -403,11 +400,8 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
         # argparse reads "--opt=--" as an empty list; only --check takes a list, of names
         for name, value in vars(args).items():
             if isinstance(value, list) and (not value or [] in value):
-                raise SystemExit2(f"--{name.replace('_', '-')} needs a value, got '--'")
+                raise ValueError(f"--{name.replace('_', '-')} needs a value, got '--'")
         return args.fn(args, out)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BudgetExceededError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
         return 3

@@ -125,6 +125,17 @@ def random_walk(space: SearchSpace, length: int, seed: int) -> tuple[int, ...]:
     return tuple(itertools.islice(_walk_steps(space, seed), max(length, 1)))
 
 
+def check_walk(space: SearchSpace, walk: Sequence[int]) -> None:
+    """Raise ``ValueError`` unless ``walk`` is a nonempty walk of the target."""
+    if not walk:
+        raise ValueError("walk is empty: a fixed walk needs at least the start position")
+    if not is_valid_walk(space, walk):
+        raise ValueError(
+            f"walk {','.join(map(str, walk))} leaves the arena or moves "
+            f"farther than speed {space.speed} in one step"
+        )
+
+
 def simulate_session(
     space: SearchSpace,
     strategy: TestSource,
@@ -150,13 +161,7 @@ def simulate_session(
     if accuracy is not None and accuracy < 1:
         raise ValueError("accuracy must be >= 1")
     if walk is not None:
-        if not walk:
-            raise ValueError("walk is empty: a fixed walk needs at least the start position")
-        if not is_valid_walk(space, walk):
-            raise ValueError(
-                f"walk {','.join(map(str, walk))} leaves the arena or moves "
-                f"farther than speed {space.speed} in one step"
-            )
+        check_walk(space, walk)
     if accuracy is None and isinstance(strategy, AdaptiveStrategy):
         accuracy = strategy.accuracy_target
     if adversarial:

@@ -18,11 +18,8 @@ never produces those splits.  A state is refuted by its size alone (a
 test leaves a part with half of its members, and a proper part of a
 connected arena gains one when it moves), and a state of several runs of
 members by a lower bound proven for one of its runs (``Arena.runs``), a
-subset of it.  Before recursing it skips splits with a child ruled out
-by its lower bound and takes one whose children are proven by their upper
-bounds (the enhanced transposition cutoff of A. Reinefeld, T. A.
-Marsland, IEEE TPAMI 16(7), 1994); a split that leads back to its state
-is never a best one.
+subset of it.  It skips splits with a child ruled out by its lower
+bound; a split that leads back to its state is never a best one.
 
 ``exact_min_tests`` deepens n (R. E. Korf, "Depth-first iterative-deepening:
 an optimal admissible tree search", Artificial Intelligence 27(1), 1985).
@@ -65,7 +62,7 @@ MAX_EDGES = 8_000_000  # cap on the oracle's stored pairs: 0.76 GB on path(44,1)
 MAX_MATRIX_ENTRIES = 2_000_000  # cap on the matrix search's memo entries
 INF = float("inf")
 # the largest N of the measured ladder (tools/oracle_ladder.py, 60 s, 3 GB):
-# path(80,1) s=5 in 3 s and cycle(22,1) s=5 over all subsets in 24 s, whose
+# path(80,1) s=5 in 3.5 s and cycle(22,1) s=5 over all subsets in 12 s, whose
 # states have 2^21 splits each
 _CAPS = {"intervals": 80, "all_subsets": MAX_SUBSET_N}
 
@@ -167,16 +164,10 @@ class _Search:
                 lo[d] = lo[r]
                 return False
         full, m = self.arena.full, n - 1
-        live = []
         for b1, b0 in self.pairs(d):
             x, y = b1 & full, b0 & full
             if x == d or y == d or lo.get(x, 0) > m or lo.get(y, 0) > m:
                 continue
-            if hi.get(x, INF) <= m and hi.get(y, INF) <= m:
-                hi[d] = n
-                return True
-            live.append((x, y))
-        for x, y in live:
             if self.win(x, m) and self.win(y, m):
                 hi[d] = n
                 return True

@@ -32,10 +32,10 @@ def brute_line_reach(lo, hi, k, a):
     }
 
 
-def assert_strategy_sound(strategy, walks=True):
+def assert_strategy_sound(strategy):
     """Check a strategy tree with verify's walk-level reference, under the
-    arena's end-of-game rule: every leaf and, with ``walks``, every walk."""
-    verify._strategy_succeeds_everywhere(verify._Tally(), strategy, walks)
+    arena's end-of-game rule: every leaf and every walk."""
+    verify._strategy_succeeds_everywhere(verify._Tally(), strategy)
 
 
 def branch_sizes(strategy):

@@ -117,7 +117,7 @@ def test_cycle_strategy_branch_profile():
     assert st.depth() == 3
     for _bits, sizes in branch_sizes(st):
         assert sizes == [8, 6, 5]
-    assert_strategy_sound(st, walks=False)
+    assert_strategy_sound(st)
 
 
 def test_cycle_strategy_trivial_leaf():
@@ -139,10 +139,10 @@ def test_cycle_strategy_at_capacity(k, n):
         cap = cycle_capacity(n, s, k)
         st = cycle_strategy(cap, s, k)
         assert st.depth() == n
-        assert_strategy_sound(st, walks=False)
+        assert_strategy_sound(st)
         st_over = cycle_strategy(cap + 1, s, k)
         assert st_over.depth() == n + 1
-        assert_strategy_sound(st_over, walks=False)
+        assert_strategy_sound(st_over)
 
 
 # -- shifting / sliding-window strategies ----------------------------------------
@@ -155,7 +155,7 @@ def test_shifting_strategy_small_cases():
 
     st5 = path_shifting_strategy(5, 1)
     assert st5.depth() == 1  # N < 4k+3 stops right after the first test
-    assert_strategy_sound(st5, walks=False)
+    assert_strategy_sound(st5)
 
 
 def test_shifting_strategy_k2():
@@ -182,7 +182,7 @@ def test_sliding_window_instances():
 
     st = path_sliding_window_strategy(12, 2, 2)
     assert st.depth() <= 1 and st.accuracy_target == 8
-    assert_strategy_sound(st, walks=False)
+    assert_strategy_sound(st)
 
     st = path_sliding_window_strategy(8, 2, 2)  # N = 4k with l = k: no test needed
     assert st.depth() == 0
@@ -203,7 +203,7 @@ def test_path_strategy_first_test_small_case():
     assert st.root.test == P("1-3")
     for node in (st.root.on0, st.root.on1):
         assert node.is_leaf and len(node.answer) <= 4
-    assert_strategy_sound(st, walks=False)
+    assert_strategy_sound(st)
 
 
 def test_path_strategy_eq1_instance():
@@ -225,10 +225,10 @@ def test_path_strategy_at_capacity(k, s_list, n_max):
             cap = path_capacity(n, s, k)
             st = path_strategy(cap, s, k)
             assert st.depth() <= n
-            assert_strategy_sound(st, walks=cap <= 14)
+            assert_strategy_sound(st)
             st_over = path_strategy(cap + 1, s, k)
             assert st_over.depth() <= n + 1
-            assert_strategy_sound(st_over, walks=False)
+            assert_strategy_sound(st_over)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -262,7 +262,7 @@ def test_path_strategy_every_size_up_to_capacity(s, k):
     for n_vertices in range(1, path_capacity(4, s, k) + 1):
         st = path_strategy(n_vertices, s, k)
         assert st.depth() <= min_tests("path", n_vertices, s, k).n
-        assert_strategy_sound(st, walks=n_vertices <= 12)
+        assert_strategy_sound(st)
 
 
 @pytest.mark.parametrize("s,k", [(5, 1), (6, 1), (9, 2)])
@@ -270,7 +270,7 @@ def test_cycle_strategy_every_size_up_to_capacity(s, k):
     for n_vertices in range(1, cycle_capacity(4, s, k) + 1):
         st = cycle_strategy(n_vertices, s, k)
         assert st.depth() == min_tests("cycle", n_vertices, s, k).n
-        assert_strategy_sound(st, walks=n_vertices <= 12)
+        assert_strategy_sound(st)
 
 
 # -- tree plumbing -----------------------------------------------------------------
@@ -531,7 +531,7 @@ def test_builders_and_round_trips_wrap_only_canonical_tuples(canonical_of, build
     st = GUARDED_TREES[builder]()
     back = AdaptiveStrategy.parse(st.serialize(), st.space, st.accuracy_target)
     assert back.root == st.root
-    assert_strategy_sound(back, walks=False)
+    assert_strategy_sound(back)
     for seed in range(3):
         tr = simulate_session(back.space, back, seed=seed)
         assert len(tr.announced) <= back.accuracy_target

@@ -254,6 +254,14 @@ def test_simulate_illegal_walk_is_usage_error(capsys):
     assert "speed 1" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("walk", ["3,20", "3,9"])
+def test_codec_checks_the_whole_walk_as_simulate_does(walk, capsys):
+    # the codec encodes all but the last position, which it still checks
+    code, text = run_cli("codec", "--N", "16", "--k", "1", "--walk", walk)
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == f"error: walk {walk} leaves the arena or moves farther than speed 1 in one step\n"
+
+
 @pytest.mark.parametrize("s", ["0", "-3"])
 def test_simulate_with_an_accuracy_below_one_is_a_usage_error(tmp_path, capsys, s):
     target = str(tmp_path / "m16.txt")

@@ -216,16 +216,17 @@ def test_pruned_expansion_matches_the_full_one(make, test_class, n_max, monkeypa
 
 
 @pytest.mark.parametrize(
-    "sp, s, budget, want",
+    "sp, s, test_class, budget, want",
     [
-        # 288 states, 9,559 edges unpruned; 212 and 4,837 without the run cuts
-        (path(15, 1), 4, None, ("solved", 6, 132, 2533)),
-        # 1,158 and 110,466 unpruned; 718 and 48,613 without the run cuts
-        (path(25, 2), 8, 4, ("budget_exceeded", None, 394, 22745)),
+        # 143 states, 4,206 edges with every split filed; 211 and 4,826 without the run cuts
+        (path(15, 1), 4, "intervals", None, ("solved", 6, 128, 2464)),
+        # 496 and 45,028 with every split filed; 716 and 48,547 without the run cuts
+        (path(25, 2), 8, "intervals", 4, ("budget_exceeded", None, 392, 22679)),
+        (path(13, 1), 4, "all_subsets", None, ("solved", 5, 80, 11686)),
     ],
 )
-def test_dominance_pruning_keeps_its_counts(sp, s, budget, want):
-    gv = exact_min_tests(sp, s, budget=budget)
+def test_dominance_pruning_keeps_its_counts(sp, s, test_class, budget, want):
+    gv = exact_min_tests(sp, s, test_class=test_class, budget=budget)
     assert (gv.status, gv.min_tests, gv.states, gv.edges) == want
 
 
@@ -291,8 +292,8 @@ def test_stored_bounds_bracket_the_value_iteration(make, test_class, n_max):
 def test_run_cuts_keep_their_counts_on_rungs_now_in_reach(monkeypatch):
     """Rungs the run cuts bring under a second: a lost cut changes the
     counts at once instead of only slowing them down."""
-    gv = exact_min_tests(cycle(33, 1), 4)  # 13,007 states without the cuts
-    assert (gv.status, gv.states, gv.edges) == ("unreachable", 339, 29067)
+    gv = exact_min_tests(cycle(33, 1), 4)  # 12,898 states without the cuts
+    assert (gv.status, gv.states, gv.edges) == ("unreachable", 280, 25571)
     searches, search = [], oracle._Search
     monkeypatch.setattr(oracle, "_Search", lambda *a, **kw: searches.append(search(*a, **kw)) or searches[-1])
     assert exact_min_accuracy(path(32, 1)) == 4
