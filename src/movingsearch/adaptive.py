@@ -15,7 +15,6 @@ candidate set, so the accuracy guarantees carry over.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import BudgetExceededError, RegimeError
@@ -61,8 +60,7 @@ _SET = "(-|[0-9]+(?:-[0-9]+)?(?:,[0-9]+(?:-[0-9]+)?)*)"
 _LINE = re.compile(f"leaf {_ID} answer={_SET}|node {_ID} test={_SET} on0={_ID} on1={_ID}")
 
 
-@dataclass(frozen=True)
-class AdaptiveStrategy:
+class AdaptiveStrategy(NamedTuple):
     """A decision tree together with the arena and accuracy it targets."""
 
     space: SearchSpace
@@ -263,8 +261,7 @@ def cycle_min_accuracy(n_vertices: int, k: int) -> int:
     return n_vertices if n_vertices <= 4 * k else 4 * k + 1
 
 
-@dataclass(frozen=True)
-class MinTests:
+class MinTests(NamedTuple):
     """A minimum test count; ``exact`` is False where only achievability
     (not optimality) is established for the regime."""
 

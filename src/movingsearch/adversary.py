@@ -32,8 +32,7 @@ type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .adaptive import AdaptiveStrategy, StrategyNode
 from .errors import BudgetExceededError, RegimeError, WindowInvariantError
@@ -55,9 +54,8 @@ from .spaces import (
 MAX_SPLITS = 8_000_000
 
 
-@dataclass(frozen=True)
-class TranscriptRound:
-    index: int
+class TranscriptRound(NamedTuple):
+    index: int  # the round number, 1 up; as a field it shadows ``tuple.index``
     test: PositionSet
     answer: int
     candidates: PositionSet
@@ -70,8 +68,7 @@ class TranscriptRound:
         return line
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple):
     space: SearchSpace
     rounds: tuple[TranscriptRound, ...]
     witness: Optional[tuple[int, ...]] = None
@@ -109,7 +106,7 @@ def source_root(source: TestSource) -> StrategyNode:
     """The root of a test source as a decision tree: a strategy's own root,
     or a matrix's rows (a list's tests) as a chain of nodes whose two
     answers lead to the same next test, ending in an empty leaf."""
-    if isinstance(source, AdaptiveStrategy):
+    if isinstance(source, AdaptiveStrategy):  # before the sequence branch: a strategy is a tuple too
         return source.root
     node = StrategyNode()
     for test in reversed(list(source.tests() if isinstance(source, TestMatrix) else source)):
@@ -258,8 +255,7 @@ def margin_adversary(space: SearchSpace, source: TestSource, n: int, s: int) -> 
 # counter-strategy against non-adaptive matrices
 
 
-@dataclass(frozen=True)
-class CounterCertificate:
+class CounterCertificate(NamedTuple):
     """Two walks sharing one answer sequence whose endpoints straddle the
     forced interval; ``forced_accuracy`` is the replayed final set size."""
 

@@ -246,6 +246,8 @@ def cmd_codec(args, out) -> int:
         if session.done:
             break
         session.encode_step(pos)
+    # as simulate prints it: the positions the tests read, then the one after
+    out.write("walk=" + ",".join(map(str, walk[:len(session.bits) + 1])) + "\n")
     out.write(f"bits={codec.bits_to_text(session.bits)}\n")
     out.write(f"decoded={session.decoded}\n")
     return 0

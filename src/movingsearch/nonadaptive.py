@@ -18,13 +18,15 @@ it too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import RegimeError
 from .kernel import Arena, mask_of, ps_of
 from .spaces import PositionSet, SearchSpace
 
 
+# a dataclass, unlike the result records: ``__post_init__`` validates the
+# rows, and a named tuple's body may not define the constructor
 @dataclass(frozen=True)
 class TestMatrix:
     """Binary test matrix; row i (0-based) is the test for round i+1.
@@ -163,8 +165,7 @@ def advance_row(arena: Arena, states: frozenset[int], row: int, s: int) -> froze
     return frozenset(keep)
 
 
-@dataclass(frozen=True)
-class MatrixEvaluation:
+class MatrixEvaluation(NamedTuple):
     success: bool
     worst_final: Optional[PositionSet]  # a largest final candidate set on failure
 

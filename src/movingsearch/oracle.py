@@ -251,6 +251,8 @@ class _Search:
         return "budget_exceeded", None
 
 
+# a dataclass, unlike the other result records: its engine ``_search``
+# stays out of the repr, and a named-tuple field may not start with "_"
 @dataclass
 class GameValue:
     """Outcome of an exact minimax query, plus its engine for strategy

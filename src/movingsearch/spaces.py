@@ -37,6 +37,10 @@ class Topology(Enum):
 _CYCLE = Topology.CYCLE
 
 
+# a dataclass, unlike the result records: ``__post_init__`` checks and
+# coerces the fields, and the hot paths read them on every ``update`` round,
+# where a dataclass attribute is about a third cheaper to read than a
+# named-tuple field
 @dataclass(frozen=True)
 class SearchSpace:
     """Arena description: graph shape, size, target speed, end-of-game rule.

@@ -18,8 +18,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import adaptive, adversary, codec, nonadaptive, oracle
 from .spaces import (
@@ -44,15 +43,14 @@ REFERENCE_MATRIX_16 = (
 )
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     criterion: int
     passed: bool
     seconds: float
-    checked: int = 0
-    findings: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    checked: int
+    findings: list[str]
+    notes: list[str]
     error: Optional[str] = None
 
     def record(self) -> dict:

@@ -85,8 +85,15 @@ def test_matrix_command_prints_reference():
 def test_codec_round_trip():
     code, text = run_cli("codec", "--N", "16", "--k", "1", "--walk", "3,3,3,3,3,3,3")
     assert code == 0
-    assert "bits=000000" in text
-    assert "decoded=1-4" in text
+    assert text == "walk=3,3,3,3,3,3,3\nbits=000000\ndecoded=1-4\n"
+    # positions past the six tested and the one after are not read, and the walk= line says so
+    code, text = run_cli("codec", "--N", "16", "--k", "1", "--walk", "3,3,3,3,3,3,3,4,5,6,7")
+    assert code == 0
+    assert text == "walk=3,3,3,3,3,3,3\nbits=000000\ndecoded=1-4\n"
+    # a walk shorter than the matrix: every position is read, the last one after the last test
+    code, text = run_cli("codec", "--N", "16", "--k", "1", "--walk", "3,4,5")
+    assert code == 0
+    assert text == "walk=3,4,5\nbits=00\ndecoded=1-8\n"
     code, text = run_cli("codec", "--N", "16", "--k", "1", "--bits", "000000")
     assert code == 0
     assert "decoded=1-4" in text

@@ -19,6 +19,18 @@ its first: the tool's own bias, which a change ratio must clear to mean
 anything.  All sides share the interpreter, the heap and the machine's
 state at each moment, so slow drift of the host cancels out; a run in
 separate processes, as perfbench makes, is still the end-to-end measure.
+
+Before the runs, each side's library is loaded afresh ``--repeats`` times,
+the sides in rotation, and the median load time of each side is printed
+with the same two ratios, so that a change to perfbench's ``setup_s``, most
+of which is this load, can be compared beside the tool's own bias.  Run
+it as the benchmark host runs perfbench, with ``PYTHONDONTWRITEBYTECODE=1``:
+
+    PYTHONDONTWRITEBYTECODE=1 python3 tools/ab_inprocess.py PARENT CHANGE
+
+so that every load compiles the modules from source, as a set-up there
+does.  The loads look for cached bytecode in an empty directory only
+(``sys.pycache_prefix``), so a checkout's ``__pycache__`` is never read.
 """
 
 from __future__ import annotations
@@ -28,7 +40,9 @@ import gc
 import importlib.util
 import os
 import random
+import statistics
 import sys
+import tempfile
 import time
 from types import SimpleNamespace
 
@@ -48,6 +62,42 @@ def load_library(checkout: str, name: str) -> SimpleNamespace:
     sys.modules[name] = pkg
     spec.loader.exec_module(pkg)
     return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in LIBRARY_MODULES})
+
+
+def forget(name: str):
+    for mod in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[mod]
+
+
+def rotation(i: int) -> tuple[int, int, int]:
+    """The three sides in the order they run in round i."""
+    return i % 3, (i + 1) % 3, (i + 2) % 3
+
+
+def load_times(paths, repeats: int) -> tuple[list[SimpleNamespace], list[float]]:
+    """Each side's library, loaded afresh ``repeats`` times with the side
+    that goes first rotating from one round to the next, and the median
+    seconds of each side's loads.  The libraries of the last round are
+    returned."""
+    load_library(paths[0], "movingsearch_abwarm")  # untimed: imports the stdlib modules the library uses
+    forget("movingsearch_abwarm")
+    sides, times = [None] * len(paths), [[] for _ in paths]
+    prefix = sys.pycache_prefix
+    with tempfile.TemporaryDirectory() as empty:
+        sys.pycache_prefix = empty
+        try:
+            for r in range(repeats):
+                for side in rotation(r):
+                    name = f"movingsearch_ab{side}"
+                    forget(name)
+                    sides[side] = None  # so that the collection frees the previous copy
+                    gc.collect()
+                    t0 = time.perf_counter()
+                    sides[side] = load_library(paths[side], name)
+                    times[side].append(time.perf_counter() - t0)
+        finally:
+            sys.pycache_prefix = prefix
+    return sides, [statistics.median(t) for t in times]
 
 
 def best_time(inst, repeats: int, clear_memo) -> tuple[float, bool]:
@@ -72,7 +122,8 @@ def main(argv=None) -> int:
     parser.add_argument("change", help="checkout holding the changed src/movingsearch")
     parser.add_argument("--workload", default="construct-replay")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--repeats", type=int, default=5, help="runs per instance and side; the best counts")
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="runs per instance and side, the best counting, and library loads per side, the median counting")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
@@ -83,12 +134,15 @@ def main(argv=None) -> int:
     if args.workload not in workloads.GRIDS:
         parser.error(f"--workload must be one of {', '.join(sorted(workloads.GRIDS))}")
     paths = (args.parent, args.change, args.parent)
-    sides = [load_library(path, f"movingsearch_ab{i}") for i, path in enumerate(paths)]
+    if not sys.dont_write_bytecode:
+        print("warning: without PYTHONDONTWRITEBYTECODE=1 the loads after the first read cached bytecode",
+              file=sys.stderr)
+    sides, loads = load_times(paths, args.repeats)
     grids = [workloads.GRIDS[args.workload](ms, random.Random(args.seed)) for ms in sides]
     clears = [getattr(getattr(ms.spaces, "_round", None), "cache_clear", lambda: None) for ms in sides]
     totals, failed = [0.0] * 3, [0] * 3
     for i, row in enumerate(zip(*grids)):
-        for side in (i % 3, (i + 1) % 3, (i + 2) % 3):
+        for side in rotation(i):
             seconds, raised = best_time(row[side], args.repeats, clears[side])
             totals[side] += seconds
             failed[side] += raised
@@ -96,6 +150,10 @@ def main(argv=None) -> int:
         print(f"{label}: {total:.4f} s over {len(grids[0])} instances ({fails} raised)")
     print(f"ratio change/parent: {totals[1] / totals[0]:.4f}")
     print(f"ratio parent/parent: {totals[2] / totals[0]:.4f}")
+    for label, seconds in zip(("parent", "change"), loads):
+        print(f"{label} load: {seconds * 1e3:.2f} ms, median of {args.repeats}")
+    print(f"load ratio change/parent: {loads[1] / loads[0]:.4f}")
+    print(f"load ratio parent/parent: {loads[2] / loads[0]:.4f}")
     return 0
 
 
