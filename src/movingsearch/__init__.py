@@ -43,6 +43,7 @@ from .nonadaptive import (
     nonadaptive_min_accuracy,
 )
 from .oracle import GameValue, exact_best_matrix, exact_min_accuracy, exact_min_tests, extract_strategy
+from .oracle import exact_min_accuracy_value
 from .spaces import (
     PositionSet,
     SearchSpace,

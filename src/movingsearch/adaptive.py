@@ -404,11 +404,6 @@ def path_sliding_window_strategy(n_vertices: int, k: int, span: int) -> Adaptive
     return _edge_probe_strategy(n_vertices, k, window=span + k, s=3 * k + span)
 
 
-def _open_cap(j: int, s: int, k: int) -> int:
-    """Capacity of the both-sides-open variant with j tests."""
-    return (s - 4 * k) * (1 << j) + 4 * k
-
-
 def _half_cap(j: int, s: int, k: int) -> int:
     """Capacity of the left-bounded variant with j tests."""
     return (s - 4 * k) * (1 << j) + (j + 4) * k
@@ -424,7 +419,9 @@ def path_strategy(n_vertices: int, s: int, k: int) -> AdaptiveStrategy:
     clipped to the real path, which only ever shrinks candidate sets.
     """
     space = path(n_vertices, k)
-    n = min_tests(Topology.PATH, n_vertices, s, k).n  # also checks the regime
+    n = min_tests(Topology.PATH, n_vertices, s, k).n
+    if n:  # the construction inverts the capacity formulas, which hold for s >= 4k
+        _check_regime(n, s, k)
     b = _Builder()
 
     def clip_test(lo: int, hi: int, flip: bool) -> PositionSet:
@@ -450,7 +447,7 @@ def path_strategy(n_vertices: int, s: int, k: int) -> AdaptiveStrategy:
         if len(d) <= s:
             return b.leaf(d)
         assert j > 0, "half-open budget exhausted"
-        t = y - _open_cap(j - 1, s, k) + 2 * k
+        t = y - cycle_capacity(j - 1, s, k) + 2 * k  # an open interval halves as an arc does
         t = max(1, min(t, _half_cap(j - 1, s, k) - k, y - 1))
         test = clip_test(1, t, flip)
         on1 = build_half(update(space, d, test, 1), t + k, j - 1, flip)

@@ -265,16 +265,22 @@ class CounterCertificate(NamedTuple):
     final_candidates: PositionSet
 
 
+def _need_moved_final(space: SearchSpace, who: str) -> None:
+    if not space.moves_after_last_test:
+        raise ValueError(f"{who} need moves_after_last_test=True: the final size they count is a moved part")
+
+
 def matrix_counter(space: SearchSpace, matrix: TestMatrix) -> CounterCertificate:
     """Force any non-adaptive strategy on a long-enough path above accuracy 4k-1.
 
     The target hides near the middle until the last row; the last row
     either treats the middle block uniformly (forcing 4k+1) or contains a
     membership flip next to which two diverging continuations stay
-    indistinguishable (forcing at least 4k).
+    indistinguishable (forcing at least 4k).  Both count a moved final set.
     """
     if space.topology is not Topology.PATH:
         raise ValueError("the matrix counter-strategy works on paths")
+    _need_moved_final(space, "the matrix counter's bounds")
     n, k = space.num_vertices, space.speed
     if n <= 6 * k:
         raise ValueError(f"need N > 6k = {6 * k}")
@@ -416,8 +422,7 @@ def _forced_size(arena: Arena, start: int, rounds: int, test_class: str, ties: i
 
 
 def _sweep_arena(space: SearchSpace) -> Arena:
-    if not space.moves_after_last_test:
-        raise ValueError("class sweeps need moves_after_last_test=True: the final size they count is a moved part")
+    _need_moved_final(space, "class sweeps")
     return Arena(space)
 
 

@@ -8,6 +8,10 @@ class RegimeError(ValueError):
 class BudgetExceededError(RuntimeError):
     """A configured resource cap (tree nodes, oracle states, ...) was hit."""
 
+    def __init__(self, message: str, value=None):
+        super().__init__(message)
+        self.value = value  # the engine's record at the cap, where it keeps one
+
 
 class WindowInvariantError(ValueError):
     """The window adversary met a test it cannot answer: one that meets its

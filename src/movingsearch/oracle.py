@@ -36,7 +36,7 @@ the trap grows through states that need more than b tests: a root won in
 v > b tests has a best line whose states need v-1, v-2, ... tests, so the
 trap meets one that needs exactly b, or closes and shows that no strategy
 exists (the level argument of retrograde labelling).
-``exact_min_accuracy``, with any number of tests, goes up in s on one
+``exact_min_accuracy_value``, with any number of tests, goes up in s on one
 table that keeps the announced sizes; the proven bounds and won states
 carry over from s to s+1, each s grows a trap of its own, and the first s
 at which the trap loses the root is the answer.  ``extract_strategy``
@@ -75,16 +75,16 @@ class _Search:
     once ``a <= s`` and stored as 0 below the floor (``s``, or 0 with
     ``sized``, where one table serves every ``s``); ``hi`` proves 0 won with
     no test, ``won`` holds won states.  Past ``MAX_EDGES`` stored pairs the
-    search raises ``BudgetExceededError``."""
+    search raises ``BudgetExceededError`` with its ``value``, ``edge_cap``."""
 
     def __init__(self, arena: Arena, test_class: str, s: int, sized: bool = False):
         if test_class not in _CAPS:
             raise ValueError(f"unknown test class {test_class!r}")
         if arena.n > _CAPS[test_class]:
             raise BudgetExceededError(f"{test_class} oracle is capped at N <= {_CAPS[test_class]}")
-        self.arena, self.test_class = arena, test_class
+        self.arena, self.test_class, self.sized = arena, test_class, sized
         self.expand, self.floor = arena.space.moves_after_last_test, 0 if sized else s
-        self.edges, self.trap_seconds = 0, 0.0
+        self.edges, self.trap_seconds, self.start = 0, 0.0, perf_counter()
         # a part of over lim members whose move covers d stays open at every
         # accuracy the table serves (with the flag on, its move is announced)
         self.lim = -1 if self.expand else arena.n if sized else s
@@ -143,7 +143,7 @@ class _Search:
         out = self.table[d] = sorted(found)
         self.edges += len(out)
         if self.edges > MAX_EDGES:
-            raise BudgetExceededError(f"oracle edge cap {MAX_EDGES} exceeded")
+            raise BudgetExceededError(f"oracle edge cap {MAX_EDGES} exceeded", self.value("edge_cap", None))
         return out
 
     def win(self, d: int, n: int) -> bool:
@@ -250,20 +250,26 @@ class _Search:
             return "unreachable", None
         return "budget_exceeded", None
 
+    def value(self, status: str, answer: Optional[int]) -> GameValue:
+        """The query's record, its only builder; a ``sized`` table's ``answer`` is its ``s``."""
+        s, tests = (answer or self.s, None) if self.sized else (self.s, answer)
+        return GameValue(self.arena.space, s, self.test_class, status, tests, len(self.table), self.edges,
+                         perf_counter() - self.start - self.trap_seconds, self.trap_seconds, self)
+
 
 # a dataclass, unlike the other result records: its engine ``_search``
 # stays out of the repr, and a named-tuple field may not start with "_"
 @dataclass
 class GameValue:
-    """Outcome of an exact minimax query, plus its engine for strategy
-    extraction.  ``states`` counts the orbits of candidate sets the search
-    expanded, ``edges`` the distinct undominated splits it kept of them;
-    ``search_seconds`` and ``trap_seconds`` stay out of ``record()``."""
+    """Outcome of an exact minimax query from ``_Search.value``, plus its
+    engine for strategy extraction.  ``states`` counts the orbits of candidate
+    sets the search expanded, ``edges`` the distinct undominated splits it
+    kept of them; ``search_seconds`` and ``trap_seconds`` stay out of ``record()``."""
 
     space: SearchSpace
     s: int
     test_class: str
-    status: str  # "solved" | "unreachable" | "budget_exceeded"
+    status: str  # "solved" | "unreachable" | "budget_exceeded" | "edge_cap"
     min_tests: Optional[int]
     states: int
     edges: int
@@ -300,26 +306,25 @@ def exact_min_tests(
     if budget is not None and budget < 0:
         raise ValueError("test budget must be >= 0")
     arena = Arena(space)
-    start = perf_counter()
     search = _Search(arena, test_class, s)
     status, result = ("solved", 0) if arena.full.bit_count() <= s else search.deepen(arena.full, budget)
-    elapsed = perf_counter() - start
-    return GameValue(
-        space, s, test_class, status, result, len(search.table),
-        search.edges, elapsed - search.trap_seconds, search.trap_seconds, search,
-    )
+    return search.value(status, result)
 
 
-def exact_min_accuracy(space: SearchSpace, test_class: str = "intervals") -> int:
-    """Smallest accuracy reachable with any number of tests: the least s
-    below N at which the trap loses the full arena, else N, which fits."""
+def exact_min_accuracy_value(space: SearchSpace, test_class: str = "intervals") -> GameValue:
+    """Record of the least accuracy: the first s < N whose trap loses the full arena, else N."""
     arena = Arena(space)
     search = _Search(arena, test_class, 1, sized=True)
     for s in range(1, arena.n):
         search.at(s)
         if search.need[arena.n] < INF and not search.trap(arena.full):
-            return s
-    return arena.n
+            return search.value("solved", s)
+    return search.value("solved", arena.n)
+
+
+def exact_min_accuracy(space: SearchSpace, test_class: str = "intervals") -> int:
+    """Smallest accuracy reachable with any number of tests, as an int."""
+    return exact_min_accuracy_value(space, test_class).s
 
 
 def extract_strategy(gv: GameValue) -> AdaptiveStrategy:
@@ -330,8 +335,8 @@ def extract_strategy(gv: GameValue) -> AdaptiveStrategy:
     proven won within r-1 at their canonical forms, as the split that won
     the state is.  An interval test is the hull of the answer-1 part, one
     interval that never wraps; an all-subsets test is that part itself."""
-    if gv.status != "solved":
-        raise ValueError(f"no strategy to extract: status is {gv.status}")
+    if gv.min_tests is None:  # also an accuracy record, which proves no test count
+        raise ValueError(f"no strategy to extract: status is {gv.status}, min_tests is None")
     search, s = gv._search, gv.s
 
     def shown(e: int, moved: int) -> int:
@@ -386,7 +391,7 @@ def exact_best_matrix(space: SearchSpace, s: int, n: int) -> Optional[TestMatrix
     if full.bit_count() <= s:
         raise ValueError("trivial instance: the whole arena already fits the accuracy")
     bound = _Search(arena, "all_subsets", s)
-    if not bound.win(full, n):
+    if not bound.win(full, n):  # not solve's check again: it exits before the 2^(N-1) rows are built
         return None
 
     child = bound.child

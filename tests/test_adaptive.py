@@ -218,6 +218,17 @@ def test_path_strategy_k2_instance():
     assert_strategy_sound(st)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_path_strategy_refuses_the_sliding_window_regime(k):
+    # the construction inverts the capacity formulas, which need s >= 4k;
+    # below that it used to run out of its open-interval budget
+    for s in range(3 * k + 1, 4 * k):
+        for n_vertices in (s + 1, 20, 59):
+            with pytest.raises(RegimeError, match=f"accuracy s={s} below the 4k={4 * k} regime"):
+                path_strategy(n_vertices, s, k)
+        assert path_strategy(s, s, k).root.is_leaf  # N <= s needs no test
+
+
 @pytest.mark.parametrize("k,s_list,n_max", [(1, (4, 5, 6), 4), (2, (8, 9), 3)])
 def test_path_strategy_at_capacity(k, s_list, n_max):
     for s in s_list:

@@ -598,6 +598,12 @@ def test_counter_preconditions():
         matrix_counter(path(12, 2), TestMatrix(((0,) * 12,)))  # N <= 6k
     with pytest.raises(ValueError):
         matrix_counter(cycle(8, 1), TestMatrix(((0,) * 8,)))
+    # its 4k bounds count a moved final set: here it would claim 4 with a
+    # final set of 7-10, yet the matrix reaches accuracy 3 on this space
+    frozen = path(13, 1, moves_after_last_test=False)
+    assert evaluate_matrix(frozen, expanding_accuracy_matrix(13), 3).success
+    with pytest.raises(ValueError, match="matrix counter's bounds need moves_after_last_test=True"):
+        matrix_counter(frozen, expanding_accuracy_matrix(13))
 
 
 # -- transcripts ------------------------------------------------------------------------

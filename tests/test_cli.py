@@ -154,6 +154,18 @@ def test_margin_below_its_regime_is_usage_error(argv, capsys):
     assert capsys.readouterr().err == "error: accuracy s=3 below the 4k=4 regime of the margin adversary\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("strategy", "split", "--N", "20", "--k", "2", "--s", "7"),
+    ("simulate", "split", "--N", "20", "--k", "2", "--s", "7", "--seed", "1"),
+    ("adversary", "greedy", "split", "--N", "20", "--k", "2", "--s", "7"),
+    ("adversary", "margin", "split", "--N", "30", "--k", "2", "--s", "7", "--n", "2"),
+])
+def test_split_below_its_regime_is_usage_error(argv, capsys):
+    code, text = run_cli(*argv)
+    assert code == 2 and text == ""
+    assert "accuracy s=7 below the 4k=8 regime" in capsys.readouterr().err
+
+
 def test_window_adversary_on_a_scattered_row_is_usage_error(tmp_path, capsys):
     # the row meets the first block in two runs, which the window rule does not answer
     target = tmp_path / "m.txt"

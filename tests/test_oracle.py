@@ -22,6 +22,7 @@ from movingsearch.nonadaptive import evaluate_matrix, expanding_accuracy_matrix
 from movingsearch.oracle import (
     exact_best_matrix,
     exact_min_accuracy,
+    exact_min_accuracy_value,
     exact_min_tests,
     extract_strategy,
 )
@@ -289,15 +290,13 @@ def test_stored_bounds_bracket_the_value_iteration(make, test_class, n_max):
                             assert d == 0 or values.get(d, oracle.INF) <= bound, f"{where} hi[{d:b}]"
 
 
-def test_run_cuts_keep_their_counts_on_rungs_now_in_reach(monkeypatch):
+def test_run_cuts_keep_their_counts_on_rungs_now_in_reach():
     """Rungs the run cuts bring under a second: a lost cut changes the
     counts at once instead of only slowing them down."""
     gv = exact_min_tests(cycle(33, 1), 4)  # 12,898 states without the cuts
     assert (gv.status, gv.states, gv.edges) == ("unreachable", 280, 25571)
-    searches, search = [], oracle._Search
-    monkeypatch.setattr(oracle, "_Search", lambda *a, **kw: searches.append(search(*a, **kw)) or searches[-1])
-    assert exact_min_accuracy(path(32, 1)) == 4
-    assert (len(searches[0].table), searches[0].edges) == (350, 30066)
+    gv = exact_min_accuracy_value(path(32, 1))
+    assert (gv.s, gv.states, gv.edges) == (4, 350, 30066)
 
 
 def _symmetries(sp):
@@ -354,10 +353,11 @@ def test_reflect_reverses_the_bit_string(make):
 def test_edge_cap_raises_budget_exceeded(make, monkeypatch):
     sp = make(12, 1)
     monkeypatch.setattr(oracle, "MAX_EDGES", 10)
-    with pytest.raises(BudgetExceededError, match="edge cap"):
-        exact_min_tests(sp, 4)
-    with pytest.raises(BudgetExceededError, match="edge cap"):
-        exact_min_accuracy(sp)
+    for query in (lambda: exact_min_tests(sp, 4), lambda: exact_min_accuracy(sp)):
+        with pytest.raises(BudgetExceededError, match="edge cap") as caught:
+            query()
+        # the error carries the engine's record at the cap
+        assert caught.value.value.status == "edge_cap" and caught.value.value.edges > 10
     monkeypatch.setattr(oracle, "MAX_EDGES", 10**6)
     assert exact_min_tests(sp, 5).edges < 10**6
 
@@ -445,6 +445,17 @@ def test_min_accuracy_matches_formulas():
     assert exact_min_accuracy(path(9, 1), test_class="all_subsets") == 4
     assert exact_min_accuracy(cycle(4, 1), test_class="all_subsets") == 4
     assert exact_min_accuracy(path(6, 2), test_class="all_subsets") == path_min_accuracy(6, 2)
+
+
+def test_min_accuracy_record_holds_no_test_count():
+    gv = exact_min_accuracy_value(path(9, 1), test_class="all_subsets")
+    assert (gv.status, gv.s, gv.min_tests) == ("solved", 4, None) and gv.states > 0 and gv.edges > 0
+    assert gv.record()["s"] == 4 and gv.record()["min_tests"] is None
+    with pytest.raises(ValueError, match="min_tests is None"):
+        extract_strategy(gv)
+    with pytest.raises(BudgetExceededError, match="capped at N <= 80") as caught:
+        exact_min_accuracy_value(path(81, 1))
+    assert caught.value.value is None  # raised before any engine exists
 
 
 def test_restricted_model_small_path():

@@ -37,3 +37,14 @@ def test_oracle_ladder_runs_a_sweep_rung_in_a_child():
     rec = json.loads(run.stdout)
     assert (rec["rung"], rec["status"], rec["tests"]) == ("margin path(29,2) s=9 n=3", "solved", 10)
     assert rec["states"] is None and rec["edges"] is None and rec["seconds"] > 0
+
+
+def test_oracle_ladder_reads_an_accuracy_rung_from_its_record():
+    run = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "oracle_ladder.py"), "path(40,1) accuracy"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    rec = json.loads(run.stdout)
+    assert (rec["rung"], rec["status"], rec["tests"]) == ("path(40,1) accuracy", "solved", 4)
+    assert rec["states"] is not None and rec["edges"] is not None

@@ -7,11 +7,11 @@ Each rung runs in a process started with the ``spawn`` method, under an
 address-space limit (``resource.setrlimit(RLIMIT_AS)``, 3 GB) and a
 wall-clock limit (60 s, an alarm in the child, and a kill shortly after
 it from this process).  Prints one JSON line per rung, in order: its name,
-``status`` (the query's status, or ``edge_cap``, ``size_cap`` for N over
-the engine's cap, ``time_cap``, ``memory_cap`` or ``crashed``), ``tests``
-(the fewest tests, or for an accuracy rung the least accuracy), the
-``states`` and ``edges`` the engine kept, ``seconds`` and the child's peak
-RSS in MB.  These lines are the README's ladder table.
+``status`` (the query's status, ``edge_cap`` among them, or ``size_cap``
+for N over the engine's cap, ``time_cap``, ``memory_cap`` or ``crashed``),
+``tests`` (the fewest tests, or for an accuracy rung the least accuracy),
+the query record's ``states`` and ``edges`` (none past a time or memory
+cap), ``seconds`` and the child's peak RSS in MB: the README's ladder table.
 
 The sweep rungs (``greedy cycle(37,1) n=4``, ``margin path(29,1) s=5
 n=4``) ask the greedy or margin class sweep for the final size n tests
@@ -106,10 +106,7 @@ def run_rung(rung: tuple, conn) -> None:
     else:
         topology, n, k, s, test_class, budget = rung
     space = getattr(spaces, topology)(n, k)
-    engines, search = [], oracle._Search
-    # keep the engine an accuracy query builds, for its counts
-    oracle._Search = lambda *a, **kw: engines.append(search(*a, **kw)) or engines[-1]
-    rec = dict.fromkeys(FIELDS, None) | {"rung": name(rung)}
+    gv, rec = None, dict.fromkeys(FIELDS, None) | {"rung": name(rung)}
     signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(LIMIT_SECONDS)
     start = time.perf_counter()
@@ -122,12 +119,14 @@ def run_rung(rung: tuple, conn) -> None:
             )
             rec["status"], rec["tests"] = "solved", forced
         elif s is None:
-            rec["status"], rec["tests"] = "solved", oracle.exact_min_accuracy(space, test_class)
+            gv = oracle.exact_min_accuracy_value(space, test_class)
+            rec["status"], rec["tests"] = gv.status, gv.s
         else:
             gv = oracle.exact_min_tests(space, s, test_class, budget)
             rec["status"], rec["tests"] = gv.status, gv.min_tests
-    except BudgetExceededError:  # the split or edge cap, or N over the cap the engine checks first
-        rec["status"] = "split_cap" if sweep else "edge_cap" if engines else "size_cap"
+    except BudgetExceededError as exc:  # the split or edge cap, or N over the cap the engine checks first
+        gv = exc.value  # the oracle's record at the edge cap, else None
+        rec["status"] = "split_cap" if sweep else gv.status if gv else "size_cap"
     except _TimeCap:
         rec["status"] = "time_cap"
     except MemoryError:
@@ -135,8 +134,8 @@ def run_rung(rung: tuple, conn) -> None:
     finally:
         signal.alarm(0)
     rec["seconds"] = round(time.perf_counter() - start, 3)
-    rec["states"] = len(engines[-1].table) if engines else None
-    rec["edges"] = engines[-1].edges if engines else None
+    if gv:
+        rec["states"], rec["edges"] = gv.states, gv.edges
     rec["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024
     conn.send(rec)
     conn.close()
