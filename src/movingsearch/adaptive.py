@@ -15,7 +15,8 @@ candidate set, so the accuracy guarantees carry over.
 from __future__ import annotations
 
 import re
-from typing import Iterator, NamedTuple, Optional, Union
+from collections import namedtuple
+from typing import Iterator, Optional, Union
 
 from .errors import BudgetExceededError, RegimeError
 from .spaces import (
@@ -31,17 +32,14 @@ from .spaces import (
 NODE_BUDGET = 250_000  # the most nodes one constructed strategy tree may have
 
 
-class StrategyNode(NamedTuple):
+class StrategyNode(namedtuple("StrategyNode", "test on0 on1 answer", defaults=(None,) * 4)):
     """Internal node (test plus two children) or leaf (answer set).  A
     named tuple: immutable, compared and hashed by value, and cheaper to
     build than a frozen dataclass, which matters at tens of thousands of
     nodes per tree.  Hot paths build nodes positionally and read the fields
     directly, not ``is_leaf`` and ``child``."""
 
-    test: Optional[PositionSet] = None
-    on0: Optional["StrategyNode"] = None
-    on1: Optional["StrategyNode"] = None
-    answer: Optional[PositionSet] = None
+    __slots__ = ()
 
     @property
     def is_leaf(self) -> bool:
@@ -60,12 +58,10 @@ _SET = "(-|[0-9]+(?:-[0-9]+)?(?:,[0-9]+(?:-[0-9]+)?)*)"
 _LINE = re.compile(f"leaf {_ID} answer={_SET}|node {_ID} test={_SET} on0={_ID} on1={_ID}")
 
 
-class AdaptiveStrategy(NamedTuple):
+class AdaptiveStrategy(namedtuple("AdaptiveStrategy", "space root accuracy_target")):
     """A decision tree together with the arena and accuracy it targets."""
 
-    space: SearchSpace
-    root: StrategyNode
-    accuracy_target: int
+    __slots__ = ()
 
     def depth(self) -> int:
         deepest = 0
@@ -261,12 +257,11 @@ def cycle_min_accuracy(n_vertices: int, k: int) -> int:
     return n_vertices if n_vertices <= 4 * k else 4 * k + 1
 
 
-class MinTests(NamedTuple):
+class MinTests(namedtuple("MinTests", "n exact", defaults=(True,))):
     """A minimum test count; ``exact`` is False where only achievability
     (not optimality) is established for the regime."""
 
-    n: int
-    exact: bool = True
+    __slots__ = ()
 
 
 def min_tests(topology: Union[Topology, str], n_vertices: int, s: int, k: int) -> MinTests:

@@ -32,7 +32,8 @@ type.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
+from collections import namedtuple
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .adaptive import AdaptiveStrategy, StrategyNode
 from .errors import BudgetExceededError, RegimeError, WindowInvariantError
@@ -54,12 +55,10 @@ from .spaces import (
 MAX_SPLITS = 8_000_000
 
 
-class TranscriptRound(NamedTuple):
-    index: int  # the round number, 1 up; as a field it shadows ``tuple.index``
-    test: PositionSet
-    answer: int
-    candidates: PositionSet
-    tracked: Optional[PositionSet] = None  # adversary's window / margin set
+class TranscriptRound(namedtuple("TranscriptRound", "index test answer candidates tracked", defaults=(None,))):
+    # index: the round number, 1 up; as a field it shadows ``tuple.index``
+    # tracked: the adversary's window / margin set, or None
+    __slots__ = ()
 
     def to_line(self) -> str:
         line = f"round={self.index} test={self.test} answer={self.answer} D={self.candidates}"
@@ -68,11 +67,10 @@ class TranscriptRound(NamedTuple):
         return line
 
 
-class Transcript(NamedTuple):
-    space: SearchSpace
-    rounds: tuple[TranscriptRound, ...]
-    witness: Optional[tuple[int, ...]] = None
-    announced: Optional[PositionSet] = None
+class Transcript(namedtuple("Transcript", "space rounds witness announced", defaults=(None, None))):
+    # rounds: a tuple of TranscriptRound; witness: a target walk as a tuple
+    # of positions, or None; announced: a PositionSet, or None
+    __slots__ = ()
 
     @property
     def final_candidates(self) -> PositionSet:
@@ -255,14 +253,11 @@ def margin_adversary(space: SearchSpace, source: TestSource, n: int, s: int) -> 
 # counter-strategy against non-adaptive matrices
 
 
-class CounterCertificate(NamedTuple):
+class CounterCertificate(namedtuple("CounterCertificate", "forced_accuracy answers walks final_candidates")):
     """Two walks sharing one answer sequence whose endpoints straddle the
     forced interval; ``forced_accuracy`` is the replayed final set size."""
 
-    forced_accuracy: int
-    answers: tuple[int, ...]
-    walks: tuple[tuple[int, ...], tuple[int, ...]]
-    final_candidates: PositionSet
+    __slots__ = ()
 
 
 def _need_moved_final(space: SearchSpace, who: str) -> None:

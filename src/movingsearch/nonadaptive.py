@@ -17,35 +17,58 @@ it too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from collections import namedtuple
+from typing import Iterator
 
 from .errors import RegimeError
 from .kernel import Arena, mask_of, ps_of
-from .spaces import PositionSet, SearchSpace
+from .spaces import PositionSet, SearchSpace, _frozen
 
 
-# a dataclass, unlike the result records: ``__post_init__`` validates the
-# rows, and a named tuple's body may not define the constructor
-@dataclass(frozen=True)
+_BIT = {0: 0, 1: 1}  # an entry's int: True and 1.0 find 1 here, and anything else fails
+
+
 class TestMatrix:
     """Binary test matrix; row i (0-based) is the test for round i+1.
+
+    ``bits`` may be given as any sequence of rows of 0/1 entries and is
+    stored as a tuple of tuples of ints, so a matrix is an immutable value:
+    assignment raises ``AttributeError``, and two matrices with equal rows
+    are equal and hash alike.
 
     Text form: one row per line of '0'/'1' characters, no separators,
     first line = first test.
     """
 
-    bits: tuple[tuple[int, ...], ...]
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
-        if not self.bits or not self.bits[0]:
+    def __init__(self, bits):
+        try:
+            rows = tuple(tuple(map(_BIT.__getitem__, row)) for row in bits)
+        except (KeyError, TypeError):  # an entry that is not 0 or 1, or a row that is not a sequence
+            raise ValueError("entries must be 0 or 1") from None
+        if not rows or not rows[0]:
             raise ValueError("matrix must have positive dimensions")
-        width = len(self.bits[0])
-        for row in self.bits:
-            if len(row) != width:
-                raise ValueError("ragged matrix")
-            if any(b not in (0, 1) for b in row):
-                raise ValueError("entries must be 0 or 1")
+        width = len(rows[0])
+        if any(len(row) != width for row in rows):
+            raise ValueError("ragged matrix")
+        object.__setattr__(self, "bits", rows)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bits == other.bits
+
+    def __hash__(self):
+        return hash(self.bits)
+
+    def __repr__(self):
+        return f"TestMatrix(bits={self.bits!r})"
+
+    def __reduce__(self):
+        return type(self), (self.bits,)
 
     @property
     def rows(self) -> int:
@@ -165,9 +188,9 @@ def advance_row(arena: Arena, states: frozenset[int], row: int, s: int) -> froze
     return frozenset(keep)
 
 
-class MatrixEvaluation(NamedTuple):
-    success: bool
-    worst_final: Optional[PositionSet]  # a largest final candidate set on failure
+class MatrixEvaluation(namedtuple("MatrixEvaluation", "success worst_final")):
+    # worst_final: a largest final candidate set on failure, else None
+    __slots__ = ()
 
 
 def evaluate_matrix(space: SearchSpace, matrix: TestMatrix, s: int) -> MatrixEvaluation:

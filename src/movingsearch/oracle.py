@@ -47,7 +47,7 @@ engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from heapq import heappop, heappush
 from time import perf_counter
 from typing import Optional
@@ -253,29 +253,27 @@ class _Search:
     def value(self, status: str, answer: Optional[int]) -> GameValue:
         """The query's record, its only builder; a ``sized`` table's ``answer`` is its ``s``."""
         s, tests = (answer or self.s, None) if self.sized else (self.s, answer)
-        return GameValue(self.arena.space, s, self.test_class, status, tests, len(self.table), self.edges,
-                         perf_counter() - self.start - self.trap_seconds, self.trap_seconds, self)
+        gv = GameValue(self.arena.space, s, self.test_class, status, tests, len(self.table), self.edges,
+                       perf_counter() - self.start - self.trap_seconds, self.trap_seconds)
+        gv._search = self
+        return gv
 
 
-# a dataclass, unlike the other result records: its engine ``_search``
-# stays out of the repr, and a named-tuple field may not start with "_"
-@dataclass
-class GameValue:
+class GameValue(namedtuple("GameValue", "space s test_class status min_tests states edges search_seconds "
+                                      "trap_seconds")):
     """Outcome of an exact minimax query from ``_Search.value``, plus its
-    engine for strategy extraction.  ``states`` counts the orbits of candidate
-    sets the search expanded, ``edges`` the distinct undominated splits it
-    kept of them; ``search_seconds`` and ``trap_seconds`` stay out of ``record()``."""
+    engine for strategy extraction.  ``status`` is "solved", "unreachable",
+    "budget_exceeded" or "edge_cap".  ``states`` counts the orbits of
+    candidate sets the search expanded, ``edges`` the distinct undominated
+    splits it kept of them; ``search_seconds`` and ``trap_seconds`` stay
+    out of ``record()``.
 
-    space: SearchSpace
-    s: int
-    test_class: str
-    status: str  # "solved" | "unreachable" | "budget_exceeded" | "edge_cap"
-    min_tests: Optional[int]
-    states: int
-    edges: int
-    search_seconds: float
-    trap_seconds: float
-    _search: _Search = field(repr=False)
+    The engine is the attribute ``_search``, outside the nine fields, so it
+    stays out of the repr, and equality and hashing ignore it: two records
+    of equal fields are equal whichever searches made them.  A record built
+    by hand has no engine: its ``_search`` is None."""
+
+    _search = None
 
     def record(self) -> dict:
         sp = self.space
@@ -337,6 +335,8 @@ def extract_strategy(gv: GameValue) -> AdaptiveStrategy:
     interval that never wraps; an all-subsets test is that part itself."""
     if gv.min_tests is None:  # also an accuracy record, which proves no test count
         raise ValueError(f"no strategy to extract: status is {gv.status}, min_tests is None")
+    if gv._search is None:
+        raise ValueError("no strategy to extract: the record has no engine")
     search, s = gv._search, gv.s
 
     def shown(e: int, moved: int) -> int:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -37,11 +36,11 @@ class Topology(Enum):
 _CYCLE = Topology.CYCLE
 
 
-# a dataclass, unlike the result records: ``__post_init__`` checks and
-# coerces the fields, and the hot paths read them on every ``update`` round,
-# where a dataclass attribute is about a third cheaper to read than a
-# named-tuple field
-@dataclass(frozen=True)
+def _frozen(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of the immutable value classes."""
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
 class SearchSpace:
     """Arena description: graph shape, size, target speed, end-of-game rule.
 
@@ -53,23 +52,51 @@ class SearchSpace:
     the target takes one more move after the final test (the searcher's
     announced set therefore includes that expansion), False means it stays
     put after the final test.
+
+    An immutable value: assignment raises ``AttributeError``, and two spaces
+    with equal fields are equal and hash alike.  A slotted class, not a
+    tuple: the hot paths read three fields on every ``update`` round, and a
+    slot is cheaper to read than a named-tuple field.
     """
 
-    topology: Topology
-    num_vertices: int
-    speed: int
-    moves_after_last_test: bool = True
+    __slots__ = ("topology", "num_vertices", "speed", "moves_after_last_test")
 
-    def __post_init__(self):
-        object.__setattr__(self, "topology", Topology(self.topology))  # ValueError on an unknown name
-        for name in ("num_vertices", "speed"):
-            value = getattr(self, name)
+    def __init__(self, topology: Topology, num_vertices: int, speed: int, moves_after_last_test: bool = True):
+        topology = Topology(topology)  # ValueError on an unknown name
+        for name, value in (("num_vertices", num_vertices), ("speed", speed)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.num_vertices < 1:
+        if num_vertices < 1:
             raise ValueError("num_vertices must be >= 1")
-        if self.speed < 1:
+        if speed < 1:
             raise ValueError("speed must be >= 1")
+        if not isinstance(moves_after_last_test, bool):
+            raise ValueError(f"moves_after_last_test must be True or False, got {moves_after_last_test!r}")
+        set_ = object.__setattr__  # the class refuses assignment
+        set_(self, "topology", topology)
+        set_(self, "num_vertices", num_vertices)
+        set_(self, "speed", speed)
+        set_(self, "moves_after_last_test", moves_after_last_test)
+
+    def _key(self) -> tuple:
+        return self.topology, self.num_vertices, self.speed, self.moves_after_last_test
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"SearchSpace(topology={self.topology!r}, num_vertices={self.num_vertices!r}, "
+                f"speed={self.speed!r}, moves_after_last_test={self.moves_after_last_test!r})")
+
+    def __reduce__(self):
+        return type(self), self._key()
 
 
 def path(n: int, k: int, moves_after_last_test: bool = True) -> SearchSpace:

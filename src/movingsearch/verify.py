@@ -18,7 +18,8 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from typing import Callable, Iterable, NamedTuple, Optional
+from collections import namedtuple
+from typing import Callable, Iterable, Optional
 
 from . import adaptive, adversary, codec, nonadaptive, oracle
 from .spaces import (
@@ -43,15 +44,10 @@ REFERENCE_MATRIX_16 = (
 )
 
 
-class CheckResult(NamedTuple):
-    name: str
-    criterion: int
-    passed: bool
-    seconds: float
-    checked: int
-    findings: list[str]
-    notes: list[str]
-    error: Optional[str] = None
+class CheckResult(namedtuple("CheckResult", "name criterion passed seconds checked findings notes error",
+                             defaults=(None,))):
+    # findings and notes are lists of strings, error a message or None
+    __slots__ = ()
 
     def record(self) -> dict:
         return {

@@ -24,5 +24,11 @@ def test_ab_inprocess_compares_a_checkout_with_itself():
         assert float(line.split(": ")[1].split(" ")[0]) > 0
     assert lines[6].startswith("load ratio change/parent: ") and float(lines[6].split(": ")[1]) > 0
     assert lines[7].startswith("load ratio parent/parent: ") and float(lines[7].split(": ")[1]) > 0
-    assert len(lines) == 8
+    # each side's load split into compiling the source and the rest, mostly the module bodies
+    for line, label in zip(lines[8:10], ("parent", "change")):
+        assert line.startswith(f"{label} load split: ") and line.endswith(" ms module bodies, medians")
+        compiling, rest = line.split(": ")[1].split(", ")[:2]
+        assert compiling.endswith(" ms compile") and float(compiling.split(" ")[0]) > 0
+        assert float(rest.split(" ")[0]) > 0
+    assert len(lines) == 10
     assert run.stderr == ""

@@ -112,6 +112,17 @@ def test_matrix_validation():
         TestMatrix(())
 
 
+def test_matrix_stores_rows_as_tuples_of_ints():
+    # rows given as lists, or as bools, make the same hashable value
+    m = TestMatrix([[0, 1, 1], [1, 0, 0]])
+    assert m.bits == ((0, 1, 1), (1, 0, 0))
+    assert all(type(b) is int for row in m.bits for b in row)
+    same = TestMatrix(((0, 1, 1), (1, 0, 0)))
+    assert m == same and hash(m) == hash(same)
+    assert TestMatrix([(False, True, True), [True, False, False]]) == same
+    assert len({m, same}) == 1
+
+
 # -- evaluation ---------------------------------------------------------------
 
 

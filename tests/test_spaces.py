@@ -585,3 +585,12 @@ def test_space_validation():
     for size, speed in ((5.5, 1), (5, 1.0), (True, 1), ("5", 1)):
         with pytest.raises(ValueError, match="must be an integer"):
             SearchSpace(Topology.PATH, size, speed)
+
+
+def test_space_flag_must_be_a_bool():
+    # any other value, truthy or not, used to pass and be printed as given
+    for flag in ("no", 0, 1, None, 1.0):
+        with pytest.raises(ValueError, match="moves_after_last_test must be True or False"):
+            path(5, 1, moves_after_last_test=flag)
+    assert cycle(5, 1, False).moves_after_last_test is False
+    assert exact_min_tests(path(5, 1, False), 3).record()["flag"] is False

@@ -23,7 +23,11 @@ separate processes, as perfbench makes, is still the end-to-end measure.
 Before the runs, each side's library is loaded afresh ``--repeats`` times,
 the sides in rotation, and the median load time of each side is printed
 with the same two ratios, so that a change to perfbench's ``setup_s``, most
-of which is this load, can be compared beside the tool's own bias.  Run
+of which is this load, can be compared beside the tool's own bias.  Each
+side's load is then split into the median time spent compiling source
+(``SourceFileLoader.source_to_code``) and the median of the rest, mostly
+running the module bodies: class creation and module-level constants,
+plus finding and reading the files.  Run
 it as the benchmark host runs perfbench, with ``PYTHONDONTWRITEBYTECODE=1``:
 
     PYTHONDONTWRITEBYTECODE=1 python3 tools/ab_inprocess.py PARENT CHANGE
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib.machinery
 import importlib.util
 import os
 import random
@@ -74,17 +79,28 @@ def rotation(i: int) -> tuple[int, int, int]:
     return i % 3, (i + 1) % 3, (i + 2) % 3
 
 
-def load_times(paths, repeats: int) -> tuple[list[SimpleNamespace], list[float]]:
+def load_times(paths, repeats: int) -> tuple[list[SimpleNamespace], list[tuple[float, float, float]]]:
     """Each side's library, loaded afresh ``repeats`` times with the side
-    that goes first rotating from one round to the next, and the median
-    seconds of each side's loads.  The libraries of the last round are
-    returned."""
+    that goes first rotating from one round to the next, and the medians of
+    each side's load seconds, of the compile seconds in them and of the
+    rest.  The libraries of the last round are returned."""
     load_library(paths[0], "movingsearch_abwarm")  # untimed: imports the stdlib modules the library uses
     forget("movingsearch_abwarm")
     sides, times = [None] * len(paths), [[] for _ in paths]
+    loader, compiled = importlib.machinery.SourceFileLoader, [0.0]
+    source_to_code = loader.source_to_code
+
+    def timed_source_to_code(self, *args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return source_to_code(self, *args, **kwargs)
+        finally:
+            compiled[0] += time.perf_counter() - t0
+
     prefix = sys.pycache_prefix
     with tempfile.TemporaryDirectory() as empty:
         sys.pycache_prefix = empty
+        loader.source_to_code = timed_source_to_code
         try:
             for r in range(repeats):
                 for side in rotation(r):
@@ -92,12 +108,15 @@ def load_times(paths, repeats: int) -> tuple[list[SimpleNamespace], list[float]]
                     forget(name)
                     sides[side] = None  # so that the collection frees the previous copy
                     gc.collect()
+                    compiled[0] = 0.0
                     t0 = time.perf_counter()
                     sides[side] = load_library(paths[side], name)
-                    times[side].append(time.perf_counter() - t0)
+                    total = time.perf_counter() - t0
+                    times[side].append((total, compiled[0], total - compiled[0]))
         finally:
+            del loader.source_to_code  # the inherited method again
             sys.pycache_prefix = prefix
-    return sides, [statistics.median(t) for t in times]
+    return sides, [tuple(map(statistics.median, zip(*t))) for t in times]
 
 
 def best_time(inst, repeats: int, clear_memo) -> tuple[float, bool]:
@@ -150,10 +169,13 @@ def main(argv=None) -> int:
         print(f"{label}: {total:.4f} s over {len(grids[0])} instances ({fails} raised)")
     print(f"ratio change/parent: {totals[1] / totals[0]:.4f}")
     print(f"ratio parent/parent: {totals[2] / totals[0]:.4f}")
-    for label, seconds in zip(("parent", "change"), loads):
+    for label, (seconds, _, _) in zip(("parent", "change"), loads):
         print(f"{label} load: {seconds * 1e3:.2f} ms, median of {args.repeats}")
-    print(f"load ratio change/parent: {loads[1] / loads[0]:.4f}")
-    print(f"load ratio parent/parent: {loads[2] / loads[0]:.4f}")
+    print(f"load ratio change/parent: {loads[1][0] / loads[0][0]:.4f}")
+    print(f"load ratio parent/parent: {loads[2][0] / loads[0][0]:.4f}")
+    for label, (_, compiling, rest) in zip(("parent", "change"), loads):
+        print(f"{label} load split: {compiling * 1e3:.2f} ms compile, {rest * 1e3:.2f} ms module bodies, "
+              "medians")
     return 0
 
 
