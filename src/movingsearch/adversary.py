@@ -345,22 +345,15 @@ def _forced_size(arena: Arena, start: int, rounds: int, test_class: str, ties: i
     The last level is read by branch and bound (A. H. Land and A. G. Doig,
     Econometrica 28(3), 1960): its states in increasing member count, the
     best option size so far kept, and the walk stops at the first state d
-    with ``floor(|d|) >= best``, where ``floor(m) = min((m + 1) // 2 + gain,
-    N)`` and ``gain`` is k on a path and 2k on a cycle.  No option of d is
-    smaller than ``floor(|d|)``, so no later state can improve on best.  A
-    split's chosen child is its larger moved part: ``options`` yields ``d1``
-    if ``n1 + ties > n0`` and ``d0`` otherwise, which with ``ties`` 0 or 1
-    is the larger unless the two are equal, and on a tie, read one way or
-    both, yields parts of that one size.  Of ``e1`` and ``e0`` the larger
-    holds at least ``ceil(m/2)`` of d's m members, and it is a proper subset
-    of the arena, since the other part is nonempty.  The k-move of a proper
-    nonempty subset e covers at least ``min(gain, N - |e|)`` new vertices:
-    every vertex outside e lies in a gap between members, an end gap of g
-    vertices on a path gains ``min(g, k)`` and an inner gap ``min(g, 2k)``,
-    so one gap of at least k (2k on a cycle, where every gap is inner)
-    gains that many and otherwise every gap is covered.  ``reach(d)`` holds
-    d, so it is never smaller than its parts' moves.  The first state is
-    always expanded, so an empty d (``reach`` empty, no split) answers 0."""
+    with ``Arena.part_floor(|d|) >= best``.  No option of d is smaller than
+    that bound, so no later state can improve on best.  A split's chosen
+    child is its larger moved part: ``options`` yields ``d1`` if ``n1 +
+    ties > n0`` and ``d0`` otherwise, which with ``ties`` 0 or 1 is the
+    larger unless the two are equal, and on a tie, read one way or both,
+    yields parts of that one size; ``part_floor`` bounds the larger.
+    ``reach(d)`` holds d, so it is never smaller than its parts' moves.
+    The first state is always expanded, so an empty d (``reach`` empty, no
+    split) answers 0."""
     if rounds < 0:
         raise ValueError("test budget must be >= 0")
     if test_class not in TEST_CLASSES:
@@ -407,10 +400,9 @@ def _forced_size(arena: Arena, start: int, rounds: int, test_class: str, ties: i
             last = list(levels)[first + (rounds - 1 - first) % (len(levels) - first)]
             break
         levels[last] = len(levels)
-    gain = arena.k if arena.space.topology is Topology.PATH else 2 * arena.k
     best = arena.n + 1
     for d in sorted(last, key=int.bit_count):
-        if min((d.bit_count() + 1) // 2 + gain, arena.n) >= best:
+        if arena.part_floor(d.bit_count()) >= best:
             break
         best = min(best, *(c.bit_count() for c in options(d)))
     return best

@@ -11,8 +11,10 @@ it, both parts moved.  Its optional dominance limits
 ``lim`` (drop a split with a side of over ``lim`` members whose move
 covers the state) and ``ends`` (drop an interval test's middle run that
 meets these vertices) bound its loops; the defaults prune nothing, for the
-class sweeps and strategy extraction.  ``mask_of`` and ``ps_of`` convert
-to and from ``PositionSet``, which stays the public and text type.
+class sweeps and strategy extraction.  ``part_floor`` is the one size
+bound both engines read: the fewest members a split's larger moved part
+can have.  ``mask_of`` and ``ps_of`` convert to and from
+``PositionSet``, which stays the public and text type.
 The engines read the end-of-game rule from the space's
 ``moves_after_last_test`` alone.
 """
@@ -58,6 +60,22 @@ class Arena:
         self._bytes = (self.n + 7) // 8
         self._pad = 8 * self._bytes - self.n  # the bits above N in the last byte
         self._step: Optional[list[int]] = None  # one-vertex moves, on first use
+        self._gain = self.k if self._path else 2 * self.k
+
+    def part_floor(self, x: int) -> int:
+        """The fewest members the larger moved part of a split of an
+        x-member state can have: ``min(ceil(x/2) + gain, N)``, where
+        ``gain`` is k on a path and 2k on a cycle.
+
+        Of the two parts the larger holds at least ``ceil(x/2)`` of the
+        state's members, and it is a proper subset of the arena, since the
+        other part is nonempty.  The k-move of a proper nonempty subset e
+        covers at least ``min(gain, N - |e|)`` new vertices: every vertex
+        outside e lies in a gap between members, an end gap of g vertices on
+        a path gains ``min(g, k)`` and an inner gap ``min(g, 2k)``, so one gap
+        of at least k (2k on a cycle, where every gap is inner) gains that
+        many and otherwise every gap is covered."""
+        return min((x + 1) // 2 + self._gain, self.n)
 
     def reach(self, mask: int) -> int:
         n, full = self.n, self.full

@@ -15,11 +15,12 @@ flag on, a middle run within k+1 vertices of an end, which the test
 stretched to that end dominates.  The search hands ``Arena.splits`` the
 two limits that say which (``lim`` and ``ends``), and the enumeration
 never produces those splits.  A state is refuted by its size alone (a
-test leaves a part with half of its members, and a proper part of a
-connected arena gains one when it moves), and a state of several runs of
-members by a lower bound proven for one of its runs (``Arena.runs``), a
-subset of it.  It skips splits with a child ruled out by its lower
-bound; a split that leads back to its state is never a best one.
+test leaves a part with half of its members, and that proper part gains
+k vertices on a path and 2k on a cycle when it moves, up to N:
+``Arena.part_floor``), and a state of several runs of members by a lower
+bound proven for one of its runs (``Arena.runs``), a subset of it.  It
+skips splits with a child ruled out by its lower bound; a split that
+leads back to its state is never a best one.
 
 ``exact_min_tests`` deepens n (R. E. Korf, "Depth-first iterative-deepening:
 an optimal admissible tree search", Artificial Intelligence 27(1), 1985).
@@ -61,9 +62,11 @@ from .spaces import SearchSpace, Topology
 MAX_EDGES = 8_000_000  # cap on the oracle's stored pairs: 0.76 GB on path(44,1) s=3
 MAX_MATRIX_ENTRIES = 2_000_000  # cap on the matrix search's memo entries
 INF = float("inf")
-# the largest N of the measured ladder (tools/oracle_ladder.py, 60 s, 3 GB):
-# path(80,1) s=5 in 3.5 s and cycle(22,1) s=5 over all subsets in 12 s, whose
-# states have 2^21 splits each
+# the largest N of the measured ladder (tools/oracle_ladder.py, 60 s, 3 GB).
+# Paths bind the interval cap: path(80,1) s=5 takes 2.7 s and path(80,2) s=9
+# reaches the edge cap.  Cycles do not bind it: the size bound answers
+# cycle(80,k) at s=4k+1 in under 0.1 s.  Over all subsets cycle(22,1) s=5
+# takes 1.5 s, most of it the root's 2^21 splits
 _CAPS = {"intervals": 80, "all_subsets": MAX_SUBSET_N}
 
 
@@ -106,12 +109,13 @@ class _Search:
         self.alive, self.watchers = set(), {}
         self.lo: dict[int, int] = {}
         # need[x]: the fewest tests a state of x members can need, from a
-        # largest part of ceil(x/2) members that gains one when it moves
-        need = self.need = [0] * (self.arena.n + 1)
-        for x in range(s + 1, self.arena.n + 1):
-            part = (x + 1) // 2
-            shown = part + 1 if self.expand else part
-            need[x] = 1 if shown <= s else 1 + need[part + 1] if part + 1 < x else INF
+        # larger part of ceil(x/2) members whose move has part_floor(x)
+        arena = self.arena
+        need = self.need = [0] * (arena.n + 1)
+        for x in range(s + 1, arena.n + 1):
+            moved = arena.part_floor(x)
+            shown = moved if self.expand else (x + 1) // 2
+            need[x] = 1 if shown <= s else 1 + need[moved] if moved < x else INF
 
     def child(self, moved: int) -> int:
         """The canonical form of a moved part above the floor."""

@@ -15,8 +15,15 @@ from helpers import (
     reference_pairs,
 )
 from movingsearch import oracle
-from movingsearch.adaptive import AdaptiveStrategy, StrategyNode, cycle_capacity, path_capacity, path_min_accuracy
-from movingsearch.errors import BudgetExceededError
+from movingsearch.adaptive import (
+    AdaptiveStrategy,
+    StrategyNode,
+    cycle_capacity,
+    min_tests,
+    path_capacity,
+    path_min_accuracy,
+)
+from movingsearch.errors import BudgetExceededError, RegimeError
 from movingsearch.kernel import Arena
 from movingsearch.nonadaptive import evaluate_matrix, expanding_accuracy_matrix
 from movingsearch.oracle import (
@@ -221,8 +228,8 @@ def test_pruned_expansion_matches_the_full_one(make, test_class, n_max, monkeypa
     [
         # 143 states, 4,206 edges with every split filed; 211 and 4,826 without the run cuts
         (path(15, 1), 4, "intervals", None, ("solved", 6, 128, 2464)),
-        # 496 and 45,028 with every split filed; 716 and 48,547 without the run cuts
-        (path(25, 2), 8, "intervals", 4, ("budget_exceeded", None, 392, 22679)),
+        # 358 and 30,850 with every split filed; 517 and 34,022 without the run cuts
+        (path(25, 2), 8, "intervals", 4, ("budget_exceeded", None, 288, 16139)),
         (path(13, 1), 4, "all_subsets", None, ("solved", 5, 80, 11686)),
     ],
 )
@@ -231,13 +238,23 @@ def test_dominance_pruning_keeps_its_counts(sp, s, test_class, budget, want):
     assert (gv.status, gv.min_tests, gv.states, gv.edges) == want
 
 
-@pytest.mark.parametrize("test_class, n_max", [("intervals", 13), ("all_subsets", 8)])
-@pytest.mark.parametrize("make", [path, cycle])
+@pytest.mark.parametrize(
+    "make, test_class, n_max",
+    [
+        (path, "intervals", 13),
+        # on cycles the size bound leaves the cuts nothing to refute in a
+        # test-count query (none fires up to N=40); they fire in the
+        # accuracy queries, first at N=15
+        (cycle, "intervals", 19),
+        (path, "all_subsets", 8),
+        (cycle, "all_subsets", 8),
+    ],
+)
 def test_run_cuts_change_no_answer_and_expand_fewer_states(make, test_class, n_max, monkeypatch):
     """Refuting a state by a bound on one of its runs, and covering a trap
     child by a run it holds, change no status, test count, extracted depth
     or accuracy floor against the search without them, and the search
-    expands fewer states in all."""
+    expands fewer states in all, accuracy queries included."""
 
     def answers(sp):
         out, states = [], 0
@@ -247,7 +264,8 @@ def test_run_cuts_change_no_answer_and_expand_fewer_states(make, test_class, n_m
                 depth = extract_strategy(gv).depth() if gv.status == "solved" else None
                 out.append((s, budget, gv.status, gv.min_tests, depth))
                 states += gv.states
-        return out, exact_min_accuracy(sp, test_class=test_class), states
+        floor = exact_min_accuracy_value(sp, test_class=test_class)
+        return out, floor.s, states + floor.states
 
     cut = uncut = 0
     for k in (1, 2, 3):
@@ -272,15 +290,25 @@ def test_run_cuts_change_no_answer_and_expand_fewer_states(make, test_class, n_m
 def test_stored_bounds_bracket_the_value_iteration(make, test_class, n_max):
     """Every ``lo`` a query stores is at most the state's value and every
     ``hi`` at least it, unbudgeted and budgeted, where the budgeted trap
-    stores bounds too."""
+    stores bounds too.  The size bound is admissible: ``need`` of every
+    graph state's size is at most its value, and no split's larger moved
+    part has fewer than ``Arena.part_floor`` members."""
     for k in (1, 2):
         for flag in (True, False):
             for n_vertices in range(2, n_max + 1):
                 sp = make(n_vertices, k, moves_after_last_test=flag)
                 arena = Arena(sp)
                 graph = reference_build_graph(arena, test_class)
+                for d, edges in graph.items():
+                    bound = arena.part_floor(d.bit_count())
+                    assert all(max(c1.bit_count(), c0.bit_count()) >= bound for *_, c1, _e0, c0 in edges), (
+                        f"{sp} flag={flag} part_floor({d:b})"
+                    )
                 for s in range(1, n_vertices):
                     values = reference_label(arena, graph, s, None)[0]
+                    need = oracle._Search(arena, test_class, s).need
+                    for d in graph:
+                        assert need[d.bit_count()] <= values.get(d, oracle.INF), f"{sp} flag={flag} s={s} need[{d:b}]"
                     for budget in (None, 1, 2, 3):
                         search = exact_min_tests(sp, s, test_class=test_class, budget=budget)._search
                         where = f"{sp} flag={flag} s={s} budget={budget}"
@@ -290,11 +318,26 @@ def test_stored_bounds_bracket_the_value_iteration(make, test_class, n_max):
                             assert d == 0 or values.get(d, oracle.INF) <= bound, f"{where} hi[{d:b}]"
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cycles_at_most_4k_are_refuted_by_size_as_min_tests_says(k):
+    """On a cycle, accuracy s <= 4k is out of reach from every N > s: the
+    size bound refutes the root before any state is expanded, and
+    ``min_tests`` raises.  At s = 4k+1 the two agree on a cycle of 80."""
+    for s in range(1, 4 * k + 1):
+        for n_vertices in range(s + 1, 81):
+            gv = exact_min_tests(cycle(n_vertices, k), s)
+            assert (gv.status, gv.states) == ("unreachable", 0), f"N={n_vertices} s={s}"
+            with pytest.raises(RegimeError):
+                min_tests("cycle", n_vertices, s, k)
+    gv = exact_min_tests(cycle(80, k), 4 * k + 1)
+    assert gv.min_tests == min_tests("cycle", 80, 4 * k + 1, k).n
+
+
 def test_run_cuts_keep_their_counts_on_rungs_now_in_reach():
     """Rungs the run cuts bring under a second: a lost cut changes the
     counts at once instead of only slowing them down."""
-    gv = exact_min_tests(cycle(33, 1), 4)  # 12,898 states without the cuts
-    assert (gv.status, gv.states, gv.edges) == ("unreachable", 280, 25571)
+    gv = exact_min_tests(path(20, 1), 3)  # 2,235 states, 112,190 edges without the cuts
+    assert (gv.status, gv.states, gv.edges) == ("unreachable", 641, 23264)
     gv = exact_min_accuracy_value(path(32, 1))
     assert (gv.s, gv.states, gv.edges) == (4, 350, 30066)
 
@@ -353,7 +396,7 @@ def test_reflect_reverses_the_bit_string(make):
 def test_edge_cap_raises_budget_exceeded(make, monkeypatch):
     sp = make(12, 1)
     monkeypatch.setattr(oracle, "MAX_EDGES", 10)
-    for query in (lambda: exact_min_tests(sp, 4), lambda: exact_min_accuracy(sp)):
+    for query in (lambda: exact_min_tests(sp, 5), lambda: exact_min_accuracy(sp)):
         with pytest.raises(BudgetExceededError, match="edge cap") as caught:
             query()
         # the error carries the engine's record at the cap
@@ -435,7 +478,7 @@ def _tests_of(node):
 
 
 def test_game_value_times_build_and_labelling():
-    gv = exact_min_tests(cycle(8, 1), 4)  # unreachable: the closed-trap check runs
+    gv = exact_min_tests(path(8, 1), 3)  # unreachable: the closed-trap check runs
     assert gv.status == "unreachable"
     assert gv.search_seconds > 0 and gv.trap_seconds > 0
     assert "search_seconds" not in gv.record() and "trap_seconds" not in gv.record()

@@ -43,6 +43,8 @@ RUNGS = [
     ("cycle", 69, 1, 5, "intervals", None),
     ("cycle", 72, 2, 10, "intervals", None),
     ("cycle", 73, 2, 10, "intervals", None),
+    ("cycle", 80, 1, 5, "intervals", None),
+    ("cycle", 80, 2, 9, "intervals", None),
     ("cycle", 33, 1, 4, "intervals", None),
     ("path", 29, 1, 5, "intervals", None),
     ("path", 47, 1, 5, "intervals", None),
