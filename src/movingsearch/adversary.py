@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Iterator, Optional
 from .adaptive import AdaptiveStrategy, StrategyNode
 from .errors import BudgetExceededError, RegimeError, WindowInvariantError
 from .kernel import MAX_SUBSET_N, TEST_CLASSES, Arena, mask_of
-from .nonadaptive import TestMatrix
+from .nonadaptive import TestMatrix, check_width
 from .spaces import (
     PositionSet,
     SearchSpace,
@@ -100,14 +100,18 @@ if TYPE_CHECKING:
     TestSource = Union[AdaptiveStrategy, TestMatrix, Sequence[PositionSet]]
 
 
-def source_root(source: TestSource) -> StrategyNode:
+def source_root(space: SearchSpace, source: TestSource) -> StrategyNode:
     """The root of a test source as a decision tree: a strategy's own root,
     or a matrix's rows (a list's tests) as a chain of nodes whose two
-    answers lead to the same next test, ending in an empty leaf."""
+    answers lead to the same next test, ending in an empty leaf.  A matrix
+    must have a column per vertex of the space."""
     if isinstance(source, AdaptiveStrategy):  # before the sequence branch: a strategy is a tuple too
         return source.root
+    if isinstance(source, TestMatrix):
+        check_width(source, space.num_vertices)
+        source = source.tests()
     node = StrategyNode()
-    for test in reversed(list(source.tests() if isinstance(source, TestMatrix) else source)):
+    for test in reversed(list(source)):
         node = StrategyNode(test, node, node)
     return node
 
@@ -117,7 +121,7 @@ def _play(space: SearchSpace, source: TestSource, rule, tracked=None, rounds=Non
     ``rounds`` rounds.  ``rule(test, candidates, tracked)`` returns the
     answer, the next candidate set and the next tracked set; a tracked set
     must stay inside the candidates."""
-    node, d, out = source_root(source), full_set(space), []
+    node, d, out = source_root(space, source), full_set(space), []
     while node.test is not None and len(out) != rounds:
         answer, d, tracked = rule(node.test, d, tracked)
         if tracked is not None and not tracked.issubset(d):
@@ -279,8 +283,7 @@ def matrix_counter(space: SearchSpace, matrix: TestMatrix) -> CounterCertificate
     n, k = space.num_vertices, space.speed
     if n <= 6 * k:
         raise ValueError(f"need N > 6k = {6 * k}")
-    if matrix.cols != n:
-        raise ValueError("matrix width does not match the arena")
+    check_width(matrix, n)
     mid = -(-n // 2)
     last = matrix.bits[matrix.rows - 1]
 

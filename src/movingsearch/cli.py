@@ -23,7 +23,7 @@ from typing import Optional
 
 from . import adaptive, adversary, codec, nonadaptive, oracle, verify
 from .errors import BudgetExceededError, RegimeError
-from .nonadaptive import TestMatrix
+from .nonadaptive import TestMatrix, check_width
 from .spaces import cycle, path
 
 OUTDIR_ENV = "MOVINGSEARCH_OUTDIR"
@@ -94,8 +94,7 @@ def _make_space(args):
 def _load_matrix(path_: str, n: int) -> TestMatrix:
     with open(path_, encoding="ascii") as fh:
         matrix = TestMatrix.parse(fh.read())
-    if matrix.cols != n:
-        raise ValueError(f"matrix has {matrix.cols} columns but the arena has {n} vertices")
+    check_width(matrix, n)
     return matrix
 
 

@@ -52,7 +52,7 @@ class CodecSession:
 
     def __init__(self, space: SearchSpace, strategy: TestSource):
         self.space = space
-        self._node = source_root(strategy)
+        self._node = source_root(space, strategy)
         self.bits: list[int] = []
         self._last_position: Optional[int] = None
         self.decoder_state = self.decoded = full_set(space)

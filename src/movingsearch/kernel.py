@@ -45,7 +45,17 @@ def mask_of(ps: PositionSet) -> int:
 
 
 def ps_of(mask: int) -> PositionSet:
-    return PositionSet.from_members(v + 1 for v in range(mask.bit_length()) if mask >> v & 1)
+    """The mask's members as a ``PositionSet``, read a run at a time: the
+    lowest set bit starts a run, and adding it carries to the bit above
+    the run (as in ``Arena.runs``)."""
+    ivs = []
+    while mask:
+        low = mask & -mask
+        t = mask + low
+        top = t & -t
+        mask ^= top - low
+        ivs.append((low.bit_length(), top.bit_length() - 1))
+    return PositionSet._of(tuple(ivs))
 
 
 class Arena:

@@ -21,11 +21,12 @@ from collections import namedtuple
 from typing import Iterator
 
 from .errors import RegimeError
-from .kernel import Arena, mask_of, ps_of
+from .kernel import Arena, ps_of
 from .spaces import PositionSet, SearchSpace, _frozen
 
 
 _BIT = {0: 0, 1: 1}  # an entry's int: True and 1.0 find 1 here, and anything else fails
+_DIGIT = bytes.maketrans(b"\0\1", b"01")  # a row's entries as bytes to the digits ``int`` reads
 
 
 class TestMatrix:
@@ -36,11 +37,14 @@ class TestMatrix:
     assignment raises ``AttributeError``, and two matrices with equal rows
     are equal and hash alike.
 
+    Each row's kernel mask and test ``PositionSet`` are derived from
+    ``bits`` once, here, and kept beside it.
+
     Text form: one row per line of '0'/'1' characters, no separators,
     first line = first test.
     """
 
-    __slots__ = ("bits",)
+    __slots__ = ("bits", "_masks", "_tests")
 
     def __init__(self, bits):
         try:
@@ -52,7 +56,10 @@ class TestMatrix:
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise ValueError("ragged matrix")
+        masks = tuple(int(bytes(row[::-1]).translate(_DIGIT), 2) for row in rows)  # column j is bit j
         object.__setattr__(self, "bits", rows)
+        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_tests", tuple(map(ps_of, masks)))
 
     __setattr__ = __delattr__ = _frozen
 
@@ -79,11 +86,10 @@ class TestMatrix:
         return len(self.bits[0])
 
     def row_test(self, i: int) -> PositionSet:
-        return PositionSet.from_members(j + 1 for j, b in enumerate(self.bits[i]) if b)
+        return self._tests[i]
 
     def tests(self) -> Iterator[PositionSet]:
-        for i in range(self.rows):
-            yield self.row_test(i)
+        return iter(self._tests)
 
     def to_text(self) -> str:
         return "\n".join("".join(str(b) for b in row) for row in self.bits) + "\n"
@@ -99,6 +105,13 @@ class TestMatrix:
                 raise ValueError(f"matrix line {number}: expected a row of '0'/'1' characters as wide as "
                                  f"the first, got {line[:24]!r}")
         return cls(tuple(tuple(map(int, line)) for line in lines if line))
+
+
+def check_width(matrix: TestMatrix, n: int) -> None:
+    """Raise ``ValueError`` unless the matrix has a column per vertex of an
+    n-vertex arena."""
+    if matrix.cols != n:
+        raise ValueError(f"matrix has {matrix.cols} columns but the arena has {n} vertices")
 
 
 def _run_value(p: int) -> int:
@@ -206,13 +219,10 @@ def evaluate_matrix(space: SearchSpace, matrix: TestMatrix, s: int) -> MatrixEva
     if s < 1:
         raise ValueError("accuracy must be >= 1")
     arena = Arena(space)
-    if matrix.cols != arena.n:
-        raise ValueError(
-            f"matrix has {matrix.cols} columns but the arena has {arena.n} vertices"
-        )
+    check_width(matrix, arena.n)
     states = frozenset([arena.full])
-    for i in range(matrix.rows):
-        states = advance_row(arena, states, mask_of(matrix.row_test(i)), s)
+    for row in matrix._masks:
+        states = advance_row(arena, states, row, s)
     if not states:
         return MatrixEvaluation(True, None)
     worst = min(states, key=lambda d: (-d.bit_count(), d))

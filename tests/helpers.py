@@ -384,8 +384,10 @@ def reference_evaluate_matrix(space, matrix, s):
 
     A branch succeeds as soon as the announced set has at most ``s``
     elements; a branch whose candidate set empties is vacuously successful.
+    Each row is read from ``matrix.bits`` here, not from the tests the
+    matrix stores.
     """
-    tests = list(matrix.tests())
+    tests = [PositionSet.from_members(j + 1 for j, b in enumerate(row) if b) for row in matrix.bits]
     expand = space.moves_after_last_test
     worst = [None]
 

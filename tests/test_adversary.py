@@ -29,7 +29,7 @@ from movingsearch.adversary import (
     window_adversary,
     window_step,
 )
-from movingsearch.codec import decode
+from movingsearch.codec import CodecSession, decode, simulate_session
 from movingsearch.errors import BudgetExceededError, RegimeError, WindowInvariantError
 from movingsearch.kernel import MAX_SUBSET_N, TEST_CLASSES, Arena, mask_of
 from movingsearch.nonadaptive import TestMatrix, evaluate_matrix, expanding_accuracy_matrix
@@ -639,7 +639,7 @@ def test_a_matrix_its_tests_and_its_chain_play_alike(n_vertices, moves):
         for rows in (2, 3, 4):
             runs = [sorted(rng.sample(range(n_vertices + 1), 2)) for _ in range(rows)]
             matrix = TestMatrix(tuple(tuple(int(lo < v <= hi) for v in range(1, n_vertices + 1)) for lo, hi in runs))
-            chain = AdaptiveStrategy(space, source_root(matrix), n_vertices)
+            chain = AdaptiveStrategy(space, source_root(space, matrix), n_vertices)
             sources = (matrix, list(matrix.tests()), chain)
             for play in (greedy_adversary, window_adversary):
                 first, *rest = (play(space, source) for source in sources)
@@ -647,3 +647,29 @@ def test_a_matrix_its_tests_and_its_chain_play_alike(n_vertices, moves):
             for length in range(rows + 2):  # one bit past the last row too
                 for bits in itertools.product((0, 1), repeat=length):
                     assert len({decoded_or_error(space, source, bits) for source in sources}) == 1
+
+
+# every entry point that takes a matrix, with the arguments it needs besides
+ENTRY_POINTS = {
+    "greedy_adversary": lambda sp, m: greedy_adversary(sp, m),
+    "window_adversary": lambda sp, m: window_adversary(sp, m),
+    "margin_adversary": lambda sp, m: margin_adversary(sp, m, 1, 4),
+    "simulate_session": lambda sp, m: simulate_session(sp, m, seed=1),
+    "CodecSession": lambda sp, m: CodecSession(sp, m),
+    "decode": lambda sp, m: decode(sp, m, (0, 1)),
+    "evaluate_matrix": lambda sp, m: evaluate_matrix(sp, m, 4),
+    "matrix_counter": lambda sp, m: matrix_counter(sp, m),
+    "source_root": lambda sp, m: source_root(sp, m),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+@pytest.mark.parametrize("cols", [3, 9, 11])
+def test_a_matrix_of_the_wrong_width_is_refused_by_every_entry_point(entry, cols):
+    # a narrower matrix would test only some of the vertices, and a wider
+    # one vertices that the arena does not have
+    matrix = TestMatrix(((1, 1) + (0,) * (cols - 2), (0,) + (1,) * (cols - 1)))
+    with pytest.raises(ValueError, match=f"^matrix has {cols} columns but the arena has 10 vertices$"):
+        ENTRY_POINTS[entry](path(10, 1), matrix)
+    right = TestMatrix(((1, 1) + (0,) * 8, (0,) + (1,) * 9))
+    ENTRY_POINTS[entry](path(10, 1), right)  # the same rows, one column per vertex

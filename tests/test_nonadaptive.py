@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as hs
 
 from helpers import reference_evaluate_matrix
 from movingsearch.errors import RegimeError
+from movingsearch.kernel import mask_of
 from movingsearch.nonadaptive import (
     TestMatrix,
     evaluate_matrix,
@@ -123,6 +126,28 @@ def test_matrix_stores_rows_as_tuples_of_ints():
     assert len({m, same}) == 1
 
 
+def _random_rows(rng, width):
+    """A few rows of the width: one all zeros, one all ones, the rest random."""
+    rows = [(0,) * width, (1,) * width]
+    rows += [tuple(rng.randint(0, 1) for _ in range(width)) for _ in range(rng.randint(1, 4))]
+    rng.shuffle(rows)
+    return rows
+
+
+def test_stored_rows_equal_a_fresh_reading_of_the_bits():
+    rng = random.Random(32)
+    for width in range(1, 41):
+        for _ in range(5):
+            m = TestMatrix(_random_rows(rng, width))
+            fresh = [PositionSet.from_members(j + 1 for j, b in enumerate(row) if b) for row in m.bits]
+            for i, row in enumerate(m.bits):
+                assert m.row_test(i) == fresh[i] and m.row_test(i).intervals == fresh[i].intervals
+                assert mask_of(m.row_test(i)) == m._masks[i] == sum(b << j for j, b in enumerate(row))
+            assert list(m.tests()) == list(m.tests()) == fresh
+            for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+                assert twin == m and list(twin.tests()) == fresh and twin._masks == m._masks
+
+
 # -- evaluation ---------------------------------------------------------------
 
 
@@ -156,6 +181,16 @@ def _differential_cases():
                     for _ in range(rng.randint(1, 6))
                 )
                 yield topology, n_vertices, k, TestMatrix(bits)
+    # rows of several runs each, whose tests ``ps_of`` reads a run at a time
+    for topology in (path, cycle):
+        for n_vertices in range(5, 15):
+            for _ in range(3):
+                rows, want = [], rng.randint(1, 5)
+                while len(rows) < want:
+                    row = tuple(rng.randint(0, 1) for _ in range(n_vertices))
+                    if len(PositionSet.from_members(j + 1 for j, b in enumerate(row) if b).intervals) > 1:
+                        rows.append(row)
+                yield topology, n_vertices, rng.randint(1, 2), TestMatrix(rows)
 
 
 def test_mask_evaluator_matches_positionset_reference():
@@ -172,8 +207,10 @@ def test_mask_evaluator_matches_positionset_reference():
                     assert res.worst_final is None, where
                 else:
                     assert len(res.worst_final) == len(worst), where
+                    # a canonical interval tuple, as the public constructor makes
+                    assert res.worst_final.intervals == PositionSet.from_members(res.worst_final).intervals, where
                 cases += 1
-    assert cases == 2104
+    assert cases == 3244
 
 
 def test_evaluator_rejects_bad_accuracy_and_columns():

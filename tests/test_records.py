@@ -86,7 +86,7 @@ def test_check_result_record_keeps_its_keys():
 def test_tuple_records_keep_their_field_meanings():
     # a strategy is a tuple too, but a test source reads it as its tree
     strategy = RECORDS["AdaptiveStrategy"][0]()
-    assert source_root(strategy) is strategy.root
+    assert source_root(strategy.space, strategy) is strategy.root
     # the round number, not tuple.index
     assert _round().index == 1
 

@@ -16,9 +16,14 @@ other instances run in between, so a run there finds none of the rounds
 it computed before either.  Prints the parent's and the change's totals,
 the ratio change/parent, and the ratio of the parent's second copy to
 its first: the tool's own bias, which a change ratio must clear to mean
-anything.  All sides share the interpreter, the heap and the machine's
-state at each moment, so slow drift of the host cancels out; a run in
-separate processes, as perfbench makes, is still the end-to-end measure.
+anything.  Then each side's median instance time and its tail instance
+time, read from the same best-of-``--repeats`` times as perfbench reads
+``verdict_p50_s`` and ``verdict_tail_s`` from its verdict times (the
+median, and the nearest rank at the highest percentile of its ladder
+that has enough instances beyond it), each with the same two ratios.
+All sides share the interpreter, the heap and the machine's state at
+each moment, so slow drift of the host cancels out; a run in separate
+processes, as perfbench makes, is still the end-to-end measure.
 
 Before the runs, each side's library is loaded afresh ``--repeats`` times,
 the sides in rotation, and the median load time of each side is printed
@@ -148,6 +153,7 @@ def main(argv=None) -> int:
         parser.error("--repeats must be >= 1")
 
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import run as perfbench
     import workloads
 
     if args.workload not in workloads.GRIDS:
@@ -159,16 +165,26 @@ def main(argv=None) -> int:
     sides, loads = load_times(paths, args.repeats)
     grids = [workloads.GRIDS[args.workload](ms, random.Random(args.seed)) for ms in sides]
     clears = [getattr(getattr(ms.spaces, "_round", None), "cache_clear", lambda: None) for ms in sides]
-    totals, failed = [0.0] * 3, [0] * 3
+    times, failed = [[] for _ in paths], [0] * 3
     for i, row in enumerate(zip(*grids)):
         for side in rotation(i):
             seconds, raised = best_time(row[side], args.repeats, clears[side])
-            totals[side] += seconds
+            times[side].append(seconds)
             failed[side] += raised
+    totals = [sum(t) for t in times]
     for label, total, fails in zip(("parent", "change"), totals, failed):
         print(f"{label}: {total:.4f} s over {len(grids[0])} instances ({fails} raised)")
     print(f"ratio change/parent: {totals[1] / totals[0]:.4f}")
     print(f"ratio parent/parent: {totals[2] / totals[0]:.4f}")
+    p = perfbench.tail_percentile(len(grids[0]))
+    if p is None:
+        raise SystemExit(f"{len(grids[0])} instances are too few for a tail percentile")
+    for name, read in (("median", statistics.median), (f"p{p:g} tail", lambda t: perfbench.nearest_rank(t, p))):
+        values = [read(sorted(t)) for t in times]
+        for label, value in zip(("parent", "change"), values):
+            print(f"{label} {name} instance: {value * 1e3:.4f} ms, best of {args.repeats}")
+        print(f"{name} ratio change/parent: {values[1] / values[0]:.4f}")
+        print(f"{name} ratio parent/parent: {values[2] / values[0]:.4f}")
     for label, (seconds, _, _) in zip(("parent", "change"), loads):
         print(f"{label} load: {seconds * 1e3:.2f} ms, median of {args.repeats}")
     print(f"load ratio change/parent: {loads[1][0] / loads[0][0]:.4f}")
