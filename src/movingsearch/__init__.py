@@ -33,7 +33,7 @@ from .adversary import (
     matrix_counter,
     window_adversary,
 )
-from .codec import CodecSession, decode, random_walk, simulate_session
+from .codec import CodecSession, decode, simulate_session
 from .errors import BudgetExceededError, RegimeError, WindowInvariantError
 from .nonadaptive import (
     TestMatrix,

@@ -23,6 +23,7 @@ from .spaces import (
     PositionSet,
     SearchSpace,
     Topology,
+    _fold,
     cycle,
     full_set,
     path,
@@ -59,30 +60,22 @@ _LINE = re.compile(f"leaf {_ID} answer={_SET}|node {_ID} test={_SET} on0={_ID} o
 
 
 class AdaptiveStrategy(namedtuple("AdaptiveStrategy", "space root accuracy_target")):
-    """A decision tree together with the arena and accuracy it targets."""
+    """A decision tree together with the arena and accuracy it targets.
+    ``depth`` and ``num_nodes`` read one walk over the tree's levels."""
 
     __slots__ = ()
 
+    def _levels(self) -> Iterator[list[StrategyNode]]:
+        level = [self.root]
+        while level:
+            yield level
+            level = [child for node in level if node.test is not None for child in (node.on0, node.on1)]
+
     def depth(self) -> int:
-        deepest = 0
-        stack = [(self.root, 0)]
-        while stack:
-            node, d = stack.pop()
-            if node.test is None:
-                deepest = max(deepest, d)
-            else:
-                stack.append((node.on0, d + 1))
-                stack.append((node.on1, d + 1))
-        return deepest
+        return sum(1 for _ in self._levels()) - 1
 
     def num_nodes(self) -> int:
-        count, stack = 0, [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if node.test is not None:
-                stack += (node.on0, node.on1)
-        return count
+        return sum(map(len, self._levels()))
 
     def leaves(self) -> Iterator[tuple[tuple[int, ...], StrategyNode]]:
         """(answer bits, leaf) pairs for every root-to-leaf path, the
@@ -307,35 +300,24 @@ def min_tests(topology: Union[Topology, str], n_vertices: int, s: int, k: int) -
 # cycle construction: halve the candidate arc, re-expand, repeat
 
 
-def _arc_set(n: int, start0: int, length: int) -> PositionSet:
-    """Arc of ``length`` vertices starting at 0-based position ``start0``."""
-    if length >= n:
-        return PositionSet._of(((1, n),))
-    start0 %= n
-    end0 = start0 + length - 1
-    if end0 < n:
-        return PositionSet._of(((start0 + 1, end0 + 1),))
-    # wrapped: the two pieces hold length < n vertices, so at least one lies
-    # between them and the pair is canonical as it stands
-    return PositionSet._of(((1, end0 - n + 1), (start0 + 1, n)))
-
-
 def cycle_strategy(n_vertices: int, s: int, k: int) -> AdaptiveStrategy:
     """Consecutive-arc halving strategy on the cycle.
 
     From a candidate arc, test its first half: either half re-expands by k
     on each side, so the arc length follows L -> ceil(L/2) + 2k until it
-    reaches the accuracy target.
+    reaches the accuracy target.  An arc is one run starting within 1..N,
+    which ``spaces._fold`` wraps past N.
     """
     space = cycle(n_vertices, k)
     min_tests(Topology.CYCLE, n_vertices, s, k)  # regime check
     b = _Builder()
 
     def build(start0: int, length: int) -> StrategyNode:
+        start = start0 % n_vertices + 1
         if length <= s:
-            return b.leaf(_arc_set(n_vertices, start0, length))
+            return b.leaf(_fold(n_vertices, True, ((start, start + length - 1),)))
         t = (length + 1) // 2
-        test = _arc_set(n_vertices, start0, t)
+        test = _fold(n_vertices, True, ((start, start + t - 1),))
         on1 = build(start0 - k, min(t + 2 * k, n_vertices))
         on0 = build(start0 + t - k, min(length - t + 2 * k, n_vertices))
         return b.node(test, on0, on1)

@@ -225,13 +225,14 @@ def margin_start(space: SearchSpace, n: int, s: int) -> PositionSet:
         raise RegimeError(f"accuracy s={s} below the 4k={4 * k} regime of the margin adversary")
     if n < 0:
         raise ValueError("test budget must be >= 0")
-    size = (1 << n) * (s - 4 * k) + 4 * k + 1
+    # (s-4k)*2^n must fit in what the margins and 4k+1 leave, tested by a shift:
+    # 2^n may be too long to build or print, and a negative rest >> n is -1
+    rest = space.num_vertices - (2 * n * k + 4 * k + 1)
+    if rest >> n < s - 4 * k:
+        raise ValueError(f"margin adversary needs N >= (s-4k)*2^n + 4k+1+2nk = {s - 4 * k}*2^{n} + "
+                         f"{2 * n * k + 4 * k + 1}, got {space.num_vertices}")
     lo = n * k + 1
-    if lo + size - 1 + n * k > space.num_vertices:
-        raise ValueError(
-            f"margin adversary needs N >= {size + 2 * n * k}, got {space.num_vertices}"
-        )
-    return PositionSet.interval(lo, lo + size - 1)
+    return PositionSet.interval(lo, lo + ((s - 4 * k) << n) + 4 * k)
 
 
 def margin_adversary(space: SearchSpace, source: TestSource, n: int, s: int) -> Transcript:

@@ -15,7 +15,6 @@ Bit streams serialize as strings of '0'/'1' characters.
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
@@ -117,12 +116,6 @@ def _walk_steps(space: SearchSpace, seed: int) -> Iterator[int]:
     while True:
         yield pos
         pos = rng.choice(list(neighborhood(space, PositionSet.interval(pos, pos))))
-
-
-def random_walk(space: SearchSpace, length: int, seed: int) -> tuple[int, ...]:
-    """Seeded walk: uniform start, then uniform over reachable next positions
-    (always at least the start)."""
-    return tuple(itertools.islice(_walk_steps(space, seed), max(length, 1)))
 
 
 def check_walk(space: SearchSpace, walk: Sequence[int]) -> None:

@@ -114,30 +114,17 @@ def check_width(matrix: TestMatrix, n: int) -> None:
         raise ValueError(f"matrix has {matrix.cols} columns but the arena has {n} vertices")
 
 
-def _run_value(p: int) -> int:
-    # membership of the p-th center run, counted outward per row: pairs of
-    # present runs alternate with pairs of absent runs
-    return 1 if p % 4 in (1, 2) else 0
-
-
 def _center_matrix(n_vertices: int, k: int) -> TestMatrix:
+    """Row i (from 0) is three runs cut to N columns: mid - ik zeros, the
+    center's first 2ik entries, and then i's parity (1 on even i).  The
+    center repeats 2k ones and 2k zeros from its left end."""
     mid = -(-n_vertices // 2)
     n_rows = max(1, -(-(mid - 3 * k) // k) + 1)
-    rows = []
-    for i in range(1, n_rows + 1):
-        row = []
-        left = mid - (i - 1) * k  # last column of the all-zero prefix
-        right = mid + (i - 1) * k  # last column of the center region
-        for j in range(1, n_vertices + 1):
-            if j <= left:
-                row.append(0)
-            elif j <= right:
-                p = -(-(j - left) // k)
-                row.append(_run_value(p))
-            else:
-                row.append(1 if i % 2 == 1 else 0)
-        rows.append(tuple(row))
-    return TestMatrix(tuple(rows))
+    center = ((1,) * 2 * k + (0,) * 2 * k) * (n_vertices // (4 * k) + 1)
+    return TestMatrix(tuple(
+        ((0,) * (mid - i * k) + center[:2 * i * k] + (1 - i % 2,) * n_vertices)[:n_vertices]
+        for i in range(n_rows)
+    ))
 
 
 def expanding_accuracy_matrix(n_vertices: int) -> TestMatrix:

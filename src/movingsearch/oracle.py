@@ -401,6 +401,7 @@ def exact_best_matrix(space: SearchSpace, s: int, n: int) -> Optional[TestMatrix
     child = bound.child
     tests = [t for t in range(1, full) if not t & 1]  # complement-normalized rows
     counter = {"entries": 0}
+    # pays on deep searches no benchmark asks for: path(12,2) s=3 n=5, flag off, 0.22 s with it, 9.5 s without
     memo: dict[tuple[frozenset[int], int], Optional[tuple[int, ...]]] = {}
 
     def solve(states: frozenset[int], rows_left: int) -> Optional[tuple[int, ...]]:

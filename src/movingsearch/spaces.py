@@ -361,9 +361,11 @@ def _fold(n: int, cyclic: bool, runs: Sequence[tuple[int, int]]) -> PositionSet:
     """The set of the n-vertex path (or cycle) covered by ``runs``: nonempty
     merged runs, widened by one amount from sorted pieces within 1..n.  A
     piece widened past 1 (or n) meets the run before (after) it, so only the
-    first run can start below 1 and only the last end above n.  On a path
-    those overhangs are cut, as clipping each piece before merging would,
-    and on a cycle wrapped."""
+    first run can start below 1 and only the last end above n.  A single
+    run of at most n vertices that starts within 1..n, widened or not (a
+    cycle's arc), may also end up to n-1 past n.  On a path those overhangs
+    are cut, as clipping each piece before merging would, and on a cycle
+    wrapped."""
     (lo, first_hi), (last_lo, hi) = runs[0], runs[-1]
     if lo >= 1 and hi <= n:
         return PositionSet._of(tuple(runs))
@@ -376,7 +378,8 @@ def _fold(n: int, cyclic: bool, runs: Sequence[tuple[int, int]]) -> PositionSet:
         return PositionSet.interval(1, n)
     # An overhang is at most the widening long, while the first run ends at
     # least that far past 1 and the last starts at least that far before n,
-    # so a wrapped piece can meet only the run at its end of the cycle and
+    # so a wrapped piece can meet only the run at its end of the cycle (a
+    # single run shorter than n leaves a gap to its own wrapped piece) and
     # one merge pass over head + runs + tail keeps the result canonical.
     head, tail = [], []
     if lo < 1:

@@ -1,12 +1,14 @@
 """Shared verification helpers: the strategy-tree check, which runs
 ``verify``'s walk-level reference, the reference interval algebra, the
 reference strategy parser, the reference test enumerator and mask reader,
-oracle, expansion with its dominance rule and class sweep, and the
-reference matrix evaluator."""
+oracle, expansion with its dominance rule and class sweep, the reference
+matrix evaluator, the reference matrix builder and tree walks, and the
+seeded target walk."""
 
+import itertools
 import re
 
-from movingsearch import oracle, verify
+from movingsearch import codec, oracle, verify
 from movingsearch.adaptive import StrategyNode
 from movingsearch.errors import BudgetExceededError
 from movingsearch.kernel import Arena, mask_of
@@ -454,3 +456,66 @@ def reference_best_matrix(space, s, n):
                     tuple(tuple((row >> j) & 1 for j in range(arena.n)) for row in rows)
                 )
     return None
+
+
+# -- reference builders and tree walks ---------------------------------------------
+# The former per-entry loop of ``nonadaptive._center_matrix`` and the former
+# stack walks of ``AdaptiveStrategy.depth`` and ``num_nodes``, kept as the
+# references that the run-cut rows and the level walk are checked against.
+
+
+def reference_center_matrix(n_vertices, k):
+    """The expanding-accuracy matrix dilated to speed k, entry by entry."""
+    mid = -(-n_vertices // 2)
+    n_rows = max(1, -(-(mid - 3 * k) // k) + 1)
+    rows = []
+    for i in range(1, n_rows + 1):
+        row = []
+        left = mid - (i - 1) * k  # last column of the all-zero prefix
+        right = mid + (i - 1) * k  # last column of the center region
+        for j in range(1, n_vertices + 1):
+            if j <= left:
+                row.append(0)
+            elif j <= right:
+                p = -(-(j - left) // k)  # the center run, counted outward per row
+                row.append(1 if p % 4 in (1, 2) else 0)  # pairs of present runs alternate with absent pairs
+            else:
+                row.append(1 if i % 2 == 1 else 0)
+        rows.append(tuple(row))
+    return TestMatrix(tuple(rows))
+
+
+def reference_depth(strategy):
+    """Tests on a longest root-to-leaf path, by a depth-first stack walk."""
+    deepest = 0
+    stack = [(strategy.root, 0)]
+    while stack:
+        node, d = stack.pop()
+        if node.test is None:
+            deepest = max(deepest, d)
+        else:
+            stack.append((node.on0, d + 1))
+            stack.append((node.on1, d + 1))
+    return deepest
+
+
+def reference_num_nodes(strategy):
+    """Nodes and leaves of the tree, by a depth-first stack walk."""
+    count, stack = 0, [strategy.root]
+    while stack:
+        node = stack.pop()
+        count += 1
+        if node.test is not None:
+            stack += (node.on0, node.on1)
+    return count
+
+
+# -- seeded walks ------------------------------------------------------------------
+# A walk fixed in advance, for tests that hand a session its walk; a seeded
+# session draws the same steps from ``codec._walk_steps`` as it plays.
+
+
+def random_walk(space, length, seed):
+    """Seeded walk: uniform start, then uniform over reachable next positions
+    (always at least the start)."""
+    return tuple(itertools.islice(codec._walk_steps(space, seed), max(length, 1)))

@@ -38,5 +38,10 @@ def test_ab_inprocess_compares_a_checkout_with_itself():
         compiling, rest = line.split(": ")[1].split(", ")[:2]
         assert compiling.endswith(" ms compile") and float(compiling.split(" ")[0]) > 0
         assert float(rest.split(" ")[0]) > 0
-    assert len(lines) == 18
+    # each side's source lines in the library modules a load imports, and the change between them
+    for line, label in zip(lines[18:20], ("parent", "change")):
+        assert line.startswith(f"{label} library: ") and line.endswith(" lines in 9 modules")
+        assert int(line.split(": ")[1].split(" ")[0]) > 0
+    assert lines[20] == "library line change: +0"
+    assert len(lines) == 21
     assert run.stderr == ""

@@ -10,6 +10,8 @@ from helpers import (
     assert_strategy_sound,
     branch_sizes,
     brute_line_reach,
+    reference_depth,
+    reference_num_nodes,
     reference_parse_strategy,
 )
 from movingsearch import adaptive
@@ -483,6 +485,31 @@ def test_parse_builds_deep_trees_without_recursion():
     assert st.depth() == depth
     assert st.serialize() == text + "\n"
     assert sum(1 for _ in st.leaves()) == depth + 1
+
+
+def test_level_walk_matches_the_stack_walks():
+    # depth and num_nodes read one walk over the levels; the former depth-first
+    # stack walks are the reference, on every tree the builders make on a small
+    # grid, on single-leaf trees and on parsed trees
+    trees = []
+    for k in (1, 2):
+        for n_vertices in range(1, 41):
+            for s in (4 * k, 4 * k + 1, 4 * k + 3):
+                trees.append(path_strategy(n_vertices, s, k))
+                if s > 4 * k or n_vertices <= s:
+                    trees.append(cycle_strategy(n_vertices, s, k))
+            if n_vertices >= 4 * k + 1:
+                trees.append(path_shifting_strategy(n_vertices, k))
+                trees += [path_sliding_window_strategy(n_vertices, k, span) for span in range(1, k + 1)]
+    trees.append(AdaptiveStrategy(path(1, 1), StrategyNode(answer=P("1")), 1))
+    assert min(st.num_nodes() for st in trees) == 1
+    trees += [AdaptiveStrategy.parse(st.serialize(), st.space, st.accuracy_target) for st in trees[::7]]
+    chain = [f"node {2 * i} test=1 on0={2 * i + 1} on1={2 * i + 2}\nleaf {2 * i + 1} answer=2" for i in range(200)]
+    trees.append(AdaptiveStrategy.parse("\n".join(chain) + "\nleaf 400 answer=1", path(4, 1), 2))
+    for st in trees:
+        assert st.depth() == reference_depth(st)
+        assert st.num_nodes() == reference_num_nodes(st)
+    assert max(st.depth() for st in trees) == 200
 
 
 def test_replay_descends_by_answers():

@@ -414,6 +414,30 @@ def test_sweeps_reject_negative_test_budget():
         margin_start(path(30, 1), -1, 4)
 
 
+def test_margin_start_refuses_a_large_test_budget_with_a_printable_bound():
+    # (s-4k)*2^n has tens of thousands of digits here, past what int prints by
+    # default: the refusal names the bound by its parts and never builds it whole
+    with pytest.raises(ValueError) as exc:  # the margins 2nk alone exceed N
+        margin_start(path(30, 1), 100_000, 5)
+    assert str(exc.value) == ("margin adversary needs N >= (s-4k)*2^n + 4k+1+2nk = 1*2^100000 + 200005, "
+                              "got 30")
+    with pytest.raises(ValueError) as exc:  # the margins fit, the tracked set does not
+        margin_start(path(1_000_000, 1), 400_000, 5)
+    assert str(exc.value) == ("margin adversary needs N >= (s-4k)*2^n + 4k+1+2nk = 1*2^400000 + 800005, "
+                              "got 1000000")
+
+
+def test_margin_start_refuses_exactly_below_its_size():
+    for k in (1, 2):
+        for n in range(6):
+            for s in range(4 * k, 4 * k + 4):
+                size = (s - 4 * k) * 2 ** n + 4 * k + 1
+                need = size + 2 * n * k
+                assert margin_start(path(need, k), n, s) == PositionSet.interval(n * k + 1, n * k + size)
+                with pytest.raises(ValueError, match=f"got {need - 1}$"):
+                    margin_start(path(need - 1, k), n, s)
+
+
 def test_margin_adversary_below_its_regime_is_rejected():
     # the start's size (2^n)(s-4k)+4k+1 inverts the capacity formula, which needs
     # s >= 4k: here it would track one vertex

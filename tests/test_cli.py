@@ -155,6 +155,20 @@ def test_margin_below_its_regime_is_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("sweep", "margin", "--N", "30", "--k", "1", "--n", "100000", "--s", "5"),
+    ("adversary", "margin", "split", "--N", "30", "--k", "1", "--s", "5", "--n", "100000"),
+    ("sweep", "margin", "--N", "1000000", "--k", "1", "--n", "400000", "--s", "5"),
+])
+def test_margin_past_a_large_test_budget_is_usage_error(argv, capsys):
+    # the bound (s-4k)*2^n is past int's digit limit for text, so it is printed by its parts
+    code, text = run_cli(*argv)
+    assert code == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: margin adversary needs N >= (s-4k)*2^n + 4k+1+2nk = 1*2^")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
     ("strategy", "split", "--N", "20", "--k", "2", "--s", "7"),
     ("simulate", "split", "--N", "20", "--k", "2", "--s", "7", "--seed", "1"),
     ("adversary", "greedy", "split", "--N", "20", "--k", "2", "--s", "7"),

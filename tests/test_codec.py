@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from helpers import random_walk
 from movingsearch.adaptive import cycle_strategy, min_tests, path_strategy
 from movingsearch.codec import (
     CodecSession,
     bits_to_text,
     decode,
-    random_walk,
     simulate_session,
     text_to_bits,
 )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from helpers import reference_evaluate_matrix
+from helpers import reference_center_matrix, reference_evaluate_matrix
 from movingsearch.errors import RegimeError
 from movingsearch.kernel import mask_of
 from movingsearch.nonadaptive import (
@@ -293,6 +293,15 @@ def test_dilation_rejects_small_paths():
     with pytest.raises(RegimeError):
         general_k_matrix(6, 1)
     general_k_matrix(13, 2)  # first admissible size
+
+
+def test_both_constructors_match_the_entry_by_entry_reference():
+    # rows cut from three runs against the former loop over every entry
+    for n_vertices in range(5, 201):
+        assert expanding_accuracy_matrix(n_vertices) == reference_center_matrix(n_vertices, 1)
+    for k in range(1, 5):
+        for n_vertices in range(6 * k + 1, 201):
+            assert general_k_matrix(n_vertices, k) == reference_center_matrix(n_vertices, k)
 
 
 @pytest.mark.parametrize("n_vertices", range(13, 21))

@@ -32,6 +32,7 @@ from movingsearch.spaces import (
     split,
     update,
 )
+from movingsearch.spaces import _fold
 from movingsearch.spaces import _round as round_memo
 
 P = PositionSet.parse
@@ -207,6 +208,20 @@ def test_cycle_neighborhood_matches_step_simulation(n, k, a):
     got = neighborhood(cycle(n, k), PositionSet.from_members(a))
     assert set(got) == brute_cycle_reach(n, k, a)
     assert is_canonical(got)
+
+
+def test_fold_wraps_one_unwidened_run_past_n_on_a_cycle():
+    # a cycle's arc: one run of at most n vertices that starts within 1..n and
+    # may end up to n-1 past n, with no widening behind the overhang
+    cases = 0
+    for n in range(1, 41):
+        for start in range(1, n + 1):
+            for length in range(1, n + 1):
+                got = _fold(n, True, ((start, start + length - 1),))
+                assert set(got) == {(v - 1) % n + 1 for v in range(start, start + length)}
+                assert is_canonical(got)
+                cases += 1
+    assert cases == sum(n * n for n in range(1, 41))
 
 
 @given(

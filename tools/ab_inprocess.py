@@ -32,7 +32,9 @@ of which is this load, can be compared beside the tool's own bias.  Each
 side's load is then split into the median time spent compiling source
 (``SourceFileLoader.source_to_code``) and the median of the rest, mostly
 running the module bodies: class creation and module-level constants,
-plus finding and reading the files.  Run
+plus finding and reading the files.  Last comes each side's count of
+source lines in the library modules a load imports, so that a change's
+line count and its load time are read from one run.  Run
 it as the benchmark host runs perfbench, with ``PYTHONDONTWRITEBYTECODE=1``:
 
     PYTHONDONTWRITEBYTECODE=1 python3 tools/ab_inprocess.py PARENT CHANGE
@@ -72,6 +74,17 @@ def load_library(checkout: str, name: str) -> SimpleNamespace:
     sys.modules[name] = pkg
     spec.loader.exec_module(pkg)
     return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in LIBRARY_MODULES})
+
+
+def library_lines(name: str) -> tuple[int, int]:
+    """Source lines in the modules of package ``name`` now imported, and how
+    many modules that is."""
+    files = {mod.__file__ for key, mod in sys.modules.items() if key == name or key.startswith(name + ".")}
+    lines = 0
+    for file in files:
+        with open(file, "rb") as source:
+            lines += source.read().count(b"\n")
+    return lines, len(files)
 
 
 def forget(name: str):
@@ -192,6 +205,10 @@ def main(argv=None) -> int:
     for label, (_, compiling, rest) in zip(("parent", "change"), loads):
         print(f"{label} load split: {compiling * 1e3:.2f} ms compile, {rest * 1e3:.2f} ms module bodies, "
               "medians")
+    counts = [library_lines(f"movingsearch_ab{side}") for side in (0, 1)]
+    for label, (lines, modules) in zip(("parent", "change"), counts):
+        print(f"{label} library: {lines} lines in {modules} modules")
+    print(f"library line change: {counts[1][0] - counts[0][0]:+d}")
     return 0
 
 
